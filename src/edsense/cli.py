@@ -42,20 +42,6 @@ _COMMANDS = ("croc", "auc", "effrate", "verify", "pdf")
 # wrong constant: the closed form is scaled by (1 + value) before comparison.
 _PERTURB_ENV = "EDSENSE_VERIFY_PERTURB"
 
-_DEFAULTS = dict(
-    u=2,
-    a=1.0,
-    pf_points=50,
-    pf_min=1e-3,
-    pf_max=0.999,
-    tol=1e-8,
-    seed=42,
-    points=200,
-    mc_samples=10**6,
-    out="-",
-)
-
-
 @dataclass
 class SweepConfig:
     """Validated run configuration shared by all subcommands."""
@@ -145,6 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OPTION_TYPES = dict(u=int, pf_points=int, pf_min=float, pf_max=float,
+                     tol=float, seed=int, points=int, mc_samples=int, out=str)
+
+
 def _build_config(args: argparse.Namespace) -> SweepConfig:
     merged: dict = {}
     if args.json:
@@ -169,6 +159,11 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     snr_raw = merged.get("snr_db")
     snr = _parse_snr(str(snr_raw)) if snr_raw is not None else []
 
+    # flags and JSON fields that are left out keep the SweepConfig defaults
+    options = {key: cast(merged[key]) for key, cast in _OPTION_TYPES.items()
+               if key in merged}
+    if a is not None:
+        options["a_exponent"] = float(a)
     cfg = SweepConfig(
         command=args.command,
         channel=merged.get("channel"),
@@ -177,16 +172,7 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         m=merged.get("m"),
         ms=merged.get("ms"),
         snr_db=snr,
-        u=int(merged.get("u", _DEFAULTS["u"])),
-        a_exponent=float(a if a is not None else _DEFAULTS["a"]),
-        pf_points=int(merged.get("pf_points", _DEFAULTS["pf_points"])),
-        pf_min=float(merged.get("pf_min", _DEFAULTS["pf_min"])),
-        pf_max=float(merged.get("pf_max", _DEFAULTS["pf_max"])),
-        tol=float(merged.get("tol", _DEFAULTS["tol"])),
-        seed=int(merged.get("seed", _DEFAULTS["seed"])),
-        points=int(merged.get("points", _DEFAULTS["points"])),
-        mc_samples=int(merged.get("mc_samples", _DEFAULTS["mc_samples"])),
-        out=str(merged.get("out", _DEFAULTS["out"])),
+        **options,
     )
     if cfg.command != "verify" and cfg.channel is None:
         raise DomainError(f"{cfg.command} requires --channel")

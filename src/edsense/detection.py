@@ -6,22 +6,24 @@ probability is the generalized Marcum-Q Q_u(sqrt(2 gamma), sqrt(lambda)),
 and the false-alarm probability is the regularized upper incomplete gamma
 of (u, lambda/2).
 
-Channel averaging rests on one workhorse identity for integer p >= 1,
-verified against quadrature to machine precision:
+Both channels are averaged through one identity, the Poisson mixture form
+of the Marcum-Q,
 
-    integral over gamma >= 0 of gamma^(p-1) e^(-theta gamma)
-        Q_u(sqrt(2 gamma), sqrt(lambda)) dgamma
-      = Gamma(p)/theta^p * [ P_f(lambda) + sum_{j=0}^{p-1} B_theta(j) ],
+    1 - Q_u(sqrt(2 gamma), sqrt(lambda))
+      = sum_k e^(-gamma) gamma^k / k! * P(u + k, lambda/2),
 
-    B_theta(j) = (lambda/2)^u e^(-lambda/2) theta^j
-                 / (u! (1+theta)^(j+1))
-                 * 1F1(j+1; u+1; lambda/(2 (1+theta))).
+with P the regularized lower incomplete gamma.  Averaged over the channel it
+gives the missed-detection probability
 
-The shadowed kappa-mu average detection probability is the alternating
-binomial combination of such integrals induced by the corrected density;
-the Fisher-Snedecor average is an infinite series of Tricomi-U terms whose
-truncation is certified by a closed-form tail majorant (see
-``truncation_bound_f``).
+    P_md = sum_k pi_k P(u + k, lambda/2),    pi_k = E[e^(-gamma) gamma^k / k!],
+
+where pi is the channel's mixed-Poisson pmf: a convolution of two negative
+binomial pmfs for shadowed kappa-mu fading and a Tricomi-U coefficient for
+Fisher-Snedecor fading (``_poisson_pmf``).  Every term is positive, and
+since P(u + k, lambda/2) falls with k and pi sums to at most one, the tail
+after S terms is at most P(u + S, lambda/2) on any channel.  That bound
+depends on (u, lambda) alone and certifies the truncation.  The ROC area
+uses the same pmf at half the SNR.
 """
 
 from __future__ import annotations
@@ -29,17 +31,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import channels
+import numpy as np
+
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
 from .specfun import (
     AccuracyPolicy,
     DEFAULT_POLICY,
-    kummer_1f1,
     ln_beta,
     ln_tricomi_u,
     marcum_q,
-    pochhammer,
     reg_lower_gamma,
     reg_upper_gamma,
 )
@@ -150,197 +151,149 @@ def prob_detect_instant(cfg: DetectorConfig, gamma: float,
     return marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(cfg.lam), policy)
 
 
-def _marcum_moment_brackets(theta: float, max_order: int, cfg: DetectorConfig,
-                            policy: AccuracyPolicy) -> list[float]:
-    """Cumulative brackets [P_f + sum_{j<p} B_theta(j)] for p = 1..max_order."""
-    u, lam = cfg.u, cfg.lam
-    y = lam / 2.0
-    pf = reg_upper_gamma(u, y)
-    out = []
-    acc = pf
-    if lam == 0.0:
-        return [1.0] * max_order  # every B term vanishes and P_f = 1
-    ln_b_base = u * math.log(y) - y - math.lgamma(u + 1.0)
-    z = y / (1.0 + theta)
-    for j in range(max_order):
-        b_j = math.exp(ln_b_base + j * math.log(theta)
-                       - (j + 1) * math.log1p(theta)) \
-            * kummer_1f1(j + 1.0, u + 1.0, z, policy)
-        acc += b_j
-        out.append(acc)
+def _nb_pmf(r: int, rate: float, n: int) -> np.ndarray:
+    """pmf at 0..n-1 of Poisson(G), G ~ Gamma(r, rate): the negative binomial
+    NB(r, rate/(1+rate)); r = 0 gives the point mass at zero."""
+    k = np.arange(n)
+    with np.errstate(divide="ignore"):
+        ln_binom = np.concatenate(
+            ([0.0], np.cumsum(np.log((r + k) / (k + 1.0)))))[:n]
+    return np.exp(ln_binom + r * (math.log(rate) - math.log1p(rate))
+                  - k * math.log1p(rate))
+
+
+def _poisson_pmf(channel: KappaMuShadowedParams | FisherFParams, n: int,
+                 scale: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """pi_k = E[e^(-s gamma) (s gamma)^k / k!] for k < n, at SNR scale s.
+
+    Shadowed kappa-mu: the SNR is Gamma(mu-m, theta1) + Gamma(m, theta2), so
+    pi is the convolution of two negative binomial pmfs, positive at any
+    kappa.  Fisher-Snedecor: pi_k = Gamma(k+m) / (k! w^k B(m, m_s))
+    U(k+m; k-m_s+1; 1/w) with w = omega/s.
+    """
+    if isinstance(channel, KappaMuShadowedParams):
+        return np.convolve(
+            _nb_pmf(channel.mu - channel.m, channel.theta1 / scale, n),
+            _nb_pmf(channel.m, channel.theta2 / scale, n))[:n]
+    m, ms, omega = channel.m, channel.m_s, channel.omega / scale
+    ln_norm, ln_omega = ln_beta(m, ms), math.log(omega)
+    return np.array([math.exp(
+        math.lgamma(k + m) - k * ln_omega - math.lgamma(k + 1.0) - ln_norm
+        + ln_tricomi_u(k + m, k - ms + 1.0, 1.0 / omega, policy))
+        for k in range(n)])
+
+
+def _terms_needed(u: int, y: float, tol: float, max_terms: int) -> int:
+    """Smallest S >= 1 at which a majorant of the tail bound P(u+S, y) lies
+    below tol.
+
+    For a = u+S > y - 1 the lower-gamma series is dominated by a geometric
+    one: P(a, y) <= e^(-y) y^a / a! / (1 - y/(a+1)).
+    """
+    if tol <= 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if y == 0.0:
+        return 1
+    ln_tol, ln_y = math.log(tol), math.log(y)
+    for s in range(1, max_terms + 1):
+        a = u + s
+        if a + 1.0 > y and (a * ln_y - y - math.lgamma(a + 1.0)
+                            - math.log1p(-y / (a + 1.0))) <= ln_tol:
+            return s
+    raise ConvergenceError(
+        f"detection series needs more than {max_terms} terms "
+        f"for tol={tol} at u={u}, lam={2.0 * y}")
+
+
+def _lower_gammas(u: int, y: float, n: int) -> np.ndarray:
+    """P(u+k, y) for k = 0..n: one series evaluation at the top index, then
+    the backward recurrence P(a) = P(a+1) + e^(-y) y^a / a!, whose terms are
+    all positive."""
+    out = np.zeros(n + 1)
+    if y == 0.0:
+        return out
+    ln_y = math.log(y)
+    out[n] = reg_lower_gamma(u + n, y)
+    for k in range(n - 1, -1, -1):
+        a = u + k
+        out[k] = out[k + 1] + math.exp(a * ln_y - y - math.lgamma(a + 1.0))
     return out
+
+
+def _pd_from_pmf(pmf: np.ndarray, u: int, lam: float) -> tuple[float, float]:
+    """(P_d, tail bound) from the mixed-Poisson series cut after len(pmf)
+    terms."""
+    n = len(pmf)
+    gammas = _lower_gammas(u, lam / 2.0, n)
+    return max(0.0, 1.0 - float(np.dot(pmf, gammas[:n]))), float(gammas[n])
+
+
+def _avg_pd(channel, cfg: DetectorConfig, tol: float,
+            policy: AccuracyPolicy) -> tuple[float, TruncationReport]:
+    """Detection probability, truncated where the tail bound falls below tol."""
+    n = _terms_needed(cfg.u, cfg.lam / 2.0, tol, policy.max_terms)
+    pd, bound = _pd_from_pmf(_poisson_pmf(channel, n, 1.0, policy), cfg.u, cfg.lam)
+    return pd, TruncationReport(terms_used=n, error_bound=bound, converged=True)
 
 
 def avg_pd_kms(p: KappaMuShadowedParams, cfg: DetectorConfig,
                policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
-    """Channel-averaged detection probability, shadowed kappa-mu model."""
-    if cfg.lam == 0.0:
-        return 1.0
-    if p.collapses_to_gamma:
-        shape, rate = p._gamma_limit()
-        return min(1.0, _marcum_moment_brackets(rate, shape, cfg, policy)[shape - 1])
+    """Channel-averaged detection probability, shadowed kappa-mu model.
 
-    th1, th2, mu, m = p.theta1, p.theta2, p.mu, p.m
-    d = th1 - th2
-    br2 = _marcum_moment_brackets(th2, m, cfg, policy)
-    br1 = _marcum_moment_brackets(th1, max(mu - 1, 1), cfg, policy)
-    ln_pref = (mu - m) * math.log(th1) + m * math.log(th2) - math.lgamma(m)
-    ln_d, ln_th1, ln_th2 = math.log(d), math.log(th1), math.log(th2)
-    pieces = []
-    for i in range(m):
-        n = mu - m + i
-        sign = (-1.0) ** i
-        ln_coef = (ln_pref + math.log(math.comb(m - 1, i))
-                   + math.log(pochhammer(mu - m, i)) - n * ln_d)
-        pieces.append(sign * math.exp(
-            ln_coef + math.lgamma(m - i) - (m - i) * ln_th2) * br2[m - i - 1])
-        for k in range(n):
-            pieces.append(-sign * math.exp(
-                ln_coef + k * ln_d - math.lgamma(k + 1)
-                + math.lgamma(m - i + k) - (m - i + k) * ln_th1) * br1[m - i + k - 1])
-    return min(1.0, max(0.0, math.fsum(pieces)))
+    The mixed-Poisson series is truncated where its tail bound falls below
+    ``policy.rel_tol``.
+    """
+    return _avg_pd(p, cfg, policy.rel_tol, policy)[0]
 
 
 def truncation_bound_f(p: FisherFParams, cfg: DetectorConfig, S: int) -> float:
-    """Certified upper bound on the discarded tail of the Fisher-Snedecor
-    detection series when it is truncated to S terms.
+    """Certified upper bound on the discarded tail of the detection series
+    when it is truncated to S terms.
 
-    The tail equals the channel average of P[Poisson(gamma) >= S] damped by
-    upper-gamma factors in [0, 1], so two analytic majorants apply: the
-    power-weight relaxation (1 + omega*gamma)^-(m+m_s) <= (omega*gamma)^-m_s,
-    whose tail sum has the closed form
-    omega^-m_s Gamma(S - m_s) / (m_s Gamma(S) B(m, m_s)), and a split at
-    gamma = c*S combining the exact channel tail with the Poisson deviation
-    term P(S, c*S).  The smallest valid majorant is returned; it holds for
-    every threshold.
+    The tail sum_{k>=S} pi_k P(u+k, lam/2) is at most P(u+S, lam/2), because
+    P falls with its first argument and pi sums to at most one.  The bound
+    holds for every channel; ``p`` does not enter it.
     """
     if S < 1 or int(S) != S:
         raise DomainError(f"S must be a positive integer, got {S}")
-    m, ms, omega = p.m, p.m_s, p.omega
-    candidates = []
-    if S > ms + 1.5:
-        candidates.append(math.exp(
-            -ms * math.log(omega) + math.lgamma(S - ms) - math.lgamma(S)
-            - ln_beta(m, ms) - math.log(ms)))
-    for c in (0.35, 0.5, 0.65, 0.8):
-        split = c * S
-        channel_tail = max(0.0, 1.0 - channels.f_cdf(p, split)) * (1.0 + 1e-9)
-        candidates.append(channel_tail + reg_lower_gamma(S, split))
-    return min(candidates)
+    return reg_lower_gamma(cfg.u + S, cfg.lam / 2.0)
 
 
 def avg_pd_f(p: FisherFParams, cfg: DetectorConfig, tol: float = 1e-8,
              policy: AccuracyPolicy = DEFAULT_POLICY) -> tuple[float, TruncationReport]:
     """Channel-averaged detection probability over Fisher-Snedecor fading.
 
-    Sums the Tricomi-U series until the certified tail bound drops below
+    Sums the mixed-Poisson series until the certified tail bound drops below
     ``tol``; the report carries the number of terms and that bound.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    u, lam = cfg.u, cfg.lam
-    y = lam / 2.0
-    m, ms, omega = p.m, p.m_s, p.omega
-    inv_omega = 1.0 / omega
-    ln_norm = ln_beta(m, ms)
-    ln_omega = math.log(omega)
-    total = 0.0
-    for j in range(policy.max_terms):
-        if j >= 1:
-            bound = truncation_bound_f(p, cfg, j)
-            if bound <= tol:
-                return (min(1.0, max(0.0, total)),
-                        TruncationReport(terms_used=j, error_bound=bound,
-                                         converged=True))
-        q = reg_upper_gamma(j + u, y) if lam > 0.0 else 1.0
-        ln_c = (math.lgamma(j + m) - j * ln_omega - math.lgamma(j + 1.0)
-                - ln_norm)
-        total += q * math.exp(ln_c + ln_tricomi_u(j + m, j - ms + 1.0,
-                                                  inv_omega, policy))
-    raise ConvergenceError(
-        f"detection series needed more than {policy.max_terms} terms "
-        f"for tol={tol} at {p}")
+    return _avg_pd(p, cfg, tol, policy)
+
+
+def _auc_from_pmf(pmf, u: int) -> float:
+    """1 - sum_{l<u} sum_{i<=l} C(l+u-1, l-i) 0.5^(l+u) pmf_i, where pmf_i is
+    the probability of i under Poisson(gamma/2)."""
+    return 1.0 - math.fsum(math.comb(l + u - 1, l - i) * 0.5 ** (l + u) * pmf[i]
+                           for l in range(u) for i in range(l + 1))
 
 
 def auc_instant(cfg: DetectorConfig, gamma: float) -> float:
     """Area under the ROC at instantaneous SNR ``gamma``; lies in [1/2, 1]."""
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    u = cfg.u
-    total = 0.0
-    for l in range(u):
-        for i in range(l + 1):
-            total += (math.comb(l + u - 1, l - i) * 0.5 ** (l + i + u)
-                      * gamma ** i * math.exp(-gamma / 2.0) / math.factorial(i))
-    return 1.0 - total
-
-
-def _tilted_moment_kms(p: KappaMuShadowedParams, order: int) -> float:
-    """Integral of gamma^order e^(-gamma/2) against the kappa-mu density."""
-    if p.collapses_to_gamma:
-        shape, rate = p._gamma_limit()
-        return math.exp(shape * math.log(rate) + math.lgamma(shape + order)
-                        - math.lgamma(shape)
-                        - (shape + order) * math.log(rate + 0.5))
-    th1, th2, mu, m = p.theta1, p.theta2, p.mu, p.m
-    d = th1 - th2
-    ln_pref = (mu - m) * math.log(th1) + m * math.log(th2) - math.lgamma(m)
-    ln_d = math.log(d)
-    ln_r2 = math.log(th2 + 0.5)
-    ln_r1 = math.log(th1 + 0.5)
-    pieces = []
-    for i in range(m):
-        n = mu - m + i
-        sign = (-1.0) ** i
-        ln_coef = (ln_pref + math.log(math.comb(m - 1, i))
-                   + math.log(pochhammer(mu - m, i)) - n * ln_d)
-        pieces.append(sign * math.exp(
-            ln_coef + math.lgamma(m - i + order) - (m - i + order) * ln_r2))
-        for k in range(n):
-            pieces.append(-sign * math.exp(
-                ln_coef + k * ln_d - math.lgamma(k + 1)
-                + math.lgamma(m - i + k + order)
-                - (m - i + k + order) * ln_r1))
-    return math.fsum(pieces)
+    half = gamma / 2.0
+    return _auc_from_pmf([half ** i * math.exp(-half) / math.factorial(i)
+                          for i in range(cfg.u)], cfg.u)
 
 
 def avg_auc_kms(p: KappaMuShadowedParams, cfg: DetectorConfig) -> float:
-    """Average area under the ROC over shadowed kappa-mu fading.
-
-    Obtained by integrating the instantaneous-AUC double sum termwise
-    against the corrected density, which reduces every integral to an
-    exponentially tilted moment.
-    """
-    u = cfg.u
-    moments = [_tilted_moment_kms(p, i) for i in range(u)]
-    total = 0.0
-    for l in range(u):
-        for i in range(l + 1):
-            total += (math.comb(l + u - 1, l - i) * 0.5 ** (l + i + u)
-                      * moments[i] / math.factorial(i))
-    return min(1.0, max(0.0, 1.0 - total))
+    """Average area under the ROC over shadowed kappa-mu fading."""
+    return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
 
 
 def avg_auc_f(p: FisherFParams, cfg: DetectorConfig,
               policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """Average area under the ROC over Fisher-Snedecor fading."""
-    u = cfg.u
-    m, ms, omega = p.m, p.m_s, p.omega
-    ln_norm = ln_beta(m, ms)
-    ln_omega = math.log(omega)
-    half_inv_omega = 1.0 / (2.0 * omega)
-    terms = {}
-    total = 0.0
-    for l in range(u):
-        for i in range(l + 1):
-            if i not in terms:
-                terms[i] = math.exp(
-                    math.lgamma(i + m) - i * ln_omega - math.lgamma(i + 1.0)
-                    - ln_norm
-                    + ln_tricomi_u(i + m, i - ms + 1.0, half_inv_omega, policy))
-            total += (math.comb(l + u - 1, l - i) * 0.5 ** (l + i + u)
-                      * terms[i])
-    return min(1.0, max(0.0, 1.0 - total))
+    return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5, policy), cfg.u)
 
 
 def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
@@ -349,8 +302,11 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     """Complementary ROC sweep: for each false-alarm target, invert the
     threshold and average the detection probability over the channel.
 
-    ``pf_grid`` must be strictly increasing inside (0, 1).  Each returned
-    point carries (pf, pd); the missed-detection ordinate is ``point.pmd``.
+    ``pf_grid`` must be strictly increasing inside (0, 1).  The channel's
+    pmf is built once, with as many terms as the largest threshold needs for
+    a tail bound below ``tol``; every point shares those terms, so its error
+    is at most ``tol``.  Each returned point carries (pf, pd); the
+    missed-detection ordinate is ``point.pmd``.
     """
     grid = [float(x) for x in pf_grid]
     if not grid:
@@ -359,12 +315,8 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
         raise DomainError("pf_grid values must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("pf_grid must be strictly increasing")
-    points = []
-    for pf in grid:
-        cfg = DetectorConfig(u=cfg_u, lam=threshold_for_pf(cfg_u, pf))
-        if isinstance(channel, KappaMuShadowedParams):
-            pd = avg_pd_kms(channel, cfg, policy)
-        else:
-            pd, _ = avg_pd_f(channel, cfg, tol, policy)
-        points.append(RocPoint(pf=pf, pd=pd))
-    return points
+    lams = [threshold_for_pf(cfg_u, pf) for pf in grid]
+    n = _terms_needed(cfg_u, max(lams) / 2.0, tol, policy.max_terms)
+    pmf = _poisson_pmf(channel, n, 1.0, policy)
+    return [RocPoint(pf=pf, pd=_pd_from_pmf(pmf, cfg_u, lam)[0])
+            for pf, lam in zip(grid, lams)]

@@ -1,8 +1,8 @@
 """Special functions backing the detection and rate formulas.
 
 Everything here is self-contained (stdlib ``math`` plus the local quadrature
-kernels): incomplete gamma and beta, the generalized Marcum-Q, the Kummer,
-Gauss, and 2F2 hypergeometric series, and the Tricomi U function evaluated
+kernels): incomplete gamma and beta, the generalized Marcum-Q, the Kummer and
+Gauss hypergeometric series, and the Tricomi U function evaluated
 through its real integral representation.  All routines are pure and
 deterministic; accuracy targets are stated per function.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "marcum_q",
     "kummer_1f1",
     "gauss_2f1",
-    "hyp_2f2",
     "tricomi_u",
     "ln_tricomi_u",
 ]
@@ -402,17 +401,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
             return _euler_2f1(p, q, c, z, policy)
     raise ConvergenceError(
         f"gauss_2f1 has no stable route for (a={a}, b={b}, c={c}, z={z})")
-
-
-def hyp_2f2(a1: float, a2: float, b1: float, b2: float, z: float,
-            policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
-    """2F2(a1, a2; b1, b2; z) by its everywhere-convergent power series."""
-    for bb in (b1, b2):
-        if bb <= 0.0 and bb == round(bb):
-            raise DomainError(f"hyp_2f2 undefined for nonpositive integer denominator {bb}")
-    if z == 0.0:
-        return 1.0
-    return _series_phq((a1, a2), (b1, b2), z, policy, "hyp_2f2")
 
 
 def ln_tricomi_u(a: float, b: float, z: float,

@@ -99,7 +99,7 @@ def verify_closed_form(name: str,
             truncation = report.error_bound
             tol = quad_tol + series_tol
         metric_vec = oracle.detect_metric(detector.u, detector.lam)
-        metric_scalar = lambda g: detection.prob_detect_instant(detector, g)
+        metric_scalar = lambda g: float(metric_vec(g))
         label = f"{_channel_label(channel)} u={detector.u} lam={detector.lam:.6g}"
     elif name.startswith("avg_auc"):
         if detector is None:

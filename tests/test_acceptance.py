@@ -45,7 +45,7 @@ from edsense.specfun import (
     ln_gamma,
     ln_tricomi_u,
     lower_inc_gamma,
-    reg_upper_gamma,
+    reg_lower_gamma,
     tricomi_u,
     upper_inc_gamma,
 )
@@ -238,13 +238,16 @@ TRUNCATION_POINTS = (
 
 
 def _brute_tail(params, cfg, start_term, count=5000):
+    # tail of the mixed-Poisson detection series sum_j pi_j P(u+j, lam/2)
     y = cfg.lam / 2.0
     total = 0.0
     ln_norm = ln_beta(params.m, params.m_s)
     ln_omega = math.log(params.omega)
     inv_omega = 1.0 / params.omega
     for j in range(start_term, start_term + count):
-        q = reg_upper_gamma(j + cfg.u, y)
+        q = reg_lower_gamma(j + cfg.u, y)
+        if q == 0.0:
+            break  # P falls with j: every later factor underflows too
         ln_c = (math.lgamma(j + params.m) - j * ln_omega
                 - math.lgamma(j + 1.0) - ln_norm)
         total += q * math.exp(ln_c + ln_tricomi_u(j + params.m,

@@ -138,9 +138,12 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_numerical_failure_exits_3(tmp_path):
+    # u = 6000 puts the threshold for P_f = 1e-3 beyond the bracket's
+    # lam = 1e4 limit
     code, _ = _run(tmp_path, "n.csv",
-                   ["croc", "--channel", "fisher", "--m", "2", "--ms", "1.2",
-                    "--snr-db", "10", "--pf-points", "2", "--tol", "1e-13"])
+                   ["croc", "--channel", "kms", "--kappa", "2", "--mu", "3",
+                    "--m", "2", "--snr-db", "10", "--u", "6000",
+                    "--pf-points", "2"])
     assert code == 3
 
 

@@ -32,7 +32,7 @@ from edsense.detection import (
     truncation_bound_f,
 )
 from edsense.errors import ConvergenceError, DomainError
-from edsense.specfun import ln_beta, ln_tricomi_u, reg_upper_gamma
+from edsense.specfun import AccuracyPolicy, ln_beta, ln_tricomi_u, reg_lower_gamma
 
 LAM_PF10_U2 = 7.7794403397348581  # threshold for pf = 0.1 at u = 2 (root-solve)
 
@@ -130,18 +130,31 @@ def test_avg_pd_f_truncation_consistency():
 
 
 def test_avg_pd_f_unreachable_tolerance_raises():
-    # heavy shadowing tail: the certified bound cannot reach 1e-13 within the
-    # term cap, and the failure must be reported, not silently truncated
+    # lam = 600 needs over 400 terms before the certified tail bound reaches
+    # tol; under a 100-term cap the failure must be reported, not silently
+    # truncated
     p = FisherFParams(m=2.0, m_s=1.2, mean_snr=10.0)
     with pytest.raises(ConvergenceError):
-        avg_pd_f(p, DetectorConfig(u=2, lam=4.0), tol=1e-13)
+        avg_pd_f(p, DetectorConfig(u=2, lam=600.0), tol=1e-8,
+                 policy=AccuracyPolicy(max_terms=100))
+
+
+def test_avg_pd_kms_unreachable_tolerance_raises():
+    p = KappaMuShadowedParams(2.0, 3, 2, 10.0)
+    with pytest.raises(ConvergenceError):
+        avg_pd_kms(p, DetectorConfig(u=2, lam=600.0),
+                   AccuracyPolicy(max_terms=100))
 
 
 def _series_tail(p, cfg, start, count):
+    # tail of the mixed-Poisson series sum_k pi_k P(u+k, lam/2), with pi_k
+    # the Tricomi-U coefficient of the Fisher-Snedecor channel
     y = cfg.lam / 2.0
     total = 0.0
     for j in range(start, start + count):
-        q = reg_upper_gamma(j + cfg.u, y) if cfg.lam > 0 else 1.0
+        q = reg_lower_gamma(j + cfg.u, y)
+        if q == 0.0:
+            break  # P falls with j: every later factor underflows too
         ln_c = (math.lgamma(j + p.m) - j * math.log(p.omega)
                 - math.lgamma(j + 1.0) - ln_beta(p.m, p.m_s))
         total += q * math.exp(ln_c + ln_tricomi_u(j + p.m, j - p.m_s + 1.0,
@@ -175,6 +188,36 @@ def test_truncation_bound_monotone_in_terms(params):
     cfg = DetectorConfig(u=2, lam=4.0)
     for S in (5, 12, 30, 80, 200):
         assert truncation_bound_f(params, cfg, S + 10) <= truncation_bound_f(params, cfg, S)
+
+
+def _db(x):
+    return 10.0 ** (x / 10.0)
+
+
+@pytest.mark.parametrize("metric,params,want", [
+    # small kappa, where the two Gamma rates of the kappa-mu SNR nearly
+    # coincide, and mu = 60
+    ("avg_pd_kms", KappaMuShadowedParams(1e-5, 6, 3, _db(0.0)), 0.269751988424),
+    ("avg_pd_kms", KappaMuShadowedParams(1e-5, 6, 3, _db(10.0)), 0.941020198824),
+    ("avg_pd_kms", KappaMuShadowedParams(1e-3, 6, 3, _db(10.0)), 0.941020167540),
+    ("avg_pd_kms", KappaMuShadowedParams(0.5, 60, 30, _db(10.0)), 0.978341575491),
+    ("avg_auc_kms", KappaMuShadowedParams(1e-5, 6, 3, _db(0.0)), 0.654997679068),
+    ("avg_auc_kms", KappaMuShadowedParams(1e-5, 6, 3, _db(10.0)), 0.977853737722),
+    # heavy shadowing and high SNR on the Fisher-Snedecor channel
+    ("avg_pd_f", FisherFParams(m=2.0, m_s=3.0, mean_snr=_db(10.0)), 0.863325231069),
+    ("avg_pd_f", FisherFParams(m=1.0, m_s=1.5, mean_snr=_db(-5.0)), 0.210912006543),
+    ("avg_pd_f", FisherFParams(m=1.0, m_s=1.5, mean_snr=_db(10.0)), 0.792820210144),
+])
+def test_weak_region_reference_values(metric, params, want):
+    # [reference quadrature], u = 2 and P_f = 0.1
+    cfg = DetectorConfig(u=2, lam=threshold_for_pf(2, 0.1))
+    if metric == "avg_pd_kms":
+        got = avg_pd_kms(params, cfg)
+    elif metric == "avg_auc_kms":
+        got = avg_auc_kms(params, cfg)
+    else:
+        got, _ = avg_pd_f(params, cfg)
+    assert math.isclose(got, want, abs_tol=1e-9)
 
 
 def test_auc_instant():

@@ -19,7 +19,6 @@ from edsense.specfun import (
     beta,
     binomial,
     gauss_2f1,
-    hyp_2f2,
     kummer_1f1,
     ln_gamma,
     lower_inc_gamma,
@@ -194,16 +193,6 @@ def test_gauss_2f1_route_consistency():
         lhs = gauss_2f1(a, b, c, z)
         rhs = (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, z / (z - 1.0))
         assert math.isclose(lhs, rhs, rel_tol=1e-11)
-
-
-def test_hyp_2f2():
-    assert hyp_2f2(2.0, 1.0, 3.0, 4.0, 0.0) == 1.0
-    # parameter cancellation collapses the series to exp
-    assert math.isclose(hyp_2f2(2.0, 1.0, 2.0, 1.0, 1.7), math.exp(1.7), rel_tol=1e-12)
-    # reference: extended-precision direct summation
-    assert math.isclose(hyp_2f2(2.0, 1.0, 3.0, 4.0, 2.0), 1.4680303832252606, rel_tol=1e-12)
-    with pytest.raises(DomainError):
-        hyp_2f2(1.0, 1.0, -2.0, 1.0, 0.5)
 
 
 def test_tricomi_u_values():
