@@ -1,11 +1,12 @@
 """Effective rate of the cognitive link under a statistical delay constraint.
 
 The rate is R = -(1/A) log2 E[(1 + gamma)^-A] with A the dimensionless
-delay-QoS exponent.  The expectation (the "rate moment" below) reduces to
-Tricomi-U terms for the shadowed kappa-mu channel and to a single Gauss
-hypergeometric value for the Fisher-Snedecor channel.  Both channel paths
-accumulate in log space, so large A only shrinks the moment instead of
-underflowing it.
+delay-QoS exponent.  For the shadowed kappa-mu channel the expectation (the
+"rate moment" below) is one positive integral of the channel's MGF (cf. Di
+Renzo, Graziosi & Santucci, IEEE TVT 2010), evaluated by tanh-sinh
+quadrature in log space; for the Fisher-Snedecor channel it is a single
+Gauss hypergeometric value.  Both paths work with the logarithm of the
+moment, so large A only shrinks the moment instead of underflowing it.
 """
 
 from __future__ import annotations
@@ -13,16 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._quad import tanhsinh_01
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
-from .specfun import (
-    AccuracyPolicy,
-    DEFAULT_POLICY,
-    gauss_2f1,
-    ln_beta,
-    ln_tricomi_u,
-    pochhammer,
-)
+from .specfun import AccuracyPolicy, DEFAULT_POLICY, gauss_2f1, ln_beta
 
 __all__ = [
     "DelayQoS",
@@ -46,42 +43,51 @@ class DelayQoS:
             raise DomainError(f"a_exponent must be positive, got {self.a_exponent}")
 
 
-def _ln_signed_sum(pairs) -> float:
-    """ln of sum(sign * exp(ln_mag)) for (sign, ln_mag) pairs; the sum must
-    be positive."""
-    peak = max(ln for _, ln in pairs)
-    if peak == -math.inf:
-        raise ConvergenceError("rate moment evaluated to zero")
-    total = math.fsum(sign * math.exp(ln - peak) for sign, ln in pairs)
-    if total <= 0.0:
-        raise ConvergenceError("rate moment lost all significance in cancellation")
-    return peak + math.log(total)
-
-
-def _ln_rate_moment_kms(p: KappaMuShadowedParams, a: float,
+def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float,
                         policy: AccuracyPolicy) -> float:
-    if p.collapses_to_gamma:
-        shape, rate = p._gamma_limit()
-        return (shape * math.log(rate)
-                + ln_tricomi_u(shape, shape + 1.0 - a, rate, policy))
-    th1, th2, mu, m = p.theta1, p.theta2, p.mu, p.m
-    d = th1 - th2
-    ln_pref = (mu - m) * math.log(th1) + m * math.log(th2) - math.lgamma(m)
-    ln_d = math.log(d)
-    pairs = []
-    for i in range(m):
-        n = mu - m + i
-        sign = (-1.0) ** i
-        ln_coef = (ln_pref + math.log(math.comb(m - 1, i))
-                   + math.log(pochhammer(mu - m, i)) - n * ln_d)
-        pairs.append((sign, ln_coef + math.lgamma(m - i)
-                      + ln_tricomi_u(m - i, m - i - a + 1.0, th2, policy)))
-        for k in range(n):
-            pairs.append((-sign, ln_coef + k * ln_d - math.lgamma(k + 1)
-                          + math.lgamma(m - i + k)
-                          + ln_tricomi_u(m - i + k, m - i + k - a + 1.0, th1,
-                                         policy)))
-    return _ln_signed_sum(pairs)
+    """ln E[(1 + gamma)^-A] from the MGF M(-t) = E[e^(-t gamma)].
+
+    Since (1 + gamma)^-A = Gamma(A)^-1 int t^(A-1) e^(-t (1 + gamma)) dt, the
+    moment is Gamma(A)^-1 int t^(A-1) phi(t) dt with phi(t) = e^-t M(-t).
+    Integrating by parts, with -phi'(t) = phi(t) psi(t) and
+    psi(t) = 1 + (mu-m)/(theta1+t) + m/(theta2+t), gives
+
+        E[(1 + gamma)^-A] = Gamma(A+1)^-1 int t^A phi(t) psi(t) dt,
+
+    whose integrand is positive and, unlike t^(A-1) phi(t), bounded at t = 0
+    for every A > 0.  The integral runs in s = ln t, centred on the peak of
+    the log-integrand, on the tanh-sinh rule with s = s0 + ln(x / (1 - x)).
+    """
+    n1, th1, n2, th2 = p.mu - p.m, p.theta1, p.m, p.theta2
+    a1 = a + 1.0
+
+    def ln_integrand(s):
+        t = np.exp(s)
+        return (a1 * s - t - n1 * np.log1p(t / th1) - n2 * np.log1p(t / th2)
+                + np.log1p(n1 / (th1 + t) + n2 / (th2 + t)))
+
+    # The log-integrand's slope in s lies within 1 of A + 1/2 - t
+    # - sum n t / (theta + t), whose root lies in [(A + 1/2)/(1 + E gamma), A + 1/2].
+    target = a + 0.5
+    lo = math.log(target) - math.log1p(n1 / th1 + n2 / th2)
+    hi = math.log(target)
+    for _ in range(8):
+        s0 = 0.5 * (lo + hi)
+        t = math.exp(s0)
+        if target - t - n1 * t / (th1 + t) - n2 * t / (th2 + t) > 0.0:
+            lo = s0
+        else:
+            hi = s0
+    s0 = 0.5 * (lo + hi)
+    peak = float(ln_integrand(s0))
+
+    def integrand(x, omx, w):
+        ln_x, ln_omx = np.log(x), np.log(omx)
+        return w * np.exp(ln_integrand(s0 + ln_x - ln_omx) - peak - ln_x - ln_omx)
+
+    with np.errstate(over="ignore", under="ignore"):
+        integral = tanhsinh_01(integrand, rel_tol=policy.rel_tol)
+    return peak + math.log(integral) - math.lgamma(a1)
 
 
 def _guard_moment(ln_moment: float) -> float:
@@ -95,7 +101,7 @@ def _guard_moment(ln_moment: float) -> float:
 def rate_moment_kms(p: KappaMuShadowedParams, q: DelayQoS,
                     policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """E[(1 + gamma)^-A] over the shadowed kappa-mu channel."""
-    return math.exp(_guard_moment(_ln_rate_moment_kms(p, q.a_exponent, policy)))
+    return math.exp(_guard_moment(_ln_rate_moment_mgf(p, q.a_exponent, policy)))
 
 
 def rate_moment_f(p: FisherFParams, q: DelayQoS,
@@ -114,7 +120,7 @@ def rate_moment_f(p: FisherFParams, q: DelayQoS,
 def eff_rate_kms(p: KappaMuShadowedParams, q: DelayQoS,
                  policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """Effective rate in bits/s/Hz over shadowed kappa-mu fading."""
-    ln_moment = _guard_moment(_ln_rate_moment_kms(p, q.a_exponent, policy))
+    ln_moment = _guard_moment(_ln_rate_moment_mgf(p, q.a_exponent, policy))
     return -ln_moment / (q.a_exponent * _LN2)
 
 

@@ -3,11 +3,15 @@
 The shadowed kappa-mu model (integer mu and m) has the moment generating
 function M(s) = (1 - s/theta1)^-(mu-m) * (1 - s/theta2)^-m, i.e. the SNR is
 the independent sum of Gamma(mu - m, rate theta1) and Gamma(m, rate theta2)
-variates.  Its density is evaluated from the closed form obtained by
-expanding the convolution of those two Gamma densities; the expansion keeps
-the (theta1 - theta2)^-(mu - m + i) factor that dimensional analysis
-requires, and each lower-incomplete-gamma bracket is computed through the
-regularized form to avoid cancellation.
+variates, with theta2 <= theta1.  Since a Gamma(m, theta2) variate is a
+negative binomial mixture of Gamma(m + j, theta1) variates (Moschopoulos,
+Ann. Inst. Stat. Math. 1985), the SNR is the Gamma mixture
+
+    gamma ~ Gamma(mu + N, theta1),  N ~ NB(m, q),  q = 1 - theta2/theta1,
+
+and its density and distribution function are sums of positive terms, with
+no cancellation at any kappa or mu; kappa = 0 and mu = m are the one-term
+cases.  Each sum is cut with a certified bound on its tail.
 
 The Fisher-Snedecor model is the scaled central F distribution: the SNR is
 mean_snr * (G1/m) / (G2/m_s) with independent unit-scale Gamma variates.
@@ -20,15 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import adaptive_gk
 from .errors import DomainError
-from .specfun import (
-    ln_beta,
-    ln_reg_lower_gamma,
-    pochhammer,
-    reg_inc_beta,
-    reg_lower_gamma,
-)
+from .specfun import ln_beta, reg_inc_beta
 
 __all__ = [
     "KappaMuShadowedParams",
@@ -42,13 +39,13 @@ __all__ = [
     "f_sample",
 ]
 
-# Below this kappa the two MGF poles coalesce numerically; switch to the
-# exact single-Gamma limit instead of fighting the cancellation.
-KAPPA_ZERO_TOL = 1e-6
-
-# Alternating binomial sums lose roughly one digit per unit of m; beyond this
-# order the density falls back to direct numerical convolution.
-_CLOSED_FORM_MAX_M = 25
+# Truncation target of the Gamma-mixture sums, as L in the bound e^-L: a
+# relative bound for the density, an absolute one for the distribution.
+_LN_TOL = 37.0
+_TOL = math.exp(-_LN_TOL)
+# The density's running terms are scaled down by this factor once they pass it.
+_RESCALE = 1e250
+_LN_RESCALE = math.log(_RESCALE)
 
 
 @dataclass(frozen=True)
@@ -84,17 +81,6 @@ class KappaMuShadowedParams:
         object.__setattr__(self, "theta1", th1)
         object.__setattr__(self, "theta2", th2)
 
-    @property
-    def collapses_to_gamma(self) -> bool:
-        """True when the model reduces exactly to a single Gamma factor."""
-        return self.mu == self.m or self.kappa < KAPPA_ZERO_TOL
-
-    def _gamma_limit(self) -> tuple[int, float]:
-        """(shape, rate) of the collapsed single-Gamma SNR distribution."""
-        if self.mu == self.m:
-            return self.m, self.theta2
-        return self.mu, self.theta1
-
 
 @dataclass(frozen=True)
 class FisherFParams:
@@ -125,17 +111,6 @@ class FisherFParams:
         return self.m_s > 1.0
 
 
-def _gamma_pdf(shape: float, rate: float, x: float) -> float:
-    if x < 0.0:
-        return 0.0
-    if x == 0.0:
-        if shape == 1.0:
-            return rate
-        return 0.0 if shape > 1.0 else math.inf
-    return math.exp(shape * math.log(rate) + (shape - 1.0) * math.log(x)
-                    - rate * x - math.lgamma(shape))
-
-
 def kms_mgf(p: KappaMuShadowedParams, s: float) -> float:
     """MGF E[exp(s * gamma)] of the shadowed kappa-mu SNR, for s < theta2."""
     if s >= p.theta2:
@@ -144,88 +119,94 @@ def kms_mgf(p: KappaMuShadowedParams, s: float) -> float:
                     - p.m * math.log1p(-s / p.theta2))
 
 
-def _kms_pdf_closed(p: KappaMuShadowedParams, g: float) -> float:
-    th1, th2, mu, m = p.theta1, p.theta2, p.mu, p.m
-    d = th1 - th2
-    ln_d = math.log(d)
-    ln_g = math.log(g)
-    ln_pref = ((mu - m) * math.log(th1) + m * math.log(th2)
-               - math.lgamma(m) - th2 * g)
-    pieces = []
-    for i in range(m):
-        n = mu - m + i
-        ln_p = ln_reg_lower_gamma(n, d * g)
-        if ln_p == -math.inf:
-            continue
-        ln_mag = (ln_pref + math.log(math.comb(m - 1, i))
-                  + math.lgamma(n) - math.lgamma(mu - m)
-                  + (m - 1 - i) * ln_g + ln_p - n * ln_d)
-        pieces.append((-1.0) ** i * math.exp(ln_mag))
-    return max(0.0, math.fsum(pieces))
+def _gamma_mixture(p: KappaMuShadowedParams) -> tuple[int, float, int, float]:
+    """(a, rate, r, q): the SNR is Gamma(a + N, rate) with N ~ NB(r, q),
+    P[N = j] = C(r+j-1, j) (1-q)^r q^j.
+
+    A Gamma(m, theta2) variate is Gamma(m + N, theta1) with N ~ NB(m, q),
+    q = 1 - theta2/theta1 = mu kappa / (mu kappa + m), so the sum of the two
+    factors is a Gamma(mu + N, theta1) mixture.  For mu = m only the second
+    factor is present, and N = 0.
+    """
+    if p.mu == p.m:
+        return p.m, p.theta2, p.m, 0.0
+    return p.mu, p.theta1, p.m, p.mu * p.kappa / (p.mu * p.kappa + p.m)
 
 
-def _kms_pdf_convolution(p: KappaMuShadowedParams, g: float) -> float:
-    th1, th2, mu, m = p.theta1, p.theta2, p.mu, p.m
-
-    def integrand(x):
-        ln = ((mu - m - 1.0) * np.log(x) - th1 * x
-              + (m - 1.0) * np.log(g - x) - th2 * (g - x))
-        return np.exp(ln)
-
-    ln_norm = ((mu - m) * math.log(th1) + m * math.log(th2)
-               - math.lgamma(mu - m) - math.lgamma(m))
-    val = adaptive_gk(integrand, 0.0, g, rel_tol=1e-11)
-    return math.exp(ln_norm) * val
+def _poisson_tail_index(lam: float) -> int:
+    """Smallest k whose Bernstein bound on P[Poisson(lam) >= k],
+    exp(-t^2 / (2 (lam + t/3))) with t = k - lam, is at most e^-_LN_TOL."""
+    if lam == 0.0:
+        return 1
+    return math.ceil(lam + _LN_TOL / 3.0
+                     + math.sqrt(_LN_TOL * _LN_TOL / 9.0 + 2.0 * _LN_TOL * lam))
 
 
 def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
-    """SNR density of the shadowed kappa-mu model at ``gamma`` >= 0."""
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if p.collapses_to_gamma:
-        shape, rate = p._gamma_limit()
-        return _gamma_pdf(shape, rate, gamma)
+    """SNR density of the shadowed kappa-mu model at finite ``gamma`` >= 0.
+
+    f(gamma) = rate sum_j P[N = j] Pois(x; a-1+j), x = rate gamma, over the
+    Gamma mixture of ``_gamma_mixture``.  The terms are positive with ratios
+    t_(j+1)/t_j = q x (r+j) / ((j+1)(a+j)), which fall with j, so once a
+    ratio is below 1 the rest of the sum is at most the last term times
+    ratio / (1 - ratio); the sum stops when that bound is below e^-_LN_TOL of
+    the partial sum.  The terms are carried relative to the first one and
+    rescaled before they can overflow.
+    """
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
+    a, rate, r, q = _gamma_mixture(p)
     if gamma == 0.0:
-        return 0.0  # total shape mu > 1 here
-    if p.m >= _CLOSED_FORM_MAX_M:
-        return _kms_pdf_convolution(p, gamma)
-    return _kms_pdf_closed(p, gamma)
+        return rate if a == 1 else 0.0  # a = 1 only for mu = m = 1
+    x = rate * gamma
+    qx = q * x
+    ln_scale = (r * math.log1p(-q) + math.log(rate) + (a - 1) * math.log(x)
+                - x - math.lgamma(a))
+    term = total = 1.0
+    tol = _TOL
+    # r + j and (j+1)(a+j) at j = 0; both stay exact integers
+    rj, den, step = float(r), float(a), a + 2.0
+    while True:
+        ratio = qx * rj / den
+        term *= ratio
+        total += term
+        if ratio >= 1.0:
+            if term > _RESCALE:
+                ln_scale += _LN_RESCALE
+                term /= _RESCALE
+                total /= _RESCALE
+        elif term * ratio <= tol * (1.0 - ratio) * total:
+            return math.exp(ln_scale + math.log(total))
+        rj += 1.0
+        den += step
+        step += 2.0
 
 
 def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
-    """SNR distribution function, by termwise integration of the density."""
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
+    """SNR distribution function, F(gamma) = sum_j P[N = j] P(a+j, x).
+
+    Summed the other way round, F = sum_i Pois(x; a+i) P[N <= i]: positive
+    terms, Poisson weights and negative binomial pmf by cumulative products
+    of their term ratios, its cdf by a cumulative sum.  Poisson indices below
+    x - sqrt(2 L x) and from ``_poisson_tail_index(x)`` on are dropped; each
+    side carries at most e^-L of probability (L = _LN_TOL), which bounds the
+    absolute error.
+    """
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
+    a, rate, r, q = _gamma_mixture(p)
+    x = rate * gamma
+    n = _poisson_tail_index(x) - a
+    if gamma == 0.0 or n <= 0:
         return 0.0
-    if p.collapses_to_gamma:
-        shape, rate = p._gamma_limit()
-        return reg_lower_gamma(shape, rate * gamma)
-    if p.m >= _CLOSED_FORM_MAX_M:
-        val = adaptive_gk(np.vectorize(lambda x: kms_pdf(p, float(x))),
-                          0.0, gamma, rel_tol=1e-10)
-        return min(1.0, max(0.0, val))
-    th1, th2, mu, m = p.theta1, p.theta2, p.mu, p.m
-    d = th1 - th2
-    ln_d = math.log(d)
-    ln_th1 = math.log(th1)
-    ln_th2 = math.log(th2)
-    ln_pref = (mu - m) * ln_th1 + m * ln_th2 - math.lgamma(m)
-    pieces = []
-    for i in range(m):
-        n = mu - m + i
-        sign = (-1.0) ** i
-        ln_coef = (ln_pref + math.log(math.comb(m - 1, i))
-                   + math.log(pochhammer(mu - m, i)) - n * ln_d)
-        ln_p2 = ln_reg_lower_gamma(m - i, th2 * gamma)
-        pieces.append(sign * math.exp(
-            ln_coef + math.lgamma(m - i) + ln_p2 - (m - i) * ln_th2))
-        for k in range(n):
-            ln_p1 = ln_reg_lower_gamma(m - i + k, th1 * gamma)
-            pieces.append(-sign * math.exp(
-                ln_coef + k * ln_d - math.lgamma(k + 1)
-                + math.lgamma(m - i + k) + ln_p1 - (m - i + k) * ln_th1))
-    return min(1.0, max(0.0, math.fsum(pieces)))
+    lo = max(0, math.floor(x - math.sqrt(2.0 * _LN_TOL * x)) - a)
+    ln_first = (a + lo - 1) * math.log(x) - x - math.lgamma(a + lo) + r * math.log1p(-q)
+    # Pois(x; a+i) / Pois(x; a+lo-1) for i = lo..n-1
+    pois = (x / (a + lo - 1 + np.arange(1.0, n - lo + 1))).cumprod()
+    # P[N <= i] / P[N = 0] - 1 for i = 1..n-1
+    nb = (q * (r - 1) / np.arange(1.0, n) + q).cumprod().cumsum()
+    total = pois.sum() + (pois[1:].dot(nb) if lo == 0 else pois.dot(nb[lo - 1:]))
+    return min(1.0, math.exp(ln_first) * float(total))
 
 
 def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np.ndarray:

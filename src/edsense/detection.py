@@ -91,20 +91,20 @@ class TruncationReport:
 
 @dataclass(frozen=True)
 class RocPoint:
-    """One operating point: false-alarm probability and average detection
-    probability."""
+    """One operating point: false-alarm probability, average detection
+    probability and average missed-detection probability.
+
+    ``pmd`` is summed directly rather than taken as 1 - pd, so it keeps its
+    relative accuracy where it is small.
+    """
 
     pf: float
     pd: float
+    pmd: float
 
     def __post_init__(self):
-        if not (0.0 <= self.pf <= 1.0 and 0.0 <= self.pd <= 1.0):
+        if not all(0.0 <= v <= 1.0 for v in (self.pf, self.pd, self.pmd)):
             raise DomainError(f"probabilities must lie in [0, 1], got {self}")
-
-    @property
-    def pmd(self) -> float:
-        """Average missed-detection probability, 1 - pd."""
-        return 1.0 - self.pd
 
 
 def prob_false_alarm(cfg: DetectorConfig) -> float:
@@ -220,20 +220,20 @@ def _lower_gammas(u: int, y: float, n: int) -> np.ndarray:
     return out
 
 
-def _pd_from_pmf(pmf: np.ndarray, u: int, lam: float) -> tuple[float, float]:
-    """(P_d, tail bound) from the mixed-Poisson series cut after len(pmf)
+def _pmd_from_pmf(pmf: np.ndarray, u: int, lam: float) -> tuple[float, float]:
+    """(P_md, tail bound) from the mixed-Poisson series cut after len(pmf)
     terms."""
     n = len(pmf)
     gammas = _lower_gammas(u, lam / 2.0, n)
-    return max(0.0, 1.0 - float(np.dot(pmf, gammas[:n]))), float(gammas[n])
+    return min(1.0, float(np.dot(pmf, gammas[:n]))), float(gammas[n])
 
 
 def _avg_pd(channel, cfg: DetectorConfig, tol: float,
             policy: AccuracyPolicy) -> tuple[float, TruncationReport]:
     """Detection probability, truncated where the tail bound falls below tol."""
     n = _terms_needed(cfg.u, cfg.lam / 2.0, tol, policy.max_terms)
-    pd, bound = _pd_from_pmf(_poisson_pmf(channel, n, 1.0, policy), cfg.u, cfg.lam)
-    return pd, TruncationReport(terms_used=n, error_bound=bound, converged=True)
+    pmd, bound = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0, policy), cfg.u, cfg.lam)
+    return 1.0 - pmd, TruncationReport(terms_used=n, error_bound=bound, converged=True)
 
 
 def avg_pd_kms(p: KappaMuShadowedParams, cfg: DetectorConfig,
@@ -305,8 +305,7 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     ``pf_grid`` must be strictly increasing inside (0, 1).  The channel's
     pmf is built once, with as many terms as the largest threshold needs for
     a tail bound below ``tol``; every point shares those terms, so its error
-    is at most ``tol``.  Each returned point carries (pf, pd); the
-    missed-detection ordinate is ``point.pmd``.
+    is at most ``tol``.  Each returned point carries (pf, pd, pmd).
     """
     grid = [float(x) for x in pf_grid]
     if not grid:
@@ -318,5 +317,5 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     lams = [threshold_for_pf(cfg_u, pf) for pf in grid]
     n = _terms_needed(cfg_u, max(lams) / 2.0, tol, policy.max_terms)
     pmf = _poisson_pmf(channel, n, 1.0, policy)
-    return [RocPoint(pf=pf, pd=_pd_from_pmf(pmf, cfg_u, lam)[0])
-            for pf, lam in zip(grid, lams)]
+    pmds = [_pmd_from_pmf(pmf, cfg_u, lam)[0] for lam in lams]
+    return [RocPoint(pf=pf, pd=1.0 - pmd, pmd=pmd) for pf, pmd in zip(grid, pmds)]

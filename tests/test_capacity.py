@@ -61,6 +61,7 @@ def test_rate_moment_kms_quadrature(params, a):
     (FisherFParams(m=1.0, m_s=10.0, mean_snr=100.0), 1.0),
     (FisherFParams(m=0.8, m_s=3.0, mean_snr=5.0), 5.0),
     (FisherFParams(m=1.0, m_s=3.0, mean_snr=10.0), 1.0),  # integer-degenerate route
+    (FisherFParams(m=2.373, m_s=10.15, mean_snr=10 ** -0.32), 2.132),  # 1-z terms cancel
 ])
 def test_rate_moment_f_quadrature(params, a):
     lo = 0.0 if params.m >= 1 else 1e-12

@@ -319,3 +319,29 @@ def test_croc_curve_validation():
         croc_curve(p, 2, [0.5, 0.2])
     with pytest.raises(DomainError):
         croc_curve(p, 2, [0.0, 0.5])
+
+
+def test_croc_pmd_keeps_relative_accuracy():
+    # P_md near 1e-11 must be summed directly, not taken as 1 - P_d (which
+    # gave 4.702405132e-11 here).  Reference, scipy only: E[ncx2.cdf(lam;
+    # 2u, 2 gamma)] with the density of gamma = Gamma(mu-m, theta1) +
+    # Gamma(m, theta2) from a convolution quadrature of scipy Gamma densities.
+    p = KappaMuShadowedParams(2.0, 3, 2, 1000.0)
+    lam = threshold_for_pf(2, 0.999)
+
+    def density(g):
+        return integrate.quad(
+            lambda s: stats.gamma.pdf(s, p.mu - p.m, scale=1.0 / p.theta1)
+            * stats.gamma.pdf(g - s, p.m, scale=1.0 / p.theta2),
+            0.0, g, epsabs=0.0, epsrel=1e-13)[0]
+
+    want = integrate.quad(lambda g: stats.ncx2.cdf(lam, 4, 2.0 * g) * density(g),
+                          0.0, 60.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    (point,) = croc_curve(p, 2, [0.999], tol=1e-12)
+    assert math.isclose(point.pmd, 4.702406095e-11, rel_tol=1e-9)
+    assert point.pd == 1.0 - point.pmd
+    # tol bounds the absolute truncation error (1.5e-9 relative at 1e-12);
+    # a tighter tol brings the direct sum to the reference in relative terms
+    assert abs(point.pmd - want) <= 1e-12
+    (point,) = croc_curve(p, 2, [0.999], tol=1e-16)
+    assert math.isclose(point.pmd, want, rel_tol=1e-9)

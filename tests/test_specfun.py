@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from edsense.errors import ConvergenceError, DomainError
 from edsense.specfun import (
@@ -125,6 +126,23 @@ def test_marcum_q_values():
         marcum_q(0, 1.0, 1.0)
     with pytest.raises(DomainError):
         marcum_q(2, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("u,a,b", [
+    (2, 1023.0, 920.7),   # raised ConvergenceError before
+    (1, 300.0, 290.0),
+    (4, 150.0, 140.0),
+    (3, 40.0, 38.5),
+    (2, 100.0, 95.0),
+    (2, 100.0, 99.9),
+])
+def test_marcum_q_complementary_route(u, a, b):
+    # b < a: the complementary sum; Q_u(a, b) is the noncentral chi-square
+    # survival function at b^2 with 2u degrees of freedom and noncentrality
+    # a^2.  Past a noncentrality of a few thousand the lgamma-based Poisson
+    # weights set a floor near 1e-11.
+    assert math.isclose(marcum_q(u, a, b), stats.ncx2.sf(b * b, 2 * u, a * a),
+                        abs_tol=1e-11)
 
 
 def test_marcum_q_monotonicity_grid():
