@@ -6,6 +6,11 @@ Nothing in this module calls the closed-form averages in ``detection`` or
 instantaneous metrics handed to these routines are either supplied by the
 caller or built here from scipy's noncentral chi-square, which shares no code
 with the series implementations they are used to check.
+
+scipy is imported inside ``quad_average`` and ``detect_metric``, its only
+users, so that ``import edsense`` and the CLI subcommands other than
+``verify`` load numpy but not scipy (whose import takes about 1.2 s on a
+2-vCPU VM); the oracle and ``verify`` load it on first use.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import stats as _stats
 
 from .channels import (
     FisherFParams,
@@ -154,6 +157,8 @@ def quad_average(metric: Callable[[float], float],
     unless ``upper`` overrides it.  The interval is split geometrically so
     heavy-tailed densities integrate accurately piece by piece.
     """
+    from scipy import integrate
+
     if upper is None:
         if params is None:
             raise DomainError("quad_average needs channel params or an explicit upper limit")
@@ -174,9 +179,9 @@ def quad_average(metric: Callable[[float], float],
     err = 0.0
     per_piece = spec.abs_tol / (2.0 * len(edges))
     for lo, hi in zip(edges, edges[1:]):
-        v, a = _integrate.quad(integrand, lo, hi, epsabs=per_piece,
-                               epsrel=spec.rel_tol,
-                               limit=spec.max_subdivisions)
+        v, a = integrate.quad(integrand, lo, hi, epsabs=per_piece,
+                              epsrel=spec.rel_tol,
+                              limit=spec.max_subdivisions)
         total += v
         err += a
     if err > spec.abs_tol + spec.rel_tol * abs(total):
@@ -228,8 +233,10 @@ def detect_metric(u: int, lam: float) -> Callable[[np.ndarray], np.ndarray]:
     under the signal hypothesis has 2u degrees of freedom and noncentrality
     2 gamma), an implementation independent of the series Marcum-Q.
     """
+    from scipy import stats
+
     def metric(g):
-        return _stats.ncx2.sf(lam, 2 * u, 2.0 * np.asarray(g, dtype=float))
+        return stats.ncx2.sf(lam, 2 * u, 2.0 * np.asarray(g, dtype=float))
     return metric
 
 

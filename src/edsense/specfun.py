@@ -70,6 +70,24 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _ln_gamma_weight(z: float, y: float) -> float:
+    """ln(y^z e^(-y) / Gamma(z)), the factor in front of both incomplete-gamma
+    expansions.
+
+    For z >= 30 it is taken as -z (t - ln(1 + t)) + ln(z / 2 pi) / 2 - S(z),
+    t = y/z - 1, with S the Stirling remainder of ln Gamma(z) to the z^-7
+    term (truncation error below 1e-16).  The direct form subtracts two
+    numbers near z ln z, and its rounding error, about 1e-16 z ln z, reaches
+    2e-12 relative at z = 2400.
+    """
+    if z < 30.0:
+        return z * math.log(y) - y - math.lgamma(z)
+    t = (y - z) / z
+    w = 1.0 / (z * z)
+    stirling = (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
+    return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - math.log1p(t)) - stirling
+
+
 def _reg_lower_series(z: float, y: float) -> tuple[float, float]:
     """Regularized lower gamma P(z, y) for y < z + 1, returned as (P, ln P)."""
     ap = z
@@ -80,7 +98,7 @@ def _reg_lower_series(z: float, y: float) -> tuple[float, float]:
         term *= y / ap
         total += term
         if abs(term) < abs(total) * 1e-17:
-            ln_p = math.log(total) - y + z * math.log(y) - math.lgamma(z)
+            ln_p = math.log(total) + _ln_gamma_weight(z, y)
             return math.exp(ln_p), ln_p
     raise ConvergenceError(f"incomplete gamma series stalled at z={z}, y={y}")
 
@@ -105,7 +123,7 @@ def _reg_upper_cf(z: float, y: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return math.exp(-y + z * math.log(y) - math.lgamma(z)) * h
+            return math.exp(_ln_gamma_weight(z, y)) * h
     raise ConvergenceError(f"incomplete gamma continued fraction stalled at z={z}, y={y}")
 
 

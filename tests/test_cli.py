@@ -3,10 +3,15 @@ config, and the verification report."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edsense
 from edsense.cli import main
 
 
@@ -167,3 +172,56 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr().out
     assert captured.startswith("# edsense ")
     assert "gamma,pdf,cdf" in captured
+
+
+# Imports edsense, runs the CLI on the given arguments (none: import only) and
+# prints the exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+import edsense
+code = 0
+if len(sys.argv) > 1:
+    from edsense.cli import main
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _probe_scipy(args):
+    env = dict(os.environ)
+    src = str(Path(edsense.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    return code, scipy_modules
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["croc", "--channel", "kms", "--kappa", "2", "--mu", "3", "--m", "2",
+     "--snr-db", "10", "--pf-points", "4"],
+    ["croc", "--channel", "fisher", "--m", "2", "--ms", "3", "--snr-db", "5",
+     "--pf-points", "4"],
+    ["auc", "--channel", "kms", "--kappa", "2", "--mu", "2", "--m", "1",
+     "--snr-db", "0:10:5"],
+    ["effrate", "--channel", "fisher", "--m", "2", "--ms", "3",
+     "--snr-db", "0:10:5", "--a", "1"],
+    ["pdf", "--channel", "kms", "--kappa", "1", "--mu", "2", "--m", "1",
+     "--snr-db", "6", "--points", "20"],
+], ids=["import", "croc-kms", "croc-fisher", "auc", "effrate", "pdf"])
+def test_no_scipy_unless_verifying(args, tmp_path):
+    if args:
+        args = args + ["--out", str(tmp_path / "out.csv")]
+    code, scipy_modules = _probe_scipy(args)
+    assert code == 0
+    assert scipy_modules == []
+
+
+def test_verify_loads_scipy(tmp_path):
+    code, scipy_modules = _probe_scipy(
+        ["verify", "--channel", "kms", "--kappa", "0", "--mu", "2", "--m", "1",
+         "--snr-db", "6", "--seed", "7", "--mc-samples", "100000",
+         "--out", str(tmp_path / "v.txt")])
+    assert code == 0
+    assert "scipy.integrate" in scipy_modules and "scipy.stats" in scipy_modules

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+from edsense import detection
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_pdf, kms_pdf
 from edsense.detection import (
     DetectorConfig,
@@ -65,6 +66,57 @@ def test_threshold_for_pf():
             assert abs(prob_false_alarm(DetectorConfig(u=u, lam=lam)) - pf) <= 1e-12
     with pytest.raises(DomainError):
         threshold_for_pf(2, 1.5)
+
+
+def _bisection_threshold(u, pf):
+    """lam for P_f = pf by bisection to adjacent floats on scipy's regularized
+    gamma, on the smaller tail so that lam keeps its relative accuracy as
+    pf -> 1."""
+    if pf <= 0.5:
+        def right_of_root(y):
+            return special.gammaincc(u, y) <= pf
+    else:
+        def right_of_root(y):
+            return special.gammainc(u, y) >= 1.0 - pf
+    lo, hi = 0.0, 1.0
+    while not right_of_root(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if right_of_root(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 * hi
+
+
+# Incomplete-gamma evaluations allowed per threshold inversion (a bisection
+# to 1e-15 needs about 56).
+THRESHOLD_EVALS_MAX = 6
+
+
+@pytest.mark.parametrize("u", [1, 2, 5, 20, 200])
+def test_threshold_for_pf_newton(u, monkeypatch):
+    calls = []
+    for name in ("reg_upper_gamma", "reg_lower_gamma"):
+        fn = getattr(detection, name)
+        monkeypatch.setattr(detection, name,
+                            lambda z, y, fn=fn: calls.append(z) or fn(z, y))
+    for pf in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999999):
+        calls.clear()
+        lam = threshold_for_pf(u, pf)
+        assert len(calls) <= THRESHOLD_EVALS_MAX, (u, pf, len(calls))
+        assert abs(prob_false_alarm(DetectorConfig(u=u, lam=lam)) - pf) <= 1e-12
+        assert math.isclose(lam, _bisection_threshold(u, pf), rel_tol=1e-12)
+
+
+def test_threshold_for_pf_large_u():
+    # near P_f = 1/2 at u in the thousands, the 1e-12 false-alarm check needs
+    # the incomplete gamma's prefactor without its 2e-12 rounding noise of
+    # z ln y - y - ln Gamma(z)
+    for u in (2000, 2400):
+        for pf in np.linspace(0.3, 0.7, 9):
+            lam = threshold_for_pf(u, float(pf))
+            assert math.isclose(lam, _bisection_threshold(u, float(pf)), rel_tol=1e-13)
 
 
 def test_prob_detect_instant():

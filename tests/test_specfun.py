@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from edsense.errors import ConvergenceError, DomainError
 from edsense.specfun import (
@@ -26,6 +26,8 @@ from edsense.specfun import (
     marcum_q,
     pochhammer,
     reg_inc_beta,
+    reg_lower_gamma,
+    reg_upper_gamma,
     tricomi_u,
     upper_inc_gamma,
 )
@@ -80,6 +82,16 @@ def test_incomplete_gamma_partition():
         for y in (0.0, 0.1, 1.0, 5.0, 60.0):
             total = lower_inc_gamma(z, y) + upper_inc_gamma(z, y)
             assert math.isclose(total, math.exp(ln_gamma(z)), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("z", [29.5, 30.0, 200.0, 2400.0, 2400.5])
+def test_reg_gamma_large_order(z):
+    # y^z e^-y / Gamma(z) in front of both expansions must not be formed by
+    # subtracting numbers near z ln z: that rounding error is 2e-12 relative
+    # at z = 2400
+    for y in (0.9 * z, z - math.sqrt(z), z - 0.3, z + 0.7, z + math.sqrt(z), 1.1 * z):
+        assert math.isclose(reg_lower_gamma(z, y), special.gammainc(z, y), rel_tol=1e-13)
+        assert math.isclose(reg_upper_gamma(z, y), special.gammaincc(z, y), rel_tol=1e-13)
 
 
 def test_beta_values():
