@@ -17,9 +17,13 @@ gives the missed-detection probability
 
     P_md = sum_k pi_k P(u + k, lambda/2),    pi_k = E[e^(-gamma) gamma^k / k!],
 
-where pi is the channel's mixed-Poisson pmf: a convolution of two negative
-binomial pmfs for shadowed kappa-mu fading and a Tricomi-U coefficient for
-Fisher-Snedecor fading (``_poisson_pmf``).  Every term is positive, and
+where pi is the channel's mixed-Poisson pmf (``_poisson_pmf``): a
+convolution of two negative binomial pmfs for shadowed kappa-mu fading, and
+for Fisher-Snedecor fading a negative binomial averaged over the shadowing
+V ~ Gamma(m_s, 1), one uniform trapezoid sum in sigma = ln V that serves
+every k at once; its step is halved until two levels agree.  (The
+coefficient's closed form in the Tricomi U, one quadrature per term, now
+serves only as a reference in the tests.)  Every term is positive, and
 since P(u + k, lambda/2) falls with k and pi sums to at most one, the tail
 after S terms is at most P(u + S, lambda/2) on any channel.  That bound
 depends on (u, lambda) alone and certifies the truncation.  The ROC area
@@ -38,8 +42,6 @@ from .errors import ConvergenceError, DomainError
 from .specfun import (
     AccuracyPolicy,
     DEFAULT_POLICY,
-    ln_beta,
-    ln_tricomi_u,
     marcum_q,
     reg_lower_gamma,
     reg_upper_gamma,
@@ -209,19 +211,143 @@ def _poisson_pmf(channel: KappaMuShadowedParams | FisherFParams, n: int,
 
     Shadowed kappa-mu: the SNR is Gamma(mu-m, theta1) + Gamma(m, theta2), so
     pi is the convolution of two negative binomial pmfs, positive at any
-    kappa.  Fisher-Snedecor: pi_k = Gamma(k+m) / (k! w^k B(m, m_s))
-    U(k+m; k-m_s+1; 1/w) with w = omega/s.
+    kappa.  Fisher-Snedecor: a negative binomial averaged over the shadowing
+    (``_fisher_pmf``), to relative accuracy min(1e-12, ``policy.rel_tol``).
     """
     if isinstance(channel, KappaMuShadowedParams):
         return np.convolve(
             _nb_pmf(channel.mu - channel.m, channel.theta1 / scale, n),
             _nb_pmf(channel.m, channel.theta2 / scale, n))[:n]
-    m, ms, omega = channel.m, channel.m_s, channel.omega / scale
-    ln_norm, ln_omega = ln_beta(m, ms), math.log(omega)
-    return np.array([math.exp(
-        math.lgamma(k + m) - k * ln_omega - math.lgamma(k + 1.0) - ln_norm
-        + ln_tricomi_u(k + m, k - ms + 1.0, 1.0 / omega, policy))
-        for k in range(n)])
+    return _fisher_pmf(channel.m, channel.m_s, channel.omega / scale, n,
+                       min(1e-12, policy.rel_tol))
+
+
+# The Fisher pmf's trapezoid range ends where every row's log-integrand lies
+# this far below its peak (e^-45 < 3e-20).
+_TRAP_DROP = 45.0
+_TRAP_MAX_LEVEL = 12
+# Largest (k, node) block evaluated at once.
+_TRAP_BLOCK = 1 << 15
+
+
+def _softplus(x: float) -> float:
+    """ln(1 + e^x) without overflow."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _fisher_log_weight(sigma: float, k: int, m: float, ms: float,
+                       ln_w: float) -> tuple[float, float, float]:
+    """(g, g', g'') at sigma of g = m_s sigma - e^sigma + m ln p + k ln(1-p),
+    p = w e^sigma / (1 + w e^sigma): the log-integrand of row k of the
+    Fisher pmf, strictly concave in sigma."""
+    t = sigma + ln_w
+    ln_p, ln_q = -_softplus(-t), -_softplus(t)
+    p, q, v = math.exp(ln_p), math.exp(ln_q), math.exp(sigma)
+    return (ms * sigma - v + m * ln_p + k * ln_q,
+            ms - v + m * q - k * p,
+            -v - (m + k) * p * q)
+
+
+def _fisher_peak(k: int, m: float, ms: float, ln_w: float) -> float:
+    """Maximum of row k's log-integrand, by Newton steps kept inside the
+    bracket [ln(m_s / (1 + k w)), ln(m_s + m)] on which g' changes sign."""
+    lo = math.log(ms) - math.log1p(k * math.exp(ln_w))
+    hi = math.log(ms + m)
+    sigma = hi
+    for _ in range(100):
+        _, slope, curve = _fisher_log_weight(sigma, k, m, ms, ln_w)
+        if slope > 0.0:
+            lo = sigma
+        else:
+            hi = sigma
+        nxt = sigma - slope / curve
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - sigma) <= 1e-9:
+            return nxt
+        sigma = nxt
+    raise ConvergenceError(f"Fisher pmf: no peak found for row {k}")
+
+
+def _fisher_edge(k: int, peak: float, side: float, m: float, ms: float,
+                 ln_w: float) -> float:
+    """A point on the given side of row k's peak where its log-integrand
+    has fallen at least _TRAP_DROP below the peak value.
+
+    Steps out by doubling, then takes Newton steps back toward the crossing;
+    by concavity each Newton step stays outside it.
+    """
+    target = _fisher_log_weight(peak, k, m, ms, ln_w)[0] - _TRAP_DROP
+    step = 1.0
+    while _fisher_log_weight(sigma := peak + side * step, k, m, ms, ln_w)[0] > target:
+        step *= 2.0
+    for _ in range(3):
+        g, slope, _ = _fisher_log_weight(sigma, k, m, ms, ln_w)
+        sigma -= (g - target) / slope
+    return sigma
+
+
+def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray:
+    """pi_0..pi_{n-1} for Fisher-Snedecor fading at w = omega / s.
+
+    The SNR given V ~ Gamma(m_s, 1) is Gamma(m, rate omega V), so pi is a
+    negative binomial averaged over sigma = ln V:
+
+        pi_k = Gamma(m+k) / (Gamma(m) k! Gamma(m_s))
+               * int exp(m_s sigma - e^sigma) p^m (1-p)^k dsigma,
+
+    p = w e^sigma / (1 + w e^sigma).  The integrand is analytic and decays
+    exponentially at both ends, so the uniform trapezoid rule converges
+    exponentially in 1/h (Trefethen & Weideman, SIAM Review 2014), and one
+    node set serves every k as rows of one log-space matrix, each shifted
+    by its own maximum before exponentiating.  Each row's log-integrand is
+    concave, and its peak moves left as k grows; so the range runs from
+    where row n-1 has fallen _TRAP_DROP below its peak on the left to where
+    row 0 has on the right, and holds every row down to e^-_TRAP_DROP of its
+    peak.  The first step is about twice the width of row n-1 at its peak;
+    h is halved, reusing every node, until two levels agree to ``tol``
+    relative in every row.
+    """
+    ln_w, top = math.log(w), n - 1
+    peak = _fisher_peak(top, m, ms, ln_w)
+    lo = _fisher_edge(top, peak, -1.0, m, ms, ln_w)
+    hi = _fisher_edge(0, _fisher_peak(0, m, ms, ln_w), 1.0, m, ms, ln_w)
+    curve = _fisher_log_weight(peak, top, m, ms, ln_w)[2]
+    h = 2.0 ** math.floor(math.log2(2.0 / math.sqrt(-curve)))
+    count = math.ceil((hi - lo) / h)
+    k = np.arange(n, dtype=float)
+    shift = np.empty(n)
+
+    def row_sums(sigma: np.ndarray, first: bool) -> np.ndarray:
+        """Sum over the nodes sigma of exp(g_k - shift_k) for every row k, in
+        blocks of rows; the first level sets each shift to the row maximum."""
+        t = sigma + ln_w
+        a = ms * sigma - np.exp(sigma) - m * np.logaddexp(0.0, -t)
+        b = -np.logaddexp(0.0, t)
+        out = np.empty(n)
+        rows = max(1, _TRAP_BLOCK // len(sigma))
+        for r in range(0, n, rows):
+            g = np.multiply.outer(k[r:r + rows], b)
+            g += a
+            if first:
+                shift[r:r + rows] = g.max(axis=1)
+            g -= shift[r:r + rows, None]
+            out[r:r + rows] = np.exp(g, out=g).sum(axis=1)
+        return out
+
+    total = h * row_sums(lo + h * np.arange(count + 1), True)
+    for _ in range(_TRAP_MAX_LEVEL):
+        h *= 0.5
+        prev, total = total, 0.5 * total + h * row_sums(
+            lo + h * np.arange(1, 2 * count, 2), False)
+        count *= 2
+        if np.all(np.abs(total - prev) <= tol * total):
+            break
+    else:
+        raise ConvergenceError(
+            f"Fisher pmf trapezoid sum did not settle by h = {h:g}")
+    ln_binom = np.concatenate(([0.0], np.cumsum(np.log((m + k[:-1]) / (k[:-1] + 1.0)))))
+    return np.exp(ln_binom - math.lgamma(ms) + shift + np.log(total))
 
 
 def _terms_needed(u: int, y: float, tol: float, max_terms: int) -> int:

@@ -28,8 +28,6 @@ __all__ = [
     "beta",
     "ln_beta",
     "reg_inc_beta",
-    "pochhammer",
-    "binomial",
     "marcum_q",
     "kummer_1f1",
     "gauss_2f1",
@@ -138,17 +136,6 @@ def reg_lower_gamma(z: float, y: float) -> float:
     return 1.0 - _reg_upper_cf(z, y)
 
 
-def ln_reg_lower_gamma(z: float, y: float) -> float:
-    """ln P(z, y); stays finite where P itself underflows."""
-    if z <= 0.0 or y < 0.0:
-        raise DomainError(f"ln_reg_lower_gamma requires z > 0, y >= 0, got z={z}, y={y}")
-    if y == 0.0:
-        return -math.inf
-    if y < z + 1.0:
-        return _reg_lower_series(z, y)[1]
-    return math.log1p(-_reg_upper_cf(z, y))
-
-
 def reg_upper_gamma(z: float, y: float) -> float:
     """Regularized upper incomplete gamma Q(z, y) = Gamma(z, y) / Gamma(z)."""
     if z <= 0.0 or y < 0.0:
@@ -236,23 +223,6 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise DomainError(f"pochhammer requires n >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient C(a, b) for integers 0 <= b <= a."""
-    if b < 0 or a < 0 or b > a:
-        raise DomainError(f"binomial requires 0 <= b <= a, got ({a}, {b})")
-    return math.comb(a, b)
-
-
 def _poisson_left_tail_bound(x: float, k: int) -> float:
     """Chernoff bound on P[Poisson(x) <= k] for k < x."""
     if k < 0:
@@ -270,8 +240,9 @@ def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY
     mode; the neglected Poisson mass bounds the absolute error below
     ``policy.rel_tol``.  For b < a the complement 1 - Q_u = sum_k e^(-x)
     x^k / k! * P(u+k, y) is summed instead: P(u+k, y) dies out once u+k
-    passes y < x, so that sum stops early in the Poisson window, all of
-    which the direct sum would have to cover.
+    passes y < x, so that sum stops early in the Poisson window.  For
+    b >= a the direct sum starts no earlier than the largest k0 with
+    Q(u+k0, y) <= rel_tol/4, since Q(u+k, y) rises with k.
     """
     if u < 1 or int(u) != u:
         raise DomainError(f"marcum_q requires integer order u >= 1, got {u}")
@@ -294,8 +265,25 @@ def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY
         while k0 > 0 and _poisson_left_tail_bound(x, k0 - 1) > 0.25 * tol:
             k0 = max(0, k0 - step)
 
-    p = math.exp(k0 * math.log(x) - x - math.lgamma(k0 + 1.0))
-    dq = math.exp((u + k0) * math.log(y) - y - math.lgamma(u + k0 + 1.0))
+    if y >= x:
+        q = reg_upper_gamma(u + k0, y)
+        if q <= 0.25 * tol:
+            # Q(u+k, y) rises with k and the Poisson weights sum to at most
+            # one, so the terms before the largest k0 with Q(u+k0, y) <= tol/4
+            # add at most tol/4; Q(a, y) > 1/3 once a >= y
+            hi = max(k0 + 1, math.ceil(y) - u)
+            while hi - k0 > 1:
+                mid = (k0 + hi) // 2
+                q_mid = reg_upper_gamma(u + mid, y)
+                if q_mid <= 0.25 * tol:
+                    k0, q = mid, q_mid
+                else:
+                    hi = mid
+
+    # x^k0 e^-x / k0! and y^(u+k0) e^-y / (u+k0)!, without the rounding noise
+    # of k ln x - lgamma(k + 1) at large k
+    p = math.exp(_ln_gamma_weight(k0 + 1.0, x) - math.log(x))
+    dq = math.exp(_ln_gamma_weight(u + k0 + 1.0, y) - math.log(y))
     total = 0.0
     if y < x:
         lower = reg_lower_gamma(u + k0, y)
@@ -310,7 +298,6 @@ def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY
             if a_next > y and dq / (1.0 - y / a_next) <= 0.5 * tol:
                 return min(1.0, max(0.0, 1.0 - total))
     else:
-        q = reg_upper_gamma(u + k0, y)
         for k in range(k0, k0 + policy.max_terms):
             total += p * q
             if k + 1 > x:

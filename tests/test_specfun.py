@@ -18,13 +18,11 @@ from edsense.errors import ConvergenceError, DomainError
 from edsense.specfun import (
     AccuracyPolicy,
     beta,
-    binomial,
     gauss_2f1,
     kummer_1f1,
     ln_gamma,
     lower_inc_gamma,
     marcum_q,
-    pochhammer,
     reg_inc_beta,
     reg_lower_gamma,
     reg_upper_gamma,
@@ -112,22 +110,6 @@ def test_reg_inc_beta_basics():
                         1.0, rel_tol=1e-12)
 
 
-def test_pochhammer():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(2.0, 3) == 24.0
-    assert pochhammer(-1.0, 3) == 0.0
-    with pytest.raises(DomainError):
-        pochhammer(2.0, -1)
-
-
-def test_binomial():
-    assert binomial(5, 0) == 1
-    assert binomial(5, 2) == 10
-    assert binomial(10, 5) == 252
-    with pytest.raises(DomainError):
-        binomial(3, 5)
-
-
 def test_marcum_q_values():
     assert marcum_q(2, 1.3, 0.0) == 1.0
     assert math.isclose(marcum_q(1, 0.0, 2.0), math.exp(-2.0), rel_tol=1e-12)
@@ -151,10 +133,21 @@ def test_marcum_q_values():
 def test_marcum_q_complementary_route(u, a, b):
     # b < a: the complementary sum; Q_u(a, b) is the noncentral chi-square
     # survival function at b^2 with 2u degrees of freedom and noncentrality
-    # a^2.  Past a noncentrality of a few thousand the lgamma-based Poisson
-    # weights set a floor near 1e-11.
+    # a^2.
     assert math.isclose(marcum_q(u, a, b), stats.ncx2.sf(b * b, 2 * u, a * a),
-                        abs_tol=1e-11)
+                        abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("u,a,b", [
+    (2, 1023.0, 1030.0),  # raised ConvergenceError before
+    (5, 1000.0, 1001.0),  # raised ConvergenceError before
+    (1, 400.0, 405.0),
+])
+def test_marcum_q_direct_route_large_noncentrality(u, a, b):
+    # b > a at noncentrality a^2 >= 1e5: the direct sum, whose first terms
+    # are negligible far beyond the Poisson window's left edge
+    assert math.isclose(marcum_q(u, a, b), stats.ncx2.sf(b * b, 2 * u, a * a),
+                        abs_tol=1e-12)
 
 
 def test_marcum_q_monotonicity_grid():
