@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .specfun import ln_beta, reg_inc_beta
+from .specfun import _poisson_tail_index, _poisson_terms, ln_beta, reg_inc_beta
 
 __all__ = [
     "KappaMuShadowedParams",
@@ -133,15 +133,6 @@ def _gamma_mixture(p: KappaMuShadowedParams) -> tuple[int, float, int, float]:
     return p.mu, p.theta1, p.m, p.mu * p.kappa / (p.mu * p.kappa + p.m)
 
 
-def _poisson_tail_index(lam: float) -> int:
-    """Smallest k whose Bernstein bound on P[Poisson(lam) >= k],
-    exp(-t^2 / (2 (lam + t/3))) with t = k - lam, is at most e^-_LN_TOL."""
-    if lam == 0.0:
-        return 1
-    return math.ceil(lam + _LN_TOL / 3.0
-                     + math.sqrt(_LN_TOL * _LN_TOL / 9.0 + 2.0 * _LN_TOL * lam))
-
-
 def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """SNR density of the shadowed kappa-mu model at finite ``gamma`` >= 0.
 
@@ -186,27 +177,26 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """SNR distribution function, F(gamma) = sum_j P[N = j] P(a+j, x).
 
     Summed the other way round, F = sum_i Pois(x; a+i) P[N <= i]: positive
-    terms, Poisson weights and negative binomial pmf by cumulative products
-    of their term ratios, its cdf by a cumulative sum.  Poisson indices below
-    x - sqrt(2 L x) and from ``_poisson_tail_index(x)`` on are dropped; each
-    side carries at most e^-L of probability (L = _LN_TOL), which bounds the
-    absolute error.
+    terms, Poisson weights from ``_poisson_terms``, the negative binomial pmf
+    by cumulative products of its term ratios, its cdf by a cumulative sum.
+    Poisson indices below x - sqrt(2 L x) and from ``_poisson_tail_index(x, L)``
+    on are dropped; each side carries at most e^-L of probability
+    (L = _LN_TOL), which bounds the absolute error.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     a, rate, r, q = _gamma_mixture(p)
     x = rate * gamma
-    n = _poisson_tail_index(x) - a
+    n = _poisson_tail_index(x, _LN_TOL) - a
     if gamma == 0.0 or n <= 0:
         return 0.0
     lo = max(0, math.floor(x - math.sqrt(2.0 * _LN_TOL * x)) - a)
-    ln_first = (a + lo - 1) * math.log(x) - x - math.lgamma(a + lo) + r * math.log1p(-q)
-    # Pois(x; a+i) / Pois(x; a+lo-1) for i = lo..n-1
-    pois = (x / (a + lo - 1 + np.arange(1.0, n - lo + 1))).cumprod()
+    # Pois(x; a+i) for i = lo..n-1
+    pois = _poisson_terms(a + lo, x, n - lo)
     # P[N <= i] / P[N = 0] - 1 for i = 1..n-1
     nb = (q * (r - 1) / np.arange(1.0, n) + q).cumprod().cumsum()
     total = pois.sum() + (pois[1:].dot(nb) if lo == 0 else pois.dot(nb[lo - 1:]))
-    return min(1.0, math.exp(ln_first) * float(total))
+    return min(1.0, math.exp(r * math.log1p(-q)) * float(total))
 
 
 def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np.ndarray:

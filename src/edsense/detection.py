@@ -26,12 +26,15 @@ coefficient's closed form in the Tricomi U, one quadrature per term, now
 serves only as a reference in the tests.)  Every term is positive, and
 since P(u + k, lambda/2) falls with k and pi sums to at most one, the tail
 after S terms is at most P(u + S, lambda/2) on any channel.  That bound
-depends on (u, lambda) alone and certifies the truncation.  The ROC area
-uses the same pmf at half the SNR.
+depends on (u, lambda) alone and certifies the truncation.  The factors
+P(u + k, lambda/2) are a cumulative sum of the Poisson terms that
+``marcum_q`` also sums (``specfun._poisson_terms``).  The ROC area uses the
+same pmf at half the SNR.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -42,6 +45,8 @@ from .errors import ConvergenceError, DomainError
 from .specfun import (
     AccuracyPolicy,
     DEFAULT_POLICY,
+    _ln_poisson_tail,
+    _poisson_terms,
     marcum_q,
     reg_lower_gamma,
     reg_upper_gamma,
@@ -351,48 +356,35 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
 
 
 def _terms_needed(u: int, y: float, tol: float, max_terms: int) -> int:
-    """Smallest S >= 1 at which a majorant of the tail bound P(u+S, y) lies
-    below tol.
-
-    For a = u+S > y - 1 the lower-gamma series is dominated by a geometric
-    one: P(a, y) <= e^(-y) y^a / a! / (1 - y/(a+1)).
+    """Smallest S >= 1 at which a bound on the tail P(u+S, y) =
+    P[Poisson(y) >= u+S] lies below tol: the Poisson pmf at u+S times a
+    geometric majorant of the pmf ratios (``specfun._ln_poisson_tail``).
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     if y == 0.0:
         return 1
-    ln_tol, ln_y = math.log(tol), math.log(y)
-    for s in range(1, max_terms + 1):
-        a = u + s
-        if a + 1.0 > y and (a * ln_y - y - math.lgamma(a + 1.0)
-                            - math.log1p(-y / (a + 1.0))) <= ln_tol:
-            return s
-    raise ConvergenceError(
-        f"detection series needs more than {max_terms} terms "
-        f"for tol={tol} at u={u}, lam={2.0 * y}")
-
-
-def _lower_gammas(u: int, y: float, n: int) -> np.ndarray:
-    """P(u+k, y) for k = 0..n: one series evaluation at the top index, then
-    the backward recurrence P(a) = P(a+1) + e^(-y) y^a / a!, whose terms are
-    all positive."""
-    out = np.zeros(n + 1)
-    if y == 0.0:
-        return out
-    ln_y = math.log(y)
-    out[n] = reg_lower_gamma(u + n, y)
-    for k in range(n - 1, -1, -1):
-        a = u + k
-        out[k] = out[k + 1] + math.exp(a * ln_y - y - math.lgamma(a + 1.0))
-    return out
+    ln_tol = math.log(tol)
+    s = bisect.bisect_left(range(1, max_terms + 1), -ln_tol,
+                           key=lambda s: -_ln_poisson_tail(y, u + s, True))
+    if s == max_terms:
+        raise ConvergenceError(
+            f"detection series needs more than {max_terms} terms "
+            f"for tol={tol} at u={u}, lam={2.0 * y}")
+    return s + 1
 
 
 def _pmd_from_pmf(pmf: np.ndarray, u: int, lam: float) -> tuple[float, float]:
-    """(P_md, tail bound) from the mixed-Poisson series cut after len(pmf)
-    terms."""
+    """(P_md, tail bound) from the mixed-Poisson series cut after n =
+    len(pmf) terms; P(u+k, y) = P(u+n, y) + sum_(k<=i<n) y^(u+i) e^(-y) /
+    (u+i)!, and P(u+n, y) is the tail bound."""
+    y = lam / 2.0
+    if y == 0.0:
+        return 0.0, 0.0
     n = len(pmf)
-    gammas = _lower_gammas(u, lam / 2.0, n)
-    return min(1.0, float(np.dot(pmf, gammas[:n]))), float(gammas[n])
+    tail = reg_lower_gamma(u + n, y)
+    gammas = np.cumsum(_poisson_terms(u, y, n)[::-1])[::-1] + tail
+    return min(1.0, float(np.dot(pmf, gammas))), tail
 
 
 def _avg_pd(channel, cfg: DetectorConfig, tol: float,

@@ -4,11 +4,14 @@ Everything here is self-contained (stdlib ``math`` plus the local quadrature
 kernels): incomplete gamma and beta, the generalized Marcum-Q, the Kummer and
 Gauss hypergeometric series, and the Tricomi U function evaluated
 through its real integral representation.  All routines are pure and
-deterministic; accuracy targets are stated per function.
+deterministic; accuracy targets are stated per function.  The Poisson terms
+y^z e^(-y) / Gamma(z+1) that the Marcum-Q, the detection series and the
+kappa-mu distribution function sum come from one kernel, ``_poisson_terms``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -223,93 +226,106 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def _poisson_left_tail_bound(x: float, k: int) -> float:
-    """Chernoff bound on P[Poisson(x) <= k] for k < x."""
+def _poisson_terms(z0: float, y: float, n: int) -> np.ndarray:
+    """y^(z0+j) e^(-y) / Gamma(z0+j+1) for j < n (n >= 1, y > 0): the
+    Poisson(y) pmf at z0+j, and the increments P(z, y) - P(z+1, y) of the
+    incomplete gamma at z = z0+j.
+
+    The term nearest the mode z = y comes from ``_ln_gamma_weight``, the
+    others from cumulative products of the term ratios outward from it, so
+    each carries one rounding per step away from the mode and none
+    overflows (per-term lgamma, or summed log ratios, lose a digit or more
+    at y in the thousands).
+    """
+    j0 = min(max(round(y - z0), 0), n - 1)
+    # z0+j, turned into the anchor term and the ratios outward from it:
+    # t_j/t_(j-1) = y/(z0+j) above j0, t_j/t_(j+1) = (z0+j+1)/y below it
+    out = np.arange(z0, z0 + n - 0.5)
+    out[j0 + 1:] = y / out[j0 + 1:]
+    out[:j0] = out[1:j0 + 1] / y
+    out[j0] = math.exp(_ln_gamma_weight(z0 + j0 + 1.0, y) - math.log(y))
+    np.multiply.accumulate(out[j0:], out=out[j0:])
+    np.multiply.accumulate(out[j0::-1], out=out[j0::-1])
+    return out
+
+
+def _ln_poisson_tail(lam: float, k: int, upper: bool) -> float:
+    """ln of a bound, monotone in k, on P[Poisson(lam) >= k] (``upper``) or
+    P[Poisson(lam) <= k]: the pmf at k over 1 - r, r the bound lam/(k+1) or
+    k/lam on the pmf ratios beyond k; 0 where r >= 1."""
     if k < 0:
+        return 0.0 if upper else -math.inf
+    ratio = lam / (k + 1.0) if upper else k / lam
+    if ratio >= 1.0:
         return 0.0
-    if k == 0:
-        return math.exp(-x)
-    return math.exp(-x + k + k * math.log(x / k))
+    return min(0.0, _ln_gamma_weight(k + 1.0, lam) - math.log(lam) - math.log1p(-ratio))
+
+
+def _poisson_tail_index(lam: float, ln_tol: float) -> int:
+    """Smallest k whose Bernstein bound on P[Poisson(lam) >= k],
+    exp(-t^2 / (2 (lam + t/3))) with t = k - lam, is at most e^-ln_tol."""
+    if lam == 0.0:
+        return 1
+    return math.ceil(lam + ln_tol / 3.0
+                     + math.sqrt(ln_tol * ln_tol / 9.0 + 2.0 * ln_tol * lam))
 
 
 def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
     """Generalized Marcum-Q Q_u(a, b) for integer order u >= 1.
 
     Evaluated as the Poisson mixture Q_u(a,b) = sum_k e^(-x) x^k / k! *
-    Q(u+k, y), x = a^2/2, y = b^2/2, summed over a window around the Poisson
-    mode; the neglected Poisson mass bounds the absolute error below
-    ``policy.rel_tol``.  For b < a the complement 1 - Q_u = sum_k e^(-x)
-    x^k / k! * P(u+k, y) is summed instead: P(u+k, y) dies out once u+k
-    passes y < x, so that sum stops early in the Poisson window.  For
-    b >= a the direct sum starts no earlier than the largest k0 with
-    Q(u+k0, y) <= rel_tol/4, since Q(u+k, y) rises with k.
+    Q(u+k, y), x = a^2/2, y = b^2/2, or for b < a as its complement with
+    P(u+k, y) for Q(u+k, y): one dot product over lo <= k < hi of Poisson
+    weights and a run of incomplete gammas, both from ``_poisson_terms``.
+    Each edge is the tightest at which a bound on the dropped mass is at most
+    3/8 of ``policy.rel_tol``, which bounds the absolute error with room for
+    rounding.  Where the factor is large the bound is a Poisson(x) tail
+    (``_ln_poisson_tail``); where it is small, the factor is a Poisson(y)
+    tail monotone in k, Q(u+k, y) = P[Poisson(y) <= u+k-1] or P(u+k, y) =
+    P[Poisson(y) >= u+k], and the bound is the product of the two tails.
+    A window longer than ``policy.max_terms`` raises ConvergenceError; at
+    b ~ a that happens from noncentrality a^2 of about 1.4e6 on.
     """
     if u < 1 or int(u) != u:
         raise DomainError(f"marcum_q requires integer order u >= 1, got {u}")
     if a < 0.0 or b < 0.0:
         raise DomainError(f"marcum_q requires a, b >= 0, got a={a}, b={b}")
-    if b == 0.0:
+    x, y = 0.5 * a * a, 0.5 * b * b
+    if y == 0.0:
         return 1.0
-    y = 0.5 * b * b
-    if a == 0.0:
+    if x == 0.0:
         return reg_upper_gamma(u, y)
-    x = 0.5 * a * a
-    tol = policy.rel_tol
+    ln_target = math.log(0.375 * policy.rel_tol)
+    direct = y >= x
 
-    k0 = 0
-    if x > 40.0:
-        # skip the negligible left Poisson mass; its contribution is bounded
-        # by the Chernoff tail kept below tol/4
-        step = int(math.sqrt(x)) + 1
-        k0 = max(0, int(x - 9.0 * math.sqrt(x)) - 10)
-        while k0 > 0 and _poisson_left_tail_bound(x, k0 - 1) > 0.25 * tol:
-            k0 = max(0, k0 - step)
+    def dropped_below(k):  # ln bound on the terms before k
+        below = _ln_poisson_tail(x, k - 1, False)
+        return below + _ln_poisson_tail(y, u + k - 2, False) if direct else below
 
-    if y >= x:
-        q = reg_upper_gamma(u + k0, y)
-        if q <= 0.25 * tol:
-            # Q(u+k, y) rises with k and the Poisson weights sum to at most
-            # one, so the terms before the largest k0 with Q(u+k0, y) <= tol/4
-            # add at most tol/4; Q(a, y) > 1/3 once a >= y
-            hi = max(k0 + 1, math.ceil(y) - u)
-            while hi - k0 > 1:
-                mid = (k0 + hi) // 2
-                q_mid = reg_upper_gamma(u + mid, y)
-                if q_mid <= 0.25 * tol:
-                    k0, q = mid, q_mid
-                else:
-                    hi = mid
+    def dropped_from(k):  # ln bound on the terms from k on
+        above = _ln_poisson_tail(x, k, True)
+        return above if direct else above + _ln_poisson_tail(y, u + k, True)
 
-    # x^k0 e^-x / k0! and y^(u+k0) e^-y / (u+k0)!, without the rounding noise
-    # of k ln x - lgamma(k + 1) at large k
-    p = math.exp(_ln_gamma_weight(k0 + 1.0, x) - math.log(x))
-    dq = math.exp(_ln_gamma_weight(u + k0 + 1.0, y) - math.log(y))
-    total = 0.0
-    if y < x:
-        lower = reg_lower_gamma(u + k0, y)
-        for k in range(k0, k0 + policy.max_terms):
-            total += p * lower
-            lower -= dq
-            dq *= y / (u + k + 1.0)
-            p *= x / (k + 1.0)
-            # the rest is at most P(u+k+1, y) (Poisson weights sum to at most
-            # one), bounded by the geometric majorant of its series
-            a_next = u + k + 2.0
-            if a_next > y and dq / (1.0 - y / a_next) <= 0.5 * tol:
-                return min(1.0, max(0.0, 1.0 - total))
-    else:
-        for k in range(k0, k0 + policy.max_terms):
-            total += p * q
-            if k + 1 > x:
-                # geometric majorant of the remaining Poisson mass (Q factors <= 1)
-                r = x / (k + 1)
-                if p * r / (1.0 - r) <= 0.5 * tol:
-                    return min(1.0, max(0.0, total))
-            q += dq
-            dq *= y / (u + k + 1.0)
-            p *= x / (k + 1.0)
-    raise ConvergenceError(
-        f"marcum_q series exceeded {policy.max_terms} terms at u={u}, a={a}, b={b}")
+    # Bernstein's bound alone certifies the right edge at the end of the range
+    end = _poisson_tail_index(x, -ln_target)
+    hi = bisect.bisect_left(range(end), -ln_target, key=lambda k: -dropped_from(k))
+    lo = bisect.bisect_right(range(hi + 1), ln_target, key=dropped_below) - 1
+    n = hi - lo
+    if n > policy.max_terms:
+        raise ConvergenceError(
+            f"marcum_q needs {n} terms, more than max_terms={policy.max_terms}, "
+            f"at u={u}, a={a}, b={b}")
+    if n == 0:
+        return 0.0 if direct else 1.0
+    weights = _poisson_terms(lo, x, n)
+    steps = _poisson_terms(u + lo, y, n)
+    if direct:
+        # Q(u+lo+j, y) = Q(u+lo, y) + sum_(i<j) steps_i
+        factor = np.concatenate(([0.0], np.cumsum(steps[:-1]))) + reg_upper_gamma(u + lo, y)
+        return min(1.0, max(0.0, float(weights @ factor)))
+    # P(u+lo+j, y) = P(u+hi, y) + sum_(i>=j) steps_i
+    factor = np.cumsum(steps[::-1])[::-1] + reg_lower_gamma(u + hi, y)
+    return min(1.0, max(0.0, 1.0 - float(weights @ factor)))
 
 
 def _series_phq(num: tuple, den: tuple, z: float, policy: AccuracyPolicy,

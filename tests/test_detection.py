@@ -132,6 +132,20 @@ def test_prob_detect_instant():
     assert all(b >= a - 1e-12 for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize("y", [30.0, 300.0, 3000.0])
+@pytest.mark.parametrize("u", [1, 5, 20])
+def test_lower_gamma_run_matches_scipy(u, y):
+    # the series' factors P(u+k, y), k < n, read back one at a time through a
+    # one-hot pmf, and its tail bound P(u+n, y)
+    n = math.ceil(y + 12.0 * math.sqrt(y)) + 20
+    for k in range(0, n, max(1, n // 200)):
+        pmf = np.zeros(n)
+        pmf[k] = 1.0
+        got, tail = detection._pmd_from_pmf(pmf, u, 2.0 * y)
+        assert abs(got - special.gammainc(u + k, y)) <= 1e-13, k
+    assert abs(tail - special.gammainc(u + n, y)) <= 1e-13
+
+
 def test_avg_pd_kms_reference_values():
     cfg = DetectorConfig(u=2, lam=LAM_PF10_U2)
     assert avg_pd_kms(KappaMuShadowedParams(2.0, 3, 2, 10.0),

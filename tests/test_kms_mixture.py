@@ -1,12 +1,14 @@
-"""Shadowed kappa-mu rate moment, density and distribution function in the
-regions where the former alternating expansion failed: small kappa, mu = 60,
-large kappa at high SNR.
+"""Shadowed kappa-mu rate moment, density, distribution function and
+detection metrics in the regions where the former alternating expansion
+failed: small kappa, mu = 60, large kappa at high SNR.
 
 Every reference here uses scipy alone and neither the MGF integral nor the
 Gamma mixture: the SNR is G1 + G2 with G1 ~ Gamma(mu-m, theta1) and
 G2 ~ Gamma(m, theta2); the inner expectation over G2 is closed
 (Tricomi U for the rate moment, the regularized incomplete gamma for the
 distribution function) and the outer one over G1 is adaptive quadrature.
+The detection references come from the oracle, which averages scipy's
+noncentral chi-square over the channel density by QUADPACK.
 """
 
 import math
@@ -18,7 +20,15 @@ from scipy import integrate, special, stats
 
 from edsense.capacity import DelayQoS, eff_rate_kms, rate_moment_kms
 from edsense.channels import KappaMuShadowedParams, kms_cdf, kms_pdf
+from edsense.detection import (
+    DetectorConfig,
+    avg_auc_kms,
+    avg_pd_kms,
+    croc_curve,
+    threshold_for_pf,
+)
 from edsense.errors import DomainError
+from edsense.oracle import auc_metric, average_over_channel, detect_metric
 
 
 def _over_g1(f, p, upper=math.inf):
@@ -89,6 +99,34 @@ def test_kms_small_kappa_cdf_and_pdf():
         assert math.isclose(kms_pdf(p, g), ref_pdf(p, g), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("params,gamma", [
+    # Poisson orders theta1 gamma of 4,000-8,000: off by 1.2e-12 to 4.8e-12
+    # before, when the first Poisson weight came from k ln x - lgamma(k+1)
+    (_kms(50.0, 30, 9, 30.0), 3000.0),
+    (_kms(40.0, 38, 1, 30.0), 5000.0),
+    (_kms(50.0, 40, 10, 20.0), 200.0),
+])
+def test_kms_cdf_large_poisson_order(params, gamma):
+    assert abs(kms_cdf(params, gamma) - ref_cdf(params, gamma)) <= 1e-13
+
+
+def _check_detection(p, u, pf):
+    """avg_pd_kms, croc_curve's pmd and avg_auc_kms against the oracle."""
+    lam = threshold_for_pf(u, pf)
+    want = average_over_channel(detect_metric(u, lam), p).value
+    assert abs(avg_pd_kms(p, DetectorConfig(u=u, lam=lam)) - want) <= 1e-9
+    (point,) = croc_curve(p, u, [pf], tol=1e-11)
+    assert abs(point.pmd - (1.0 - want)) <= 1e-9
+    auc = avg_auc_kms(p, DetectorConfig(u=u, lam=0.0))
+    assert abs(auc - average_over_channel(auc_metric(u), p).value) <= 1e-9
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 1e-2])
+@pytest.mark.parametrize("snr_db,u,pf", [(0.0, 2, 0.1), (20.0, 5, 1e-3)])
+def test_kms_detection_small_kappa_cells(kappa, snr_db, u, pf):
+    _check_detection(_kms(kappa, 6, 3, snr_db), u, pf)
+
+
 @st.composite
 def _channels(draw):
     kappa = 10.0 ** draw(st.floats(-6.0, math.log10(50.0)))
@@ -103,6 +141,13 @@ def test_rate_moment_and_cdf_property(p, a, frac):
     assert abs(rate_moment_kms(p, DelayQoS(a)) - ref_moment(p, a)) <= 1e-9
     gamma = frac * p.mean_snr
     assert abs(kms_cdf(p, gamma) - ref_cdf(p, gamma)) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(p=_channels(), u=st.integers(1, 20),
+       log_pf=st.floats(-4.0, math.log10(0.9)))
+def test_kms_detection_property(p, u, log_pf):
+    _check_detection(p, u, 10.0 ** log_pf)
 
 
 def test_kms_pdf_and_cdf_reject_non_finite_gamma():

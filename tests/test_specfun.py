@@ -9,11 +9,15 @@ the hypergeometric series.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
+from edsense.detection import DetectorConfig, prob_detect_instant
 from edsense.errors import ConvergenceError, DomainError
 from edsense.specfun import (
     AccuracyPolicy,
@@ -148,6 +152,39 @@ def test_marcum_q_direct_route_large_noncentrality(u, a, b):
     # are negligible far beyond the Poisson window's left edge
     assert math.isclose(marcum_q(u, a, b), stats.ncx2.sf(b * b, 2 * u, a * a),
                         abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("u,a,b", [
+    (3, 1000.0, 1000.0),  # raised ConvergenceError before
+    (3, 1000.0, 999.0),   # raised ConvergenceError before
+    (3, 1000.0, 1000.5),
+    (2, 850.0, 850.0),
+])
+def test_marcum_q_near_mode_large_noncentrality(u, a, b):
+    # b within about 1 of a at noncentrality a^2 ~ 1e6: the window spans the
+    # Poisson mode on both sides, 7,000-8,500 terms
+    assert math.isclose(marcum_q(u, a, b), stats.ncx2.sf(b * b, 2 * u, a * a),
+                        abs_tol=1e-12)
+
+
+def test_marcum_q_term_budget():
+    # noncentrality 1e8 with b = a needs a window of about 85,000 terms
+    with pytest.raises(ConvergenceError, match=r"needs (\d+) terms") as err:
+        marcum_q(2, 1e4, 1e4)
+    needed = int(re.search(r"needs (\d+) terms", str(err.value)).group(1))
+    assert 80000 < needed < 95000
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(u=st.integers(1, 20), a=st.floats(0.0, 1000.0), offset=st.floats(-3.0, 3.0))
+def test_marcum_q_property(u, a, offset):
+    # b near a, on either side, so that both the direct and the
+    # complementary sum are taken
+    b = max(0.0, a + offset)
+    want = stats.ncx2.sf(b * b, 2 * u, a * a)
+    assert abs(marcum_q(u, a, b) - want) <= 1e-12
+    cfg = DetectorConfig(u=u, lam=b * b)
+    assert abs(prob_detect_instant(cfg, 0.5 * a * a) - want) <= 1e-12
 
 
 def test_marcum_q_monotonicity_grid():
