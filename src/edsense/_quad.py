@@ -62,13 +62,15 @@ def _gk_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
     return kron, abs(kron - gauss)
 
 
+_GK_MAX_PANELS = 4000
+
+
 def adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                rel_tol: float = 1e-12, abs_tol: float = 0.0,
-                max_panels: int = 4000) -> float:
+                rel_tol: float = 1e-12) -> float:
     """Integrate a vectorized integrand on [lo, hi] by adaptive bisection.
 
     Panels are refined worst-error first until the summed Kronrod/Gauss
-    discrepancy drops below ``abs_tol + rel_tol * |integral|``.
+    discrepancy drops below ``rel_tol * |integral|``.
     """
     if hi <= lo:
         return 0.0
@@ -76,8 +78,8 @@ def adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     heap = [(-err, lo, hi, val, err)]
     total, total_err = val, err
     panels = 1
-    while total_err > abs_tol + rel_tol * abs(total):
-        if panels >= max_panels:
+    while total_err > rel_tol * abs(total):
+        if panels >= _GK_MAX_PANELS:
             raise ConvergenceError(
                 f"adaptive quadrature stalled at {panels} panels "
                 f"(error estimate {total_err:.3e})")

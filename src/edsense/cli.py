@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,12 +31,10 @@ from .capacity import DelayQoS
 from .channels import FisherFParams, KappaMuShadowedParams, f_cdf, f_pdf, kms_cdf, kms_pdf
 from .detection import DetectorConfig
 from .errors import ConvergenceError, DomainError
-from .oracle import MonteCarloSpec, QuadratureSpec
-from .verify import verify_closed_form
+from .oracle import MonteCarloSpec
+from .verify import METRIC_NAMES, verify_closed_form
 
 __all__ = ["main", "SweepConfig"]
-
-_COMMANDS = ("croc", "auc", "effrate", "verify", "pdf")
 
 # Environment hook used by the test suite to prove that verify catches a
 # wrong constant: the closed form is scaled by (1 + value) before comparison.
@@ -97,12 +95,24 @@ def _parse_snr(text: str) -> list[float]:
     return [float(text)]
 
 
+def _attach_negative_snr(argv: list[str]) -> list[str]:
+    """argv with "--snr-db" joined to a following value such as -10:0:5,
+    which argparse would otherwise take for a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--snr-db" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edsense",
         description="Energy-detection and effective-rate metrics over "
                     "kappa-mu shadowed and Fisher-Snedecor F fading channels")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--channel", choices=("kms", "fisher"))
     parser.add_argument("--kappa", type=float)
     parser.add_argument("--mu", type=int)
@@ -131,8 +141,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OPTION_TYPES = dict(u=int, pf_points=int, pf_min=float, pf_max=float,
-                     tol=float, seed=int, points=int, mc_samples=int, out=str)
+def _integer(value) -> int:
+    """int(value), refusing a non-integral number such as 2.5 from --json
+    rather than running it as 2, as the flags' int type does."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+_OPTION_TYPES = dict(u=_integer, pf_points=_integer, pf_min=float, pf_max=float,
+                     tol=float, seed=_integer, points=_integer,
+                     mc_samples=_integer, out=str)
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
@@ -143,12 +162,7 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         if not isinstance(loaded, dict):
             raise DomainError("--json must contain a single object")
         merged.update(loaded)
-    for key in ("channel", "kappa", "mu", "m", "ms", "snr_db", "u", "a",
-                "theta_exp", "block_t", "bandwidth", "pf_points", "pf_min",
-                "pf_max", "tol", "seed", "points", "mc_samples", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    merged.update((key, val) for key, val in vars(args).items() if val is not None)
 
     a = merged.get("a")
     if merged.get("theta_exp") is not None:
@@ -203,50 +217,38 @@ def _pf_grid(cfg: SweepConfig) -> list[float]:
             for k in range(cfg.pf_points)]
 
 
-def run_croc(cfg: SweepConfig) -> list[str]:
+def run_croc(cfg: SweepConfig) -> tuple[list[str], bool]:
     params = cfg.channel_params(_db_to_linear(cfg.snr_db[0]))
     points = detection.croc_curve(params, cfg.u, _pf_grid(cfg), tol=cfg.tol)
     lines = ["pf,pmd"]
     lines += [f"{_fmt(pt.pf)},{_fmt(pt.pmd)}" for pt in points]
-    return lines
+    return lines, True
 
 
-def run_auc(cfg: SweepConfig) -> list[str]:
-    lines = ["snr_db,comp_auc"]
-    for db in cfg.snr_db:
-        params = cfg.channel_params(_db_to_linear(db))
-        det = DetectorConfig(u=cfg.u, lam=0.0)
-        if cfg.channel == "kms":
-            auc = detection.avg_auc_kms(params, det)
-        else:
-            auc = detection.avg_auc_f(params, det)
-        lines.append(f"{_fmt(db)},{_fmt(1.0 - auc)}")
-    return lines
+def _snr_sweep(cfg: SweepConfig, header: str, metric) -> tuple[list[str], bool]:
+    """One row of metric(channel params) per SNR of the sweep."""
+    rows = [f"{_fmt(db)},{_fmt(metric(cfg.channel_params(_db_to_linear(db))))}"
+            for db in cfg.snr_db]
+    return [header] + rows, True
 
 
-def run_effrate(cfg: SweepConfig) -> list[str]:
+def run_auc(cfg: SweepConfig) -> tuple[list[str], bool]:
+    det = DetectorConfig(u=cfg.u, lam=0.0)
+    auc = detection.avg_auc_kms if cfg.channel == "kms" else detection.avg_auc_f
+    return _snr_sweep(cfg, "snr_db,comp_auc", lambda params: 1.0 - auc(params, det))
+
+
+def run_effrate(cfg: SweepConfig) -> tuple[list[str], bool]:
     qos = DelayQoS(cfg.a_exponent)
-    lines = ["snr_db,eff_rate_bits"]
-    for db in cfg.snr_db:
-        params = cfg.channel_params(_db_to_linear(db))
-        if cfg.channel == "kms":
-            rate = capacity.eff_rate_kms(params, qos)
-        else:
-            rate = capacity.eff_rate_f(params, qos)
-        lines.append(f"{_fmt(db)},{_fmt(rate)}")
-    return lines
+    rate = capacity.eff_rate_kms if cfg.channel == "kms" else capacity.eff_rate_f
+    return _snr_sweep(cfg, "snr_db,eff_rate_bits", lambda params: rate(params, qos))
 
 
-def run_pdf(cfg: SweepConfig) -> list[str]:
+def run_pdf(cfg: SweepConfig) -> tuple[list[str], bool]:
     params = cfg.channel_params(_db_to_linear(cfg.snr_db[0]))
-    if cfg.channel == "kms":
-        pdf = lambda g: kms_pdf(params, g)
-        cdf = lambda g: kms_cdf(params, g)
-    else:
-        pdf = lambda g: f_pdf(params, g)
-        cdf = lambda g: f_cdf(params, g)
+    pdf, cdf = (kms_pdf, kms_cdf) if cfg.channel == "kms" else (f_pdf, f_cdf)
     upper = max(params.mean_snr, 1.0)
-    while cdf(upper) < 0.999:
+    while cdf(params, upper) < 0.999:
         upper *= 2.0
         if upper > 1e15:
             raise ConvergenceError("no finite range captures 99.9% of the density")
@@ -254,53 +256,44 @@ def run_pdf(cfg: SweepConfig) -> list[str]:
     if cfg.channel == "fisher" and params.m < 1.0:
         grid[0] = upper * 1e-9  # density singular at the origin
     lines = ["gamma,pdf,cdf"]
-    for g in grid:
-        lines.append(f"{_fmt(g)},{_fmt(pdf(float(g)))},{_fmt(cdf(float(g)))}")
-    return lines
+    for g in map(float, grid):
+        lines.append(f"{_fmt(g)},{_fmt(pdf(params, g))},{_fmt(cdf(params, g))}")
+    return lines, True
 
 
 _VERIFY_DEFAULT_GRID = (
-    ("kms", dict(kappa=2.0, mu=3, m=2), 10.0),
-    ("kms", dict(kappa=0.5, mu=2, m=1), 5.0),
-    ("kms", dict(kappa=0.0, mu=2, m=2), 0.0),
-    ("fisher", dict(m=2.0, ms=3.0), 0.0),
-    ("fisher", dict(m=1.0, ms=10.0), 10.0),
-    ("fisher", dict(m=2.5, ms=10.0), 5.0),
+    dict(channel="kms", kappa=2.0, mu=3, m=2, snr_db=[10.0]),
+    dict(channel="kms", kappa=0.5, mu=2, m=1, snr_db=[5.0]),
+    dict(channel="kms", kappa=0.0, mu=2, m=2, snr_db=[0.0]),
+    dict(channel="fisher", m=2.0, ms=3.0, snr_db=[0.0]),
+    dict(channel="fisher", m=1.0, ms=10.0, snr_db=[10.0]),
+    dict(channel="fisher", m=2.5, ms=10.0, snr_db=[5.0]),
 )
 
 
 def _verify_cells(cfg: SweepConfig):
-    if cfg.channel is not None:
-        db = cfg.snr_db[0] if cfg.snr_db else 10.0
-        yield cfg.channel, cfg.channel_params(_db_to_linear(db))
-        return
-    for chan, fields, db in _VERIFY_DEFAULT_GRID:
-        if chan == "kms":
-            yield chan, KappaMuShadowedParams(
-                kappa=fields["kappa"], mu=fields["mu"], m=fields["m"],
-                mean_snr=_db_to_linear(db))
-        else:
-            yield chan, FisherFParams(m=fields["m"], m_s=fields["ms"],
-                                      mean_snr=_db_to_linear(db))
+    """(channel, params) for the configured channel at its first SNR (10 dB
+    if none is given), or for every cell of the default grid."""
+    cells = ([cfg] if cfg.channel is not None
+             else [replace(cfg, **cell) for cell in _VERIFY_DEFAULT_GRID])
+    for cell in cells:
+        db = cell.snr_db[0] if cell.snr_db else 10.0
+        yield cell.channel, cell.channel_params(_db_to_linear(db))
 
 
 def run_verify(cfg: SweepConfig) -> tuple[list[str], bool]:
     perturb = float(os.environ.get(_PERTURB_ENV, "0") or "0")
     det = DetectorConfig(u=cfg.u, lam=detection.threshold_for_pf(cfg.u, 0.1))
     qos = DelayQoS(cfg.a_exponent)
-    quad_spec = QuadratureSpec()
     lines = ["metric,label,closed,quad,quad_err,mc,mc_se,status"]
     all_pass = True
     cell_index = 0
     for chan, params in _verify_cells(cfg):
-        names = (("avg_pd_kms", "avg_auc_kms", "eff_rate_kms") if chan == "kms"
-                 else ("avg_pd_f", "avg_auc_f", "eff_rate_f"))
-        for name in names:
+        for name in [n for n in METRIC_NAMES if n.endswith("_kms") == (chan == "kms")]:
             mc_spec = MonteCarloSpec(seed=cfg.seed + cell_index,
                                      n_samples=cfg.mc_samples)
             record = verify_closed_form(
-                name, params, detector=det, qos=qos,
-                quad_spec=quad_spec, mc_spec=mc_spec,
+                name, params, detector=det, qos=qos, mc_spec=mc_spec,
                 series_tol=cfg.tol, perturb=perturb)
             all_pass &= record.passed
             lines.append(
@@ -310,6 +303,10 @@ def run_verify(cfg: SweepConfig) -> tuple[list[str], bool]:
                 f"{'PASS' if record.passed else 'FAIL'}")
             cell_index += 1
     return lines, all_pass
+
+
+_RUNNERS = {"croc": run_croc, "auc": run_auc, "effrate": run_effrate,
+            "verify": run_verify, "pdf": run_pdf}
 
 
 def _write(cfg: SweepConfig, lines: list[str], argv: list[str]) -> None:
@@ -323,23 +320,12 @@ def _write(cfg: SweepConfig, lines: list[str], argv: list[str]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(_attach_negative_snr(argv))
     try:
         cfg = _build_config(args)
-        if cfg.command == "croc":
-            _write(cfg, run_croc(cfg), argv)
-        elif cfg.command == "auc":
-            _write(cfg, run_auc(cfg), argv)
-        elif cfg.command == "effrate":
-            _write(cfg, run_effrate(cfg), argv)
-        elif cfg.command == "pdf":
-            _write(cfg, run_pdf(cfg), argv)
-        else:
-            lines, ok = run_verify(cfg)
-            _write(cfg, lines, argv)
-            return 0 if ok else 1
-        return 0
+        lines, ok = _RUNNERS[cfg.command](cfg)
+        _write(cfg, lines, argv)
+        return 0 if ok else 1
     except DomainError as exc:
         print(f"edsense: invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,8 @@ after S terms is at most P(u + S, lambda/2) on any channel.  That bound
 depends on (u, lambda) alone and certifies the truncation.  The factors
 P(u + k, lambda/2) are a cumulative sum of the Poisson terms that
 ``marcum_q`` also sums (``specfun._poisson_terms``).  The ROC area uses the
-same pmf at half the SNR.
+same pmf at half the SNR: A = 1 - sum_{i<u} pi_i w_i, with the weights
+w_i = P[Bin(2u-1, 1/2) >= u+i] (``_roc_weights``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -428,20 +430,33 @@ def avg_pd_f(p: FisherFParams, cfg: DetectorConfig, tol: float = 1e-8,
     return _avg_pd(p, cfg, tol, policy)
 
 
-def _auc_from_pmf(pmf, u: int) -> float:
-    """1 - sum_{l<u} sum_{i<=l} C(l+u-1, l-i) 0.5^(l+u) pmf_i, where pmf_i is
-    the probability of i under Poisson(gamma/2)."""
-    return 1.0 - math.fsum(math.comb(l + u - 1, l - i) * 0.5 ** (l + u) * pmf[i]
-                           for l in range(u) for i in range(l + 1))
+def _roc_weights(u: int) -> list[float]:
+    """w_i = P[Bin(2u-1, 1/2) >= u+i] for i < u, in O(u) work with no
+    factorial to overflow: up to a constant the pmf from u up is a running
+    product of the ratios (2u-1-k)/(k+1), and w its reverse running sum,
+    scaled so that w_0 is exactly 1/2 (the binomial is symmetric)."""
+    pmf, b = [1.0], 1.0
+    for k in range(u, 2 * u - 1):
+        b *= (2 * u - 1 - k) / (k + 1)
+        pmf.append(b)
+    tails = list(accumulate(reversed(pmf)))[::-1]
+    return [t / (2.0 * tails[0]) for t in tails]
+
+
+def _auc_from_pmf(pmf: np.ndarray, u: int) -> float:
+    """1 - sum_{i<u} pmf_i w_i (``_roc_weights``), where pmf_i is the
+    probability of i under Poisson(gamma/2), or its channel average; a pmf
+    shorter than u stands for zeros beyond its end."""
+    return 1.0 - math.fsum(p * w for p, w in zip(pmf.tolist(), _roc_weights(u)))
 
 
 def auc_instant(cfg: DetectorConfig, gamma: float) -> float:
-    """Area under the ROC at instantaneous SNR ``gamma``; lies in [1/2, 1]."""
+    """Area under the ROC at instantaneous SNR ``gamma``; lies in [1/2, 1].
+    The Poisson(gamma/2) pmf is a point mass at gamma = 0, where A = 1/2."""
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    half = gamma / 2.0
-    return _auc_from_pmf([half ** i * math.exp(-half) / math.factorial(i)
-                          for i in range(cfg.u)], cfg.u)
+    pmf = _poisson_terms(0, gamma / 2.0, cfg.u) if gamma > 0.0 else np.ones(1)
+    return _auc_from_pmf(pmf, cfg.u)
 
 
 def avg_auc_kms(p: KappaMuShadowedParams, cfg: DetectorConfig) -> float:

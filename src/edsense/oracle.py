@@ -1,11 +1,12 @@
 """Independent reference machinery: averaging by adaptive quadrature with a
 certified finite cutoff, and seeded Monte Carlo estimation.
 
-Nothing in this module calls the closed-form averages in ``detection`` or
-``capacity``; channel densities and samplers come from ``channels`` and the
-instantaneous metrics handed to these routines are either supplied by the
-caller or built here from scipy's noncentral chi-square, which shares no code
-with the series implementations they are used to check.
+Nothing in this module calls ``detection`` or ``capacity``.  Channel
+densities and samplers come from ``channels``, and the instantaneous metrics
+that both references average are built here: the detection probability from
+scipy's noncentral chi-square, the ROC area from its own double sum over the
+Poisson(gamma/2) terms, and the rate-moment integrand (1 + gamma)^-A.  None
+of them shares code with the closed forms they are used to check.
 
 scipy is imported inside ``quad_average`` and ``detect_metric``, its only
 users, so that ``import edsense`` and the CLI subcommands other than
@@ -16,7 +17,7 @@ users, so that ``import edsense`` and the CLI subcommands other than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -84,21 +85,19 @@ def channel_cutoff(params, abs_tol: float) -> float:
     raise DomainError(f"no cutoff policy for parameter type {type(params)!r}")
 
 
+_MAX_SUBDIVISIONS = 2000  # QUADPACK's limit on each geometric piece
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and cutoff policy for the averaging quadrature."""
+    """Tolerances for the averaging quadrature."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    upper_cutoff_policy: Callable[[object, float], float] = field(
-        default=channel_cutoff)
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be >= 10")
 
 
 @dataclass(frozen=True)
@@ -149,20 +148,18 @@ def quad_average(metric: Callable[[float], float],
                  density: Callable[[float], float],
                  spec: QuadratureSpec = QuadratureSpec(),
                  *,
-                 params=None,
-                 upper: float | None = None) -> QuadResult:
+                 params=None) -> QuadResult:
     """Integral of metric(gamma) * density(gamma) over [0, cutoff].
 
-    The cutoff comes from ``spec.upper_cutoff_policy`` applied to ``params``
-    unless ``upper`` overrides it.  The interval is split geometrically so
-    heavy-tailed densities integrate accurately piece by piece.
+    The cutoff is ``channel_cutoff(params, spec.abs_tol)``; ``params`` is
+    required.  The interval is split geometrically so heavy-tailed densities
+    integrate accurately piece by piece.
     """
     from scipy import integrate
 
-    if upper is None:
-        if params is None:
-            raise DomainError("quad_average needs channel params or an explicit upper limit")
-        upper = spec.upper_cutoff_policy(params, spec.abs_tol)
+    if params is None:
+        raise DomainError("quad_average needs the channel params for its cutoff")
+    upper = channel_cutoff(params, spec.abs_tol)
 
     edges = [upper]
     e = upper
@@ -181,7 +178,7 @@ def quad_average(metric: Callable[[float], float],
     for lo, hi in zip(edges, edges[1:]):
         v, a = integrate.quad(integrand, lo, hi, epsabs=per_piece,
                               epsrel=spec.rel_tol,
-                              limit=spec.max_subdivisions)
+                              limit=_MAX_SUBDIVISIONS)
         total += v
         err += a
     if err > spec.abs_tol + spec.rel_tol * abs(total):
@@ -192,7 +189,7 @@ def quad_average(metric: Callable[[float], float],
 
 def average_over_channel(metric: Callable[[float], float], params,
                          spec: QuadratureSpec = QuadratureSpec()) -> QuadResult:
-    """Convenience wrapper wiring the channel density and cutoff policy."""
+    """Convenience wrapper wiring the channel density and cutoff."""
     return quad_average(metric, channel_density(params), spec, params=params)
 
 
@@ -241,7 +238,9 @@ def detect_metric(u: int, lam: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def auc_metric(u: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized instantaneous ROC area gamma -> A(gamma)."""
+    """Vectorized instantaneous ROC area gamma -> A(gamma)
+    = 1 - sum_{l<u} sum_{i<=l} C(l+u-1, l-i) 2^-(l+i+u) gamma^i e^(-gamma/2) / i!,
+    summed term by term."""
     def metric(g):
         g = np.asarray(g, dtype=float)
         total = np.zeros_like(g)

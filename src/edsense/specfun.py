@@ -89,8 +89,8 @@ def _ln_gamma_weight(z: float, y: float) -> float:
     return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - math.log1p(t)) - stirling
 
 
-def _reg_lower_series(z: float, y: float) -> tuple[float, float]:
-    """Regularized lower gamma P(z, y) for y < z + 1, returned as (P, ln P)."""
+def _reg_lower_series(z: float, y: float) -> float:
+    """Regularized lower gamma P(z, y) for y < z + 1."""
     ap = z
     term = 1.0 / z
     total = term
@@ -99,8 +99,7 @@ def _reg_lower_series(z: float, y: float) -> tuple[float, float]:
         term *= y / ap
         total += term
         if abs(term) < abs(total) * 1e-17:
-            ln_p = math.log(total) + _ln_gamma_weight(z, y)
-            return math.exp(ln_p), ln_p
+            return math.exp(math.log(total) + _ln_gamma_weight(z, y))
     raise ConvergenceError(f"incomplete gamma series stalled at z={z}, y={y}")
 
 
@@ -135,7 +134,7 @@ def reg_lower_gamma(z: float, y: float) -> float:
     if y == 0.0:
         return 0.0
     if y < z + 1.0:
-        return _reg_lower_series(z, y)[0]
+        return _reg_lower_series(z, y)
     return 1.0 - _reg_upper_cf(z, y)
 
 
@@ -146,7 +145,7 @@ def reg_upper_gamma(z: float, y: float) -> float:
     if y == 0.0:
         return 1.0
     if y < z + 1.0:
-        return 1.0 - _reg_lower_series(z, y)[0]
+        return 1.0 - _reg_lower_series(z, y)
     return _reg_upper_cf(z, y)
 
 
@@ -491,7 +490,7 @@ def ln_tricomi_u(a: float, b: float, z: float,
             raise ConvergenceError("tricomi_u integrand has no right decay")
 
     integral = adaptive_gk(lambda s: np.exp(h(s) - h_star), lo, hi,
-                           rel_tol=min(1e-12, policy.rel_tol), abs_tol=0.0)
+                           rel_tol=min(1e-12, policy.rel_tol))
     return h_star + math.log(integral) - math.lgamma(a)
 
 

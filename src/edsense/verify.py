@@ -4,7 +4,9 @@ Monte Carlo references.
 Every record compares on a common scale: detection and AUC metrics compare
 the probability itself; the effective-rate metrics compare the rate moment
 E[(1 + gamma)^-A], which is where the stated tolerance applies (the rate is
-a monotone transform of it).
+a monotone transform of it).  Both references average the instantaneous
+metric built by ``oracle``, so no reference path calls ``detection`` or
+``capacity``; only the closed form under test does.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .capacity import DelayQoS
 from .channels import FisherFParams, KappaMuShadowedParams
 from .detection import DetectorConfig
 from .errors import DomainError
-from .oracle import MonteCarloSpec, QuadratureSpec
+from .oracle import MonteCarloSpec
 
 __all__ = ["VerificationRecord", "verify_closed_form", "METRIC_NAMES"]
 
@@ -63,74 +65,70 @@ class VerificationRecord:
                 f"mc={self.mc_mean:.9e}+-{self.mc_std_error:.1e}")
 
 
+# Absolute tolerance of the quadrature comparison, and the width of the
+# Monte Carlo window in standard errors; both are recorded in every record.
+_QUAD_TOL = 1e-7
+_MC_SIGMA = 4.0
+
+
+def _closed_form(name, channel, detector, qos, series_tol) -> tuple[float, float]:
+    """The closed form under test, looked up by name when called, and the
+    certified truncation error it carries (only ``avg_pd_f`` reports one)."""
+    if name == "avg_pd_f":
+        value, report = detection.avg_pd_f(channel, detector, tol=series_tol)
+        return value, report.error_bound
+    if name.startswith("eff_rate"):
+        return getattr(capacity, name.replace("eff_rate", "rate_moment"))(channel, qos), 0.0
+    return getattr(detection, name)(channel, detector), 0.0
+
+
 def verify_closed_form(name: str,
                        channel: KappaMuShadowedParams | FisherFParams,
                        detector: DetectorConfig | None = None,
                        qos: DelayQoS | None = None,
-                       quad_spec: QuadratureSpec = QuadratureSpec(),
                        mc_spec: MonteCarloSpec = MonteCarloSpec(seed=0),
-                       quad_tol: float = 1e-7,
-                       mc_sigma: float = 4.0,
                        series_tol: float = 1e-8,
                        perturb: float = 0.0) -> VerificationRecord:
     """Evaluate one closed form and both references; flag the comparison.
 
-    ``perturb`` multiplies the closed-form value by (1 + perturb) before
-    comparison; the CLI exposes it so the verification machinery itself can
-    be shown to catch a wrong constant.
+    Quadrature over the channel density and Monte Carlo over its sampler
+    average the same instantaneous metric from ``oracle``.  The quadrature
+    tolerance (1e-7, plus ``series_tol`` for ``avg_pd_f``) and the Monte
+    Carlo window (4 standard errors, plus the series' certified truncation
+    error) are fixed and recorded.  ``perturb`` multiplies the closed-form
+    value by (1 + perturb) before comparison; the CLI exposes it so the
+    verification machinery itself can be shown to catch a wrong constant.
     """
     if name not in METRIC_NAMES:
         raise DomainError(f"unknown metric {name!r}; choose from {METRIC_NAMES}")
-    is_kms = name.endswith("kms")
-    if is_kms and not isinstance(channel, KappaMuShadowedParams):
-        raise DomainError(f"{name} requires kappa-mu shadowed parameters")
-    if not is_kms and not isinstance(channel, FisherFParams):
-        raise DomainError(f"{name} requires Fisher-Snedecor parameters")
-
-    tol = quad_tol
-    truncation = 0.0  # certified truncation error carried by the closed form
-    if name.startswith("avg_pd"):
-        if detector is None:
-            raise DomainError(f"{name} needs a DetectorConfig")
-        if name == "avg_pd_kms":
-            closed = detection.avg_pd_kms(channel, detector)
-        else:
-            closed, report = detection.avg_pd_f(channel, detector, tol=series_tol)
-            truncation = report.error_bound
-            tol = quad_tol + series_tol
-        metric_vec = oracle.detect_metric(detector.u, detector.lam)
-        metric_scalar = lambda g: float(metric_vec(g))
-        label = f"{_channel_label(channel)} u={detector.u} lam={detector.lam:.6g}"
-    elif name.startswith("avg_auc"):
-        if detector is None:
-            raise DomainError(f"{name} needs a DetectorConfig")
-        if name == "avg_auc_kms":
-            closed = detection.avg_auc_kms(channel, detector)
-        else:
-            closed = detection.avg_auc_f(channel, detector)
-        metric_vec = oracle.auc_metric(detector.u)
-        metric_scalar = lambda g: detection.auc_instant(detector, g)
-        label = f"{_channel_label(channel)} u={detector.u}"
-    else:
+    kind = KappaMuShadowedParams if name.endswith("kms") else FisherFParams
+    if not isinstance(channel, kind):
+        raise DomainError(f"{name} requires {kind.__name__}")
+    if name.startswith("eff_rate"):
         if qos is None:
             raise DomainError(f"{name} needs a DelayQoS")
-        if name == "eff_rate_kms":
-            closed = capacity.rate_moment_kms(channel, qos)
-        else:
-            closed = capacity.rate_moment_f(channel, qos)
         metric_vec = oracle.rate_metric(qos.a_exponent)
-        metric_scalar = lambda g: (1.0 + g) ** (-qos.a_exponent)
         label = f"{_channel_label(channel)} A={qos.a_exponent:g}"
+    elif detector is None:
+        raise DomainError(f"{name} needs a DetectorConfig")
+    elif name.startswith("avg_pd"):
+        metric_vec = oracle.detect_metric(detector.u, detector.lam)
+        label = f"{_channel_label(channel)} u={detector.u} lam={detector.lam:.6g}"
+    else:
+        metric_vec = oracle.auc_metric(detector.u)
+        label = f"{_channel_label(channel)} u={detector.u}"
 
+    closed, truncation = _closed_form(name, channel, detector, qos, series_tol)
     closed *= 1.0 + perturb
-    quad = oracle.average_over_channel(metric_scalar, channel, quad_spec)
+    tol = _QUAD_TOL + (series_tol if name == "avg_pd_f" else 0.0)
+    quad = oracle.average_over_channel(lambda g: float(metric_vec(g)), channel)
     mc = oracle.mc_average(metric_vec, oracle.channel_sampler(channel), mc_spec)
     quad_pass = abs(closed - quad.value) <= tol + quad.error
-    mc_window = mc_sigma * max(mc.std_error, 1e-12) + truncation
+    mc_window = _MC_SIGMA * max(mc.std_error, 1e-12) + truncation
     mc_pass = abs(closed - mc.mean) <= mc_window
     return VerificationRecord(
         metric=name, label=label, closed_form=closed,
         quad_value=quad.value, quad_error=quad.error,
         mc_mean=mc.mean, mc_std_error=mc.std_error,
-        quad_tol=tol, mc_sigma=mc_sigma,
+        quad_tol=tol, mc_sigma=_MC_SIGMA,
         quad_pass=quad_pass, mc_pass=mc_pass)

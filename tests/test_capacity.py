@@ -1,5 +1,5 @@
-"""Effective rate: closed-form rate moments against quadrature, limits, and
-monotonicity.
+"""Effective rate: closed-form rate moments against quadrature, limits,
+monotonicity, and a property test against the scipy-only oracle.
 
 Frozen [reference] values: scipy adaptive quadrature of
 (1 + gamma)^-A times the density at epsabs 1e-13.
@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from edsense.capacity import (
@@ -20,6 +22,7 @@ from edsense.capacity import (
 )
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_pdf, kms_pdf
 from edsense.errors import DomainError
+from edsense.oracle import average_over_channel, rate_metric
 from edsense.specfun import beta
 
 
@@ -68,6 +71,17 @@ def test_rate_moment_f_quadrature(params, a):
     quad, _ = integrate.quad(lambda g: (1 + g) ** (-a) * f_pdf(params, g),
                              lo, np.inf, limit=400)
     assert math.isclose(rate_moment_f(params, DelayQoS(a)), quad, rel_tol=1e-8)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(m=st.floats(0.5, 20.0), ms=st.floats(1.1, 20.0),
+       snr_db=st.floats(-10.0, 40.0), a=st.floats(0.1, 10.0))
+def test_rate_moment_f_property(m, ms, snr_db, a):
+    # the draws reach gauss_2f1's series, 1-z and Euler routes
+    p = FisherFParams(m=m, m_s=ms, mean_snr=10.0 ** (snr_db / 10.0))
+    metric = rate_metric(a)
+    want = average_over_channel(lambda g: float(metric(g)), p).value
+    assert abs(rate_moment_f(p, DelayQoS(a)) - want) <= 1e-9
 
 
 def test_f_moment_at_unit_omega():

@@ -131,6 +131,39 @@ def test_json_config(tmp_path):
     assert len(body2) == 2
 
 
+def test_json_rejects_non_integral_integers(tmp_path):
+    base = dict(channel="kms", kappa=2.0, mu=2, m=1, snr_db="0:10:5")
+    for key, value in (("u", 2.5), ("pf_points", 3.5), ("seed", 1.5),
+                       ("points", 20.5), ("mc_samples", 1e4 + 0.5)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(dict(base, **{key: value})))
+        code, _ = _run(tmp_path, f"{key}.csv", ["auc", "--json", str(path)])
+        assert code == 2, key
+    # an integral float is an integer
+    path = tmp_path / "u2.json"
+    path.write_text(json.dumps(dict(base, u=2.0)))
+    code, out = _run(tmp_path, "u2.csv", ["auc", "--json", str(path)])
+    assert code == 0
+    assert len(_rows(out)[1]) == 3
+
+
+def test_negative_snr_range(tmp_path):
+    code, out = _run(tmp_path, "neg.csv",
+                     ["auc", "--channel", "kms", "--kappa", "2", "--mu", "2",
+                      "--m", "1", "--snr-db", "-10:0:5", "--u", "2"])
+    assert code == 0
+    _, body = _rows(out)
+    assert [float(r[0]) for r in body] == [-10.0, -5.0, 0.0]
+
+
+def test_auc_at_large_u(tmp_path):
+    code, out = _run(tmp_path, "u600.csv",
+                     ["auc", "--channel", "kms", "--kappa", "2", "--mu", "3",
+                      "--m", "2", "--snr-db", "0:10:5", "--u", "600"])
+    assert code == 0
+    assert all(0.0 <= float(r[1]) <= 0.5 for r in _rows(out)[1])
+
+
 def test_usage_errors_exit_2(tmp_path):
     code, _ = _run(tmp_path, "x.csv", ["croc", "--channel", "kms", "--kappa", "2",
                                        "--mu", "3", "--m", "2"])  # no snr

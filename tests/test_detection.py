@@ -298,6 +298,32 @@ def test_auc_instant():
     assert all(b >= a - 1e-12 for a, b in zip(grid, grid[1:]))
 
 
+def _auc_by_integral(u, gamma):
+    """ROC area as P[T1 > T0], T0 ~ chi2(2u) the noise-only statistic and T1
+    its noncentral counterpart: the detection probability integrated over
+    the false-alarm density, within 40 standard deviations of T0's mean."""
+    sd = math.sqrt(4.0 * u)
+    value, _ = integrate.quad(
+        lambda x: stats.ncx2.sf(x, 2 * u, 2.0 * gamma) * stats.chi2.pdf(x, 2 * u),
+        max(0.0, 2 * u - 40.0 * sd), 2 * u + 40.0 * sd, points=[2 * u],
+        epsabs=1e-14, epsrel=1e-13, limit=400)
+    return value
+
+
+@pytest.mark.parametrize("u,gamma", [(172, 5.0), (200, 10.0), (600, 40.0)])
+def test_auc_instant_large_u(u, gamma):
+    # i! overflows a float from i = 171 on; the area must not need it
+    assert math.isclose(auc_instant(DetectorConfig(u=u, lam=0.0), gamma),
+                        _auc_by_integral(u, gamma), abs_tol=1e-12)
+
+
+def test_avg_auc_large_u():
+    kms = KappaMuShadowedParams(2.0, 3, 2, 10.0)
+    assert 0.5 <= avg_auc_kms(kms, DetectorConfig(u=516, lam=0.0)) <= 1.0
+    fisher = FisherFParams(m=2.0, m_s=3.0, mean_snr=10.0)
+    assert 0.5 <= avg_auc_f(fisher, DetectorConfig(u=600, lam=0.0)) <= 1.0
+
+
 def test_avg_auc_kms():
     cfg = DetectorConfig(u=2, lam=0.0)
     # reference: quadrature of the instantaneous area against the density
