@@ -6,11 +6,15 @@ Two schemes cover everything the closed forms need:
   finite interval, robust to sharp interior peaks, and
 * a tanh-sinh rule on (0, 1) whose nodes never touch the endpoints, so
   integrable algebraic endpoint singularities converge at double-exponential
-  rate.
+  rate (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005).  Its integrand
+  gets each node as t, 1 - t, ln t and ln(1 - t) with its weight, from tables
+  built on first use and cached; levels 0..5 are evaluated in one integrand
+  call and each deeper level in one more.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import Callable
 
@@ -95,16 +99,28 @@ def adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     return total
 
 
-# Tanh-sinh node tables for (0, 1), built once.  For node k at level h the
-# transform is t = 1/(1 + exp(-pi*sinh(kh))); the logistic argument is kept so
-# integrands can reconstruct both t and 1-t without cancellation.
+# Tanh-sinh rule on (0, 1).  Node k at level h sits at t = 1/(1 + exp(-u)),
+# u = pi*sinh(kh); level 0 takes every k, deeper levels the odd multiples only,
+# so each level halves the step of the ones before it.  Levels 0..5 (385
+# nodes) form block 0 and are evaluated in one integrand call, because most
+# integrals settle by level 5; each deeper level is a block of its own.
 _TS_MAX_LEVEL = 12
+_TS_BLOCKS = ((0, 1, 2, 3, 4, 5),) + tuple(
+    (level,) for level in range(6, _TS_MAX_LEVEL + 1))
 
 
-def _ts_table():
-    levels = []
+@functools.cache
+def _ts_block(block: int):
+    """Node table of one block: (t, 1 - t, ln t, ln(1 - t), w, starts).
+
+    ``starts`` indexes the first node of each level in the block.  Tables
+    are built on first use and cached read-only, so importing the module
+    builds none.
+    """
+    us, ws, starts = [], [], []
+    size = 0
     x_max = 6.0  # weights underflow well before this
-    for level in range(_TS_MAX_LEVEL + 1):
+    for level in _TS_BLOCKS[block]:
         h = 1.0 / 2 ** level
         if level == 0:
             ks = np.arange(0, int(x_max / h) + 1)
@@ -114,36 +130,40 @@ def _ts_table():
         u = np.pi * np.sinh(x)
         w = h * np.pi * 0.25 * np.cosh(x) / np.cosh(u / 2.0) ** 2
         keep = w > 1e-300
-        levels.append((u[keep], w[keep]))
-    return levels
+        u, w = u[keep], w[keep]
+        first = 1 if level == 0 else 0  # the level-0 centre node appears once
+        starts.append(size)
+        us += [u, -u[first:]]
+        ws += [w, w[first:]]
+        size += 2 * u.size - first
+    u = np.concatenate(us)
+    table = (1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u)),
+             -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u),
+             np.concatenate(ws), np.array(starts))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
-_TS_LEVELS = _ts_table()
+def tanhsinh_01(f: Callable[..., np.ndarray], rel_tol: float = 1e-13) -> float:
+    """Tanh-sinh integral over (0, 1) of ``f(t, 1 - t, ln t, ln(1 - t), w)`` summed.
 
-
-def tanhsinh_01(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                rel_tol: float = 1e-13) -> float:
-    """Tanh-sinh integral over (0, 1) of ``f(t, 1 - t, weight)`` summed.
-
-    ``f`` receives node vectors ``t`` and ``1 - t`` (each accurate near its
-    own endpoint) plus the quadrature weights, and must return the weighted
-    integrand values; this keeps endpoint-singular factors in log space on
-    the caller's side.
+    ``f`` receives the node vectors ``t`` and ``1 - t`` (each accurate near
+    its own endpoint), their logarithms and the quadrature weights, and must
+    return the weighted integrand values; this keeps endpoint-singular
+    factors in log space on the caller's side.  Levels 0..5 come in one call
+    and each deeper level in one more; the level sums still enter
+    ``T_k = T_(k-1)/2 + c_k`` one at a time, and the rule stops at the first
+    level k >= 3 with ``|T_k - T_(k-1)| <= rel_tol |T_k|``, or raises
+    ConvergenceError after level 12.
     """
-    total = 0.0
-    prev = np.inf
-    for level, (u, w) in enumerate(_TS_LEVELS):
-        if level == 0:
-            up = np.concatenate([u, -u[1:]])
-            wp = np.concatenate([w, w[1:]])
-        else:
-            up = np.concatenate([u, -u])
-            wp = np.concatenate([w, w])
-        t = 1.0 / (1.0 + np.exp(-up))
-        onemt = 1.0 / (1.0 + np.exp(up))
-        contrib = float(np.sum(f(t, onemt, wp)))
-        total = total / 2.0 + contrib if level > 0 else contrib
-        if level >= 3 and abs(total - prev) <= rel_tol * abs(total):
-            return total
-        prev = total
+    total = prev = 0.0
+    for block, levels in enumerate(_TS_BLOCKS):
+        t, omt, ln_t, ln_omt, w, starts = _ts_block(block)
+        sums = np.add.reduceat(f(t, omt, ln_t, ln_omt, w), starts).tolist()
+        for level, contrib in zip(levels, sums):
+            total = total / 2.0 + contrib if level > 0 else contrib
+            if level >= 3 and abs(total - prev) <= rel_tol * abs(total):
+                return total
+            prev = total
     raise ConvergenceError("tanh-sinh rule did not settle within level budget")

@@ -81,8 +81,7 @@ def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float,
     s0 = 0.5 * (lo + hi)
     peak = float(ln_integrand(s0))
 
-    def integrand(x, omx, w):
-        ln_x, ln_omx = np.log(x), np.log(omx)
+    def integrand(x, omx, ln_x, ln_omx, w):
         return w * np.exp(ln_integrand(s0 + ln_x - ln_omx) - peak - ln_x - ln_omx)
 
     with np.errstate(over="ignore", under="ignore"):

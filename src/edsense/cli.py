@@ -152,6 +152,18 @@ def _integer(value) -> int:
 _OPTION_TYPES = dict(u=_integer, pf_points=_integer, pf_min=float, pf_max=float,
                      tol=float, seed=_integer, points=_integer,
                      mc_samples=_integer, out=str)
+# The other fields a flag or --json may set, read as these types.
+_PARAM_TYPES = dict(kappa=float, mu=_integer, m=float, ms=float,
+                    snr_db=lambda value: _parse_snr(str(value)), a=float,
+                    theta_exp=float, block_t=float, bandwidth=float)
+
+
+def _typed(key: str, cast, value):
+    """cast(value), with a value of the wrong type reported as a usage error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{key}: {exc}") from None
 
 
 def _build_config(args: argparse.Namespace) -> SweepConfig:
@@ -164,28 +176,27 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         merged.update(loaded)
     merged.update((key, val) for key, val in vars(args).items() if val is not None)
 
-    a = merged.get("a")
-    if merged.get("theta_exp") is not None:
-        if merged.get("block_t") is None or merged.get("bandwidth") is None:
-            raise DomainError("--theta-exp requires --block-t and --bandwidth")
-        a = merged["theta_exp"] * merged["block_t"] * merged["bandwidth"] / math.log(2.0)
-
-    snr_raw = merged.get("snr_db")
-    snr = _parse_snr(str(snr_raw)) if snr_raw is not None else []
-
     # flags and JSON fields that are left out keep the SweepConfig defaults
-    options = {key: cast(merged[key]) for key, cast in _OPTION_TYPES.items()
-               if key in merged}
+    options = {key: _typed(key, cast, merged[key])
+               for key, cast in _OPTION_TYPES.items() if key in merged}
+    params = {key: _typed(key, cast, merged[key])
+              for key, cast in _PARAM_TYPES.items() if key in merged}
+
+    a = params.get("a")
+    if "theta_exp" in params:
+        if "block_t" not in params or "bandwidth" not in params:
+            raise DomainError("--theta-exp requires --block-t and --bandwidth")
+        a = params["theta_exp"] * params["block_t"] * params["bandwidth"] / math.log(2.0)
     if a is not None:
-        options["a_exponent"] = float(a)
+        options["a_exponent"] = a
     cfg = SweepConfig(
         command=args.command,
         channel=merged.get("channel"),
-        kappa=merged.get("kappa"),
-        mu=merged.get("mu"),
-        m=merged.get("m"),
-        ms=merged.get("ms"),
-        snr_db=snr,
+        kappa=params.get("kappa"),
+        mu=params.get("mu"),
+        m=params.get("m"),
+        ms=params.get("ms"),
+        snr_db=params.get("snr_db", []),
         **options,
     )
     if cfg.command != "verify" and cfg.channel is None:

@@ -240,15 +240,26 @@ def detect_metric(u: int, lam: float) -> Callable[[np.ndarray], np.ndarray]:
 def auc_metric(u: int) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized instantaneous ROC area gamma -> A(gamma)
     = 1 - sum_{l<u} sum_{i<=l} C(l+u-1, l-i) 2^-(l+i+u) gamma^i e^(-gamma/2) / i!,
-    summed term by term."""
+    summed by i: A = 1 - sum_{i<u} c_i gamma^i e^(-gamma/2) / i!, where
+    c_i = 2^-i sum_{l=i}^{u-1} C(l+u-1, l-i) 2^-(l+u).  Each term is formed
+    in log space, so no factorial overflows and gamma = 0 stays finite."""
+    ln_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * u)])
+    ln_coef = np.empty(u)
+    for i in range(u):
+        ell = np.arange(i, u)
+        ln_c = (ln_fact[ell + u - 1] - ln_fact[ell - i] - ln_fact[u + i - 1]
+                - (ell + i + u) * math.log(2.0))
+        top = ln_c.max()
+        ln_coef[i] = top + math.log(np.exp(ln_c - top).sum()) - ln_fact[i]
+
     def metric(g):
         g = np.asarray(g, dtype=float)
-        total = np.zeros_like(g)
-        damp = np.exp(-g / 2.0)
-        for l in range(u):
-            for i in range(l + 1):
-                total += (math.comb(l + u - 1, l - i) * 0.5 ** (l + i + u)
-                          / math.factorial(i)) * g ** i * damp
+        with np.errstate(divide="ignore"):
+            ln_g = np.log(g)
+        half = g / 2.0
+        total = np.exp(ln_coef[0] - half)
+        for i in range(1, u):
+            total += np.exp(ln_coef[i] + i * ln_g - half)
         return 1.0 - total
     return metric
 

@@ -390,10 +390,8 @@ def _euler_2f1(a: float, b: float, c: float, z: float, policy: AccuracyPolicy) -
     bm1 = b - 1.0
     cbm1 = c - b - 1.0
 
-    def integrand(t, omt, w):
-        with np.errstate(divide="ignore"):
-            ln = bm1 * np.log(t) + cbm1 * np.log(omt) - a * np.log(omt + t * (1.0 - z))
-        return w * np.exp(ln)
+    def integrand(t, omt, ln_t, ln_omt, w):
+        return w * np.exp(bm1 * ln_t + cbm1 * ln_omt - a * np.log(omt + t * (1.0 - z)))
 
     integral = tanhsinh_01(integrand, rel_tol=min(1e-13, policy.rel_tol))
     return math.exp(math.lgamma(c) - math.lgamma(b) - math.lgamma(c - b)) * integral

@@ -147,6 +147,17 @@ def test_json_rejects_non_integral_integers(tmp_path):
     assert len(_rows(out)[1]) == 3
 
 
+@pytest.mark.parametrize("key,value", [
+    ("u", "abc"), ("tol", "x"), ("kappa", "abc"), ("snr_db", [0, 10]), ("a", None)])
+def test_json_rejects_wrong_types(tmp_path, capsys, key, value):
+    base = dict(channel="kms", kappa=2.0, mu=2, m=1, snr_db="0:10:5")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(base, **{key: value})))
+    code, _ = _run(tmp_path, "bad.csv", ["effrate", "--json", str(path)])
+    assert code == 2
+    assert f"invalid parameters: {key}:" in capsys.readouterr().err
+
+
 def test_negative_snr_range(tmp_path):
     code, out = _run(tmp_path, "neg.csv",
                      ["auc", "--channel", "kms", "--kappa", "2", "--mu", "2",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_cdf, kms_cdf
 from edsense.errors import DomainError
@@ -12,6 +13,7 @@ from edsense.oracle import (
     McResult,
     MonteCarloSpec,
     QuadratureSpec,
+    auc_metric,
     channel_cutoff,
     channel_sampler,
     average_over_channel,
@@ -99,3 +101,35 @@ def test_oracle_self_consistency_detection_cell():
     # reference quadrature value for this cell: 0.650807023237729
     assert math.isclose(quad.value, 0.650807023237729, abs_tol=1e-9)
     assert abs(quad.value - mc.mean) <= 4.0 * mc.std_error
+
+
+def _auc_double_sum(u, g):
+    """The ROC area's double sum term by term, with float factorials (which
+    overflow from i = 171 on)."""
+    total = 0.0
+    for ell in range(u):
+        for i in range(ell + 1):
+            total += (math.comb(ell + u - 1, ell - i) * 0.5 ** (ell + i + u)
+                      / math.factorial(i)) * g ** i * math.exp(-g / 2.0)
+    return 1.0 - total
+
+
+@pytest.mark.parametrize("u", [1, 2, 5, 30, 150])
+def test_auc_metric_matches_double_sum(u):
+    gammas = [0.0, 1e-3, 0.3, 5.0, 40.0, 100.0]
+    got = auc_metric(u)(np.array(gammas))
+    for g, a in zip(gammas, got):
+        assert math.isclose(a, _auc_double_sum(u, g), rel_tol=1e-13), g
+
+
+@pytest.mark.parametrize("u,gamma", [(172, 5.0), (172, 200.0), (600, 40.0)])
+def test_auc_metric_large_u(u, gamma):
+    # P[T1 > T0] with T0 ~ chi2(2u) and T1 ~ ncx2(2u, 2 gamma), within 40
+    # standard deviations of T0's mean
+    sd = math.sqrt(4.0 * u)
+    want, _ = integrate.quad(
+        lambda x: stats.ncx2.sf(x, 2 * u, 2.0 * gamma) * stats.chi2.pdf(x, 2 * u),
+        max(0.0, 2 * u - 40.0 * sd), 2 * u + 40.0 * sd, points=[2 * u],
+        epsabs=1e-14, epsrel=1e-13, limit=400)
+    assert math.isclose(float(auc_metric(u)(gamma)), want, abs_tol=1e-12)
+    assert float(auc_metric(u)(0.0)) == pytest.approx(0.5, abs=1e-13)

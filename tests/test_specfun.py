@@ -255,6 +255,15 @@ def test_gauss_2f1_route_consistency():
         assert math.isclose(lhs, rhs, rel_tol=1e-11)
 
 
+@pytest.mark.parametrize("m,ms,a", [(2.5, 10.0, 1.5), (4.0, 20.0, 3.02)])
+def test_gauss_2f1_euler_route_near_integer(m, ms, a):
+    # the Fisher rate moment's 2F1(m+m_s, m; m+m_s+A; z), whose c-a-b = A-m
+    # lies near an integer, so z > 0.5 takes the Euler integral
+    for z in (0.6, 0.75, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8):
+        want = special.hyp2f1(m + ms, m, m + ms + a, z)
+        assert math.isclose(gauss_2f1(m + ms, m, m + ms + a, z), want, rel_tol=1e-12), z
+
+
 def test_tricomi_u_values():
     # U(1;1;z) = e^z E1(z)
     assert math.isclose(tricomi_u(1.0, 1.0, 1.0), 0.59634736232319407, rel_tol=1e-10)
