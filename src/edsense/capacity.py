@@ -39,8 +39,8 @@ class DelayQoS:
     a_exponent: float
 
     def __post_init__(self):
-        if self.a_exponent <= 0.0:
-            raise DomainError(f"a_exponent must be positive, got {self.a_exponent}")
+        if not 0.0 < self.a_exponent < math.inf:
+            raise DomainError(f"a_exponent must be finite and positive, got {self.a_exponent}")
 
 
 def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float,

@@ -66,16 +66,16 @@ class KappaMuShadowedParams:
     theta2: float = field(init=False)
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise DomainError(f"kappa must be >= 0, got {self.kappa}")
-        if self.mu < 1 or int(self.mu) != self.mu:
+        if not 0.0 <= self.kappa < math.inf:
+            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 1 <= self.mu < math.inf or int(self.mu) != self.mu:
             raise DomainError(f"mu must be a positive integer, got {self.mu}")
-        if self.m < 1 or int(self.m) != self.m:
+        if not 1 <= self.m < math.inf or int(self.m) != self.m:
             raise DomainError(f"m must be a positive integer, got {self.m}")
         if self.mu < self.m:
             raise DomainError(f"mu >= m is required, got mu={self.mu}, m={self.m}")
-        if self.mean_snr <= 0.0:
-            raise DomainError(f"mean_snr must be positive, got {self.mean_snr}")
+        if not 0.0 < self.mean_snr < math.inf:
+            raise DomainError(f"mean_snr must be finite and positive, got {self.mean_snr}")
         th1 = self.mu * (1.0 + self.kappa) / self.mean_snr
         th2 = self.m * th1 / (self.mu * self.kappa + self.m)
         object.__setattr__(self, "theta1", th1)
@@ -98,12 +98,12 @@ class FisherFParams:
     omega: float = field(init=False)
 
     def __post_init__(self):
-        if self.m <= 0.0:
-            raise DomainError(f"m must be positive, got {self.m}")
-        if self.m_s <= 0.0:
-            raise DomainError(f"m_s must be positive, got {self.m_s}")
-        if self.mean_snr <= 0.0:
-            raise DomainError(f"mean_snr must be positive, got {self.mean_snr}")
+        if not 0.0 < self.m < math.inf:
+            raise DomainError(f"m must be finite and positive, got {self.m}")
+        if not 0.0 < self.m_s < math.inf:
+            raise DomainError(f"m_s must be finite and positive, got {self.m_s}")
+        if not 0.0 < self.mean_snr < math.inf:
+            raise DomainError(f"mean_snr must be finite and positive, got {self.mean_snr}")
         object.__setattr__(self, "omega", self.m / (self.m_s * self.mean_snr))
 
     @property

@@ -31,11 +31,19 @@ P(u + k, lambda/2) are a cumulative sum of the Poisson terms that
 ``marcum_q`` also sums (``specfun._poisson_terms``).  The ROC area uses the
 same pmf at half the SNR: A = 1 - sum_{i<u} pi_i w_i, with the weights
 w_i = P[Bin(2u-1, 1/2) >= u+i] (``_roc_weights``).
+
+The complementary ROC (``croc_curve``) works on its whole false-alarm grid
+at once: every threshold comes from one Newton iteration over numpy arrays
+(``_thresholds``, whose one-point case is ``threshold_for_pf``), with the
+false-alarm tails of integer order u as Poisson sums along the rows of one
+matrix per round (``_tails``), and every P_md from one matrix of P(u+k,
+lam/2), one row per threshold (``_pmd_from_pmf``).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -47,6 +55,7 @@ from .errors import ConvergenceError, DomainError
 from .specfun import (
     AccuracyPolicy,
     DEFAULT_POLICY,
+    _ln_gamma_weight,
     _ln_poisson_tail,
     _poisson_terms,
     marcum_q,
@@ -79,10 +88,10 @@ class DetectorConfig:
     lam: float
 
     def __post_init__(self):
-        if self.u < 1 or int(self.u) != self.u:
+        if not 1 <= self.u < math.inf or int(self.u) != self.u:
             raise DomainError(f"u must be a positive integer, got {self.u}")
-        if self.lam < 0.0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise DomainError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,7 @@ class RocPoint:
     pmd: float
 
     def __post_init__(self):
-        if not all(0.0 <= v <= 1.0 for v in (self.pf, self.pd, self.pmd)):
+        if not (0.0 <= self.pf <= 1.0 and 0.0 <= self.pd <= 1.0 and 0.0 <= self.pmd <= 1.0):
             raise DomainError(f"probabilities must lie in [0, 1], got {self}")
 
 
@@ -121,76 +130,132 @@ def prob_false_alarm(cfg: DetectorConfig) -> float:
     return reg_upper_gamma(cfg.u, cfg.lam / 2.0)
 
 
-# Largest y = lam/2 that threshold_for_pf searches.
+# Largest y = lam/2 that the threshold inversion searches.
 _Y_MAX = 5e3
+# Relative truncation of the false-alarm tails in _tails, as e^-_TAIL_DROP.
+_TAIL_DROP = 45.0
 
 
 def threshold_for_pf(u: int, pf_target: float) -> float:
-    """Threshold lam achieving the requested false-alarm probability.
+    """Threshold lam achieving the requested false-alarm probability: the
+    one-point case of the batched inversion ``_thresholds``.
 
-    Solves P_f = Q(u, y) for y = lam/2 by Newton steps on ln T, where T is
-    the smaller tail: Q(u, y) = pf_target for pf_target <= 1/2, else
-    P(u, y) = 1 - pf_target, so that lam keeps its relative accuracy as
-    pf_target -> 1.  Both ln Q and ln P are concave in y (the Gamma(u)
-    density is log-concave), and d ln T/dy = -/+ y^(u-1) e^(-y) / (Gamma(u) T)
-    in closed form.  A step that leaves the bracket known to hold the root is
-    replaced by bisection.  The returned threshold reproduces pf_target to
-    within 1e-12; thresholds above lam = 1e4 raise ConvergenceError.
+    The returned threshold reproduces pf_target to within 1e-12; thresholds
+    above lam = 1e4 raise ConvergenceError.
     """
     if not 0.0 < pf_target < 1.0:
         raise DomainError(f"pf_target must be in (0, 1), got {pf_target}")
     if u < 1 or int(u) != u:
         raise DomainError(f"u must be a positive integer, got {u}")
-    upper = pf_target <= 0.5
-    tail, target = ((reg_upper_gamma, pf_target) if upper
-                    else (reg_lower_gamma, 1.0 - pf_target))
-    ln_target, ln_gamma_u = math.log(target), math.lgamma(u)
-    lo, hi = 0.0, _Y_MAX
-    y = min(_threshold_guess(u, pf_target), hi)
+    return float(_thresholds(int(u), np.array([float(pf_target)]))[0])
+
+
+@functools.cache
+def _tail_columns(u: int) -> tuple[np.ndarray, np.ndarray]:
+    """u-1-j and u+j for the W columns j that ``_tails`` sums (read-only).
+
+    W is the smallest width at which u^W u!/(u+W)!, times the geometric
+    factor (u+W+1)/(W+1), is at most e^-_TAIL_DROP.  That product bounds the
+    terms of P(u, y) past column W relative to its first term for every
+    y <= u, and the terms of Q(u, y) past column W for every y >= u-1, since
+    each ratio of the one is at most u/(u+i) and each of the other at most
+    1 - i/(u-1) <= u/(u+i) there.
+    """
+    lg = math.lgamma(u + 1.0)
+
+    def ln_bound(w):
+        return (w * math.log(u) + lg - math.lgamma(u + w + 1.0)
+                + math.log((u + w + 1.0) / (w + 1.0)))
+
+    end = 12 * math.isqrt(u) + 64
+    width = 1 + bisect.bisect_left(range(1, end), _TAIL_DROP, key=lambda w: -ln_bound(w))
+    j = np.arange(width, dtype=float)
+    columns = (u - 1.0 - j, u + j)
+    for arr in columns:
+        arr.flags.writeable = False
+    return columns
+
+
+def _tails(u: int, y: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched false-alarm tails at integer order u, one row per y: ln T
+    with T = Q(u, y) = P[Poisson(y) <= u-1] where ``upper``, else P(u, y) =
+    P[Poisson(y) >= u], and T over the anchor term y^(u-1) e^(-y) / Gamma(u)
+    (from ``_ln_gamma_weight``), which is -1 / (d ln Q/dy) or 1 / (d ln P/dy).
+
+    Relative to the anchor, Q sums the cumulative products of (u-1-j)/y,
+    plus the anchor itself (finite: the products are zero from j = u-1 on),
+    and P those of y/(u+j), each along one row of a matrix.  The columns of
+    ``_tail_columns`` hold either to e^-_TAIL_DROP in the rows' brackets,
+    y >= u-1 for Q and y <= u for P.
+    """
+    falling, rising = _tail_columns(u)
+    col_y = y[:, None]
+    terms = np.where(upper[:, None], falling / col_y, col_y / rising)
+    ratio = np.multiply.accumulate(terms, axis=1).sum(axis=1) + upper
+    return _ln_gamma_weight(u, y, np.log, np.log1p) - np.log(y) + np.log(ratio), ratio
+
+
+def _thresholds(u: int, pf: np.ndarray) -> np.ndarray:
+    """Thresholds lam for the false-alarm targets pf (each in (0, 1)), all
+    solved at once.
+
+    Solves P_f = Q(u, y) for y = lam/2 by Newton steps on ln T, where T is
+    the smaller tail: Q(u, y) = pf for pf <= 1/2, else P(u, y) = 1 - pf, so
+    that lam keeps its relative accuracy as pf -> 1.  Both ln Q and ln P are
+    concave in y (the Gamma(u) density is log-concave), and their slopes
+    come with the tails from ``_tails``.  Each row keeps a bracket known to
+    hold its root: Q rows start on [u-1, _Y_MAX] and P rows on [0, u], since
+    the Gamma(u) median lies in (u-1/3, u) (Chen & Rubin, Stat. Probab.
+    Lett. 1986).  A step that leaves the bracket is replaced by bisection.
+    The rounds end with the one in which every Newton step is below 1e-9 y,
+    and a last evaluation checks that every threshold reproduces its pf to
+    within 1e-12.  Thresholds above lam = 1e4 raise ConvergenceError.
+    """
+    upper = pf <= 0.5
+    target = np.minimum(pf, 1.0 - pf)
+    ln_target, sign = np.log(target), np.where(upper, -1.0, 1.0)
+    lo = np.where(upper, min(u - 1.0, _Y_MAX), 0.0)
+    hi = np.where(upper, _Y_MAX, min(float(u), _Y_MAX))
+    y = np.minimum(np.maximum(_threshold_guess(u, ln_target, sign), lo), hi)
     for _ in range(100):
-        t = tail(u, y)
-        ln_t = math.log(t) if t > 0.0 else -math.inf
-        if (ln_t > ln_target) == upper:
-            lo = y
-        else:
-            hi = y
-        if lo == _Y_MAX:
+        ln_t, ratio = _tails(u, y, upper)
+        step = (ln_target - ln_t) * ratio * sign
+        right = step > 0.0  # the root lies right of y
+        lo = np.where(right, y, lo)
+        hi = np.where(right, hi, y)
+        if lo.max() == _Y_MAX:
             raise ConvergenceError(
-                f"threshold for pf={pf_target} exceeds lam = {2.0 * _Y_MAX:g}")
-        if ln_t == -math.inf:
-            y = 0.5 * (lo + hi)
-            continue
-        slope = math.exp((u - 1) * math.log(y) - y - ln_gamma_u - ln_t)
-        step = (ln_target - ln_t) / (-slope if upper else slope)
-        if abs(step) <= 1e-9 * y:
-            y += step
+                f"threshold for pf={pf[lo == _Y_MAX][0]} exceeds lam = {2.0 * _Y_MAX:g}")
+        last = np.abs(step) <= 1e-9 * y
+        nxt = y + step
+        y = np.where(last | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+        if last.all():
             break
-        y = y + step if lo < y + step < hi else 0.5 * (lo + hi)
     else:
-        raise ConvergenceError(f"threshold inversion stalled at pf={pf_target}")
-    if abs(reg_upper_gamma(u, y) - pf_target) > 1e-12:
-        raise ConvergenceError(f"threshold inversion stalled at pf={pf_target}")
+        raise ConvergenceError(f"threshold inversion stalled at pf={pf[~last][0]}")
+    off = np.abs(np.exp(_tails(u, y, upper)[0]) - target) > 1e-12
+    if off.any():
+        raise ConvergenceError(f"threshold inversion stalled at pf={pf[off][0]}")
     return 2.0 * y
 
 
-def _threshold_guess(u: int, pf_target: float) -> float:
-    """Starting y = lam/2 for threshold_for_pf: the Wilson-Hilferty quantile
-    of chi-square(2u), or for pf_target > 1/2 the root of y^u / u! =
-    1 - pf_target where that lies further right (P(u, y) <= y^u / u!, so the
-    threshold is never to its left; Wilson-Hilferty fails in the lower tail).
+def _threshold_guess(u: int, ln_target: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Starting y = lam/2 for ``_thresholds``, from the log of the smaller
+    tail and the sign of the slope of ln T: the Wilson-Hilferty quantile of
+    chi-square(2u), or the root of y^u / u! = T where that lies further
+    right.  That root is never right of the threshold: P(u, y) <= y^u / u!,
+    and for Q rows it lies below (u!/2)^(1/u) < u - 1/3, below the median
+    (Wilson-Hilferty fails in the lower tail).
 
     The normal quantile is the rational approximation of Abramowitz & Stegun
     26.2.23 (absolute error below 4.5e-4).
     """
-    t = math.sqrt(-2.0 * math.log(min(pf_target, 1.0 - pf_target)))
-    z = t - ((2.515517 + 0.802853 * t + 0.010328 * t * t)
-             / (1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t ** 3))
+    t = np.sqrt(-2.0 * ln_target)
+    z = t - ((2.515517 + t * (0.802853 + 0.010328 * t))
+             / (1.0 + t * (1.432788 + t * (0.189269 + 0.001308 * t))))
     c = 1.0 / (9.0 * u)
-    if pf_target <= 0.5:
-        return u * (1.0 - c + z * math.sqrt(c)) ** 3
-    wilson_hilferty = u * max(1.0 - c - z * math.sqrt(c), 0.0) ** 3
-    return max(wilson_hilferty,
-               math.exp((math.log1p(-pf_target) + math.lgamma(u + 1.0)) / u))
+    wilson_hilferty = u * np.maximum(1.0 - c - sign * z * math.sqrt(c), 0.0) ** 3
+    return np.maximum(wilson_hilferty, np.exp((ln_target + math.lgamma(u + 1.0)) / u))
 
 
 def prob_detect_instant(cfg: DetectorConfig, gamma: float,
@@ -376,25 +441,43 @@ def _terms_needed(u: int, y: float, tol: float, max_terms: int) -> int:
     return s + 1
 
 
-def _pmd_from_pmf(pmf: np.ndarray, u: int, lam: float) -> tuple[float, float]:
-    """(P_md, tail bound) from the mixed-Poisson series cut after n =
-    len(pmf) terms; P(u+k, y) = P(u+n, y) + sum_(k<=i<n) y^(u+i) e^(-y) /
-    (u+i)!, and P(u+n, y) is the tail bound."""
-    y = lam / 2.0
-    if y == 0.0:
-        return 0.0, 0.0
-    n = len(pmf)
-    tail = reg_lower_gamma(u + n, y)
-    gammas = np.cumsum(_poisson_terms(u, y, n)[::-1])[::-1] + tail
-    return min(1.0, float(np.dot(pmf, gammas))), tail
+# Relative truncation of the tails P(u+n, y) in _pmd_from_pmf, as e^-_PMD_DROP.
+_PMD_DROP = 42.0
+
+
+def _pmd_from_pmf(pmf: np.ndarray, u: int,
+                  lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_md, tail bound) at each threshold lam > 0 from the mixed-Poisson
+    series cut after n = len(pmf) terms, where u + n > lam/2.
+
+    One (thresholds x terms) matrix holds P(u+k, y), y = lam/2: each row is
+    the reverse cumulative sum of the Poisson terms pois(y, u+k) from
+    ``_poisson_terms``, run on past n until ``_ln_poisson_tail`` bounds the
+    rest by e^-_PMD_DROP times pois(y, u+n) <= P(u+n, y).  The largest y
+    sets that length, since the bound over pois(y, u+n) grows with y.
+    Column n is the tail bound P(u+n, y).
+    """
+    y = lams / 2.0
+    n, top = len(pmf), float(y.max())
+    k = u + n
+    ln_stop = _ln_gamma_weight(k + 1.0, top) - math.log(top) - _PMD_DROP
+    extra = 1 + bisect.bisect_left(range(1, k + 128), -ln_stop,
+                                   key=lambda e: -_ln_poisson_tail(top, k + e, True))
+    terms = _poisson_terms(u, y, n + extra)
+    gammas = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum(1.0, gammas[:, :n] @ pmf), gammas[:, n]
 
 
 def _avg_pd(channel, cfg: DetectorConfig, tol: float,
             policy: AccuracyPolicy) -> tuple[float, TruncationReport]:
     """Detection probability, truncated where the tail bound falls below tol."""
     n = _terms_needed(cfg.u, cfg.lam / 2.0, tol, policy.max_terms)
-    pmd, bound = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0, policy), cfg.u, cfg.lam)
-    return 1.0 - pmd, TruncationReport(terms_used=n, error_bound=bound, converged=True)
+    if cfg.lam == 0.0:
+        return 1.0, TruncationReport(terms_used=n, error_bound=0.0, converged=True)
+    pmd, bound = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0, policy), cfg.u,
+                               np.array([cfg.lam]))
+    return 1.0 - float(pmd[0]), TruncationReport(
+        terms_used=n, error_bound=float(bound[0]), converged=True)
 
 
 def avg_pd_kms(p: KappaMuShadowedParams, cfg: DetectorConfig,
@@ -473,13 +556,16 @@ def avg_auc_f(p: FisherFParams, cfg: DetectorConfig,
 def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
                pf_grid, tol: float = 1e-8,
                policy: AccuracyPolicy = DEFAULT_POLICY) -> list[RocPoint]:
-    """Complementary ROC sweep: for each false-alarm target, invert the
-    threshold and average the detection probability over the channel.
+    """Complementary ROC sweep: for each false-alarm target, the threshold
+    and the channel-averaged detection probability.
 
-    ``pf_grid`` must be strictly increasing inside (0, 1).  The channel's
-    pmf is built once, with as many terms as the largest threshold needs for
-    a tail bound below ``tol``; every point shares those terms, so its error
-    is at most ``tol``.  Each returned point carries (pf, pd, pmd).
+    ``pf_grid`` must be strictly increasing inside (0, 1).  The whole grid
+    is worked at once: every threshold by one batched Newton inversion
+    (``_thresholds``), and every P_md from one matrix of P(u+k, lam/2)
+    (``_pmd_from_pmf``).  The channel's pmf is built once, with as many
+    terms as the largest threshold needs for a tail bound below ``tol``;
+    every point shares those terms, so its error is at most ``tol``.  Each
+    returned point carries (pf, pd, pmd).
     """
     grid = [float(x) for x in pf_grid]
     if not grid:
@@ -488,8 +574,10 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
         raise DomainError("pf_grid values must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("pf_grid must be strictly increasing")
-    lams = [threshold_for_pf(cfg_u, pf) for pf in grid]
-    n = _terms_needed(cfg_u, max(lams) / 2.0, tol, policy.max_terms)
-    pmf = _poisson_pmf(channel, n, 1.0, policy)
-    pmds = [_pmd_from_pmf(pmf, cfg_u, lam)[0] for lam in lams]
-    return [RocPoint(pf=pf, pd=1.0 - pmd, pmd=pmd) for pf, pmd in zip(grid, pmds)]
+    if cfg_u < 1 or int(cfg_u) != cfg_u:
+        raise DomainError(f"u must be a positive integer, got {cfg_u}")
+    lams = _thresholds(int(cfg_u), np.array(grid))
+    n = _terms_needed(cfg_u, float(lams.max()) / 2.0, tol, policy.max_terms)
+    pmds, _ = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0, policy), cfg_u, lams)
+    return [RocPoint(pf=pf, pd=1.0 - pmd, pmd=pmd)
+            for pf, pmd in zip(grid, pmds.tolist())]

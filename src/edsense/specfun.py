@@ -71,9 +71,10 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _ln_gamma_weight(z: float, y: float) -> float:
+def _ln_gamma_weight(z: float, y, log=math.log, log1p=math.log1p):
     """ln(y^z e^(-y) / Gamma(z)), the factor in front of both incomplete-gamma
-    expansions.
+    expansions.  With ``log`` and ``log1p`` from numpy, y may be an array,
+    taken elementwise at the one order z.
 
     For z >= 30 it is taken as -z (t - ln(1 + t)) + ln(z / 2 pi) / 2 - S(z),
     t = y/z - 1, with S the Stirling remainder of ln Gamma(z) to the z^-7
@@ -82,11 +83,11 @@ def _ln_gamma_weight(z: float, y: float) -> float:
     2e-12 relative at z = 2400.
     """
     if z < 30.0:
-        return z * math.log(y) - y - math.lgamma(z)
+        return z * log(y) - y - math.lgamma(z)
     t = (y - z) / z
     w = 1.0 / (z * z)
     stirling = (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
-    return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - math.log1p(t)) - stirling
+    return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - log1p(t)) - stirling
 
 
 def _reg_lower_series(z: float, y: float) -> float:
@@ -225,21 +226,39 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def _poisson_terms(z0: float, y: float, n: int) -> np.ndarray:
+def _poisson_terms(z0: float, y, n: int) -> np.ndarray:
     """y^(z0+j) e^(-y) / Gamma(z0+j+1) for j < n (n >= 1, y > 0): the
     Poisson(y) pmf at z0+j, and the increments P(z, y) - P(z+1, y) of the
-    incomplete gamma at z = z0+j.
+    incomplete gamma at z = z0+j.  For a 1-D array y the result is a matrix
+    with one such row per element.
 
-    The term nearest the mode z = y comes from ``_ln_gamma_weight``, the
-    others from cumulative products of the term ratios outward from it, so
-    each carries one rounding per step away from the mode and none
-    overflows (per-term lgamma, or summed log ratios, lose a digit or more
-    at y in the thousands).
+    In each row the term nearest the mode z = y comes from
+    ``_ln_gamma_weight``, the others from cumulative products of the term
+    ratios outward from it, so each carries one rounding per step away from
+    the mode and none overflows (per-term lgamma, or summed log ratios, lose
+    a digit or more at y in the thousands).  In the matrix the mode column
+    differs by row: each product runs over the whole row, with ones on the
+    side of the mode it does not cover, and the two are joined at the mode.
     """
-    j0 = min(max(round(y - z0), 0), n - 1)
     # z0+j, turned into the anchor term and the ratios outward from it:
     # t_j/t_(j-1) = y/(z0+j) above j0, t_j/t_(j+1) = (z0+j+1)/y below it
     out = np.arange(z0, z0 + n - 0.5)
+    if isinstance(y, np.ndarray):
+        j0 = np.minimum(np.maximum(np.rint(y - z0), 0.0), n - 1.0).astype(np.intp)
+        rows, col, mode = np.arange(len(y)), np.arange(n), j0[:, None]
+        anchor = [math.exp(_ln_gamma_weight(z0 + j + 1.0, v) - math.log(v))
+                  for j, v in zip(j0.tolist(), y.tolist())]
+        right = np.divide(y[:, None], out, where=col > mode, out=np.ones((len(y), n)))
+        # the products toward the left end span the columns up to the last mode
+        w = int(j0.max()) + 1
+        left = np.divide(out[:w] + 1.0, y[:, None], where=col[:w] < mode,
+                         out=np.ones((len(y), w)))
+        right[rows, j0] = left[rows, j0] = anchor
+        np.multiply.accumulate(right, axis=1, out=right)
+        np.multiply.accumulate(left[:, ::-1], axis=1, out=left[:, ::-1])
+        np.copyto(right[:, :w], left, where=col[:w] < mode)
+        return right
+    j0 = min(max(round(y - z0), 0), n - 1)
     out[j0 + 1:] = y / out[j0 + 1:]
     out[:j0] = out[1:j0 + 1] / y
     out[j0] = math.exp(_ln_gamma_weight(z0 + j0 + 1.0, y) - math.log(y))

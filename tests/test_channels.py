@@ -42,10 +42,30 @@ def test_kms_params_invariants():
     dict(kappa=1.0, mu=0, m=1, mean_snr=1.0),
     dict(kappa=1.0, mu=2, m=3, mean_snr=1.0),   # mu < m
     dict(kappa=1.0, mu=2, m=1, mean_snr=0.0),
+    dict(kappa=math.nan, mu=2, m=1, mean_snr=1.0),
+    dict(kappa=math.inf, mu=2, m=1, mean_snr=1.0),
+    dict(kappa=1.0, mu=math.inf, m=1, mean_snr=1.0),
+    dict(kappa=1.0, mu=2, m=math.nan, mean_snr=1.0),
+    dict(kappa=1.0, mu=2, m=1, mean_snr=math.nan),
+    dict(kappa=1.0, mu=2, m=1, mean_snr=math.inf),
 ])
 def test_kms_params_validation(kwargs):
     with pytest.raises(DomainError):
         KappaMuShadowedParams(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(m=0.0, m_s=3.0, mean_snr=1.0),
+    dict(m=math.nan, m_s=3.0, mean_snr=1.0),
+    dict(m=math.inf, m_s=3.0, mean_snr=1.0),
+    dict(m=2.0, m_s=math.nan, mean_snr=1.0),
+    dict(m=2.0, m_s=math.inf, mean_snr=1.0),
+    dict(m=2.0, m_s=3.0, mean_snr=math.nan),
+    dict(m=2.0, m_s=3.0, mean_snr=math.inf),
+])
+def test_fisher_params_validation(kwargs):
+    with pytest.raises(DomainError):
+        FisherFParams(**kwargs)
 
 
 def test_kms_pdf_gamma_branches():

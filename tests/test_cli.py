@@ -186,6 +186,22 @@ def test_usage_errors_exit_2(tmp_path):
     assert code == 2  # missing channel
 
 
+@pytest.mark.parametrize("args", [
+    ["effrate", "--channel", "kms", "--kappa", "2", "--mu", "3", "--m", "2",
+     "--snr-db", "inf"],
+    ["effrate", "--channel", "kms", "--kappa", "nan", "--mu", "3", "--m", "2",
+     "--snr-db", "10"],
+    ["auc", "--channel", "fisher", "--m", "2", "--ms", "3", "--snr-db", "nan"],
+])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, args):
+    # a non-finite channel parameter is a usage error, not a traceback (exit 1)
+    # or a numerical failure (exit 3)
+    code, out = _run(tmp_path, "nf.csv", args)
+    assert code == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # u = 6000 puts the threshold for P_f = 1e-3 beyond the bracket's
     # lam = 1e4 limit

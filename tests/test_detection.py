@@ -13,9 +13,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from edsense import detection
+from edsense import detection, specfun
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_pdf, kms_pdf
 from edsense.detection import (
     DetectorConfig,
@@ -33,6 +35,7 @@ from edsense.detection import (
     truncation_bound_f,
 )
 from edsense.errors import ConvergenceError, DomainError
+from edsense.oracle import average_over_channel
 from edsense.specfun import AccuracyPolicy, ln_beta, ln_tricomi_u, reg_lower_gamma
 
 LAM_PF10_U2 = 7.7794403397348581  # threshold for pf = 0.1 at u = 2 (root-solve)
@@ -44,6 +47,9 @@ def test_detector_config_validation():
         DetectorConfig(u=0, lam=1.0)
     with pytest.raises(DomainError):
         DetectorConfig(u=2, lam=-0.5)
+    for bad in (dict(u=2, lam=math.nan), dict(u=2, lam=math.inf), dict(u=math.nan, lam=1.0)):
+        with pytest.raises(DomainError):
+            DetectorConfig(**bad)
 
 
 def test_prob_false_alarm_values():
@@ -89,24 +95,30 @@ def _bisection_threshold(u, pf):
     return 2.0 * hi
 
 
-# Incomplete-gamma evaluations allowed per threshold inversion (a bisection
-# to 1e-15 needs about 56).
+# Batched false-alarm tail evaluations (``detection._tails``) allowed per
+# threshold inversion, and per whole grid inverted at once (a bisection to
+# 1e-15 needs about 56).
 THRESHOLD_EVALS_MAX = 6
 
 
 @pytest.mark.parametrize("u", [1, 2, 5, 20, 200])
 def test_threshold_for_pf_newton(u, monkeypatch):
     calls = []
-    for name in ("reg_upper_gamma", "reg_lower_gamma"):
-        fn = getattr(detection, name)
-        monkeypatch.setattr(detection, name,
-                            lambda z, y, fn=fn: calls.append(z) or fn(z, y))
+    tails = detection._tails
+    monkeypatch.setattr(detection, "_tails", lambda *args: calls.append(1) or tails(*args))
     for pf in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999999):
         calls.clear()
         lam = threshold_for_pf(u, pf)
         assert len(calls) <= THRESHOLD_EVALS_MAX, (u, pf, len(calls))
         assert abs(prob_false_alarm(DetectorConfig(u=u, lam=lam)) - pf) <= 1e-12
         assert math.isclose(lam, _bisection_threshold(u, pf), rel_tol=1e-12)
+    # the CLI's 50-point grid, inverted in one batch
+    grid = np.geomspace(1e-3, 0.999, 50)
+    calls.clear()
+    lams = detection._thresholds(u, grid)
+    assert len(calls) <= THRESHOLD_EVALS_MAX, (u, len(calls))
+    for pf, lam in zip(grid, lams):
+        assert math.isclose(lam, threshold_for_pf(u, float(pf)), rel_tol=1e-15)
 
 
 def test_threshold_for_pf_large_u():
@@ -136,14 +148,20 @@ def test_prob_detect_instant():
 @pytest.mark.parametrize("u", [1, 5, 20])
 def test_lower_gamma_run_matches_scipy(u, y):
     # the series' factors P(u+k, y), k < n, read back one at a time through a
-    # one-hot pmf, and its tail bound P(u+n, y)
+    # one-hot pmf, and its tail bound P(u+n, y); the batch also carries
+    # smaller thresholds, whose rows have their modes elsewhere
+    ys = np.array([y, 0.5 * y, 0.1 * y])
     n = math.ceil(y + 12.0 * math.sqrt(y)) + 20
     for k in range(0, n, max(1, n // 200)):
         pmf = np.zeros(n)
         pmf[k] = 1.0
-        got, tail = detection._pmd_from_pmf(pmf, u, 2.0 * y)
-        assert abs(got - special.gammainc(u + k, y)) <= 1e-13, k
-    assert abs(tail - special.gammainc(u + n, y)) <= 1e-13
+        got, tail = detection._pmd_from_pmf(pmf, u, 2.0 * ys)
+        assert np.all(np.abs(got - special.gammainc(u + k, ys)) <= 1e-13), k
+    want = special.gammainc(u + n, ys)
+    assert np.all(np.abs(tail - want) <= 1e-13)
+    # the tail keeps its relative accuracy, which P_md needs where it is small
+    normal = want > 1e-300
+    assert np.allclose(tail[normal], want[normal], rtol=1e-11, atol=0.0)
 
 
 def test_avg_pd_kms_reference_values():
@@ -437,3 +455,70 @@ def test_croc_pmd_keeps_relative_accuracy():
     assert abs(point.pmd - want) <= 1e-12
     (point,) = croc_curve(p, 2, [0.999], tol=1e-16)
     assert math.isclose(point.pmd, want, rel_tol=1e-9)
+
+
+@st.composite
+def _croc_cases(draw):
+    """A channel, an order u and a strictly increasing false-alarm grid of
+    2-60 points in [1e-12, 1 - 1e-9]: s <= 0 maps to 0.5 * 10^s and s > 0 to
+    1 - 0.5 * 10^-s, so both tails are drawn down to their ends."""
+    if draw(st.booleans()):
+        mu = draw(st.integers(1, 12))
+        channel = KappaMuShadowedParams(10.0 ** draw(st.floats(-3.0, 1.5)), mu,
+                                        draw(st.integers(1, mu)),
+                                        10.0 ** draw(st.floats(-0.5, 2.5)))
+    else:
+        channel = FisherFParams(draw(st.floats(0.5, 10.0)), draw(st.floats(1.1, 20.0)),
+                                10.0 ** draw(st.floats(-0.5, 2.5)))
+    size = draw(st.integers(2, 60))
+    s = draw(st.lists(st.floats(-11.69, 8.69), min_size=size, max_size=size))
+    grid = sorted({0.5 * 10.0 ** x if x <= 0.0 else 1.0 - 0.5 * 10.0 ** -x for x in s})
+    if len(grid) < 2:
+        grid = [1e-12, 1.0 - 1e-9]
+    return channel, draw(st.integers(1, 200)), grid
+
+
+@settings(max_examples=5)
+@given(case=_croc_cases())
+def test_croc_curve_batched_property(case):
+    # every threshold of the batch against scipy bisection, every P_md
+    # against the channel average of scipy's noncentral chi-square CDF (its
+    # survival function overflows at lam below about 2e-8 once the
+    # noncentrality passes 500)
+    channel, u, grid = case
+    tol = 1e-9
+    lams = detection._thresholds(u, np.array(grid))
+    points = croc_curve(channel, u, grid, tol=tol)
+    for pf, lam, point in zip(grid, lams, points):
+        assert math.isclose(lam, _bisection_threshold(u, pf), rel_tol=1e-12), (u, pf)
+        want = average_over_channel(
+            lambda g, lam=lam: stats.ncx2.cdf(lam, 2 * u, 2.0 * np.asarray(g)), channel)
+        assert abs(point.pmd - want.value) <= tol, (u, pf)
+
+
+@pytest.mark.parametrize("channel", [KappaMuShadowedParams(1.7, 12, 3, 10.0),
+                                     FisherFParams(2.0, 3.0, 10.0)])
+def test_croc_curve_work_is_batched(channel, monkeypatch):
+    # no scalar incomplete gamma, and as many kernel calls for 200 points as
+    # for 4: one Poisson-term matrix and one tail matrix per Newton round
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, fn=fn: calls.append(name) or fn(*a))
+
+    for name in ("reg_upper_gamma", "reg_lower_gamma"):
+        count(detection, name)
+        count(specfun, name)
+    count(detection, "_tails")
+    count(detection, "_poisson_terms")
+    counts = []
+    for n in (4, 200):
+        calls.clear()
+        croc_curve(channel, 2, np.geomspace(1e-3, 0.999, n))
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"_tails", "_poisson_terms"}
+    assert counts[0].count("_poisson_terms") == 1
+    assert counts[0].count("_tails") <= THRESHOLD_EVALS_MAX

@@ -93,7 +93,7 @@ def _channels(draw):
                    draw(st.floats(-10.0, 40.0)))
 
 
-@settings(derandomize=True, max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(p=_channels(), u=st.integers(1, 20),
        log_pf=st.floats(-4.0, math.log10(0.9)))
 def test_fisher_detection_property(p, u, log_pf):

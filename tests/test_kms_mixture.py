@@ -135,7 +135,7 @@ def _channels(draw):
     return _kms(kappa, mu, m, draw(st.floats(-10.0, 40.0)))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(p=_channels(), a=st.floats(0.1, 10.0), frac=st.floats(0.05, 3.0))
 def test_rate_moment_and_cdf_property(p, a, frac):
     assert abs(rate_moment_kms(p, DelayQoS(a)) - ref_moment(p, a)) <= 1e-9
@@ -143,7 +143,7 @@ def test_rate_moment_and_cdf_property(p, a, frac):
     assert abs(kms_cdf(p, gamma) - ref_cdf(p, gamma)) <= 1e-9
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(p=_channels(), u=st.integers(1, 20),
        log_pf=st.floats(-4.0, math.log10(0.9)))
 def test_kms_detection_property(p, u, log_pf):

@@ -175,7 +175,7 @@ def test_marcum_q_term_budget():
     assert 80000 < needed < 95000
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(u=st.integers(1, 20), a=st.floats(0.0, 1000.0), offset=st.floats(-3.0, 3.0))
 def test_marcum_q_property(u, a, offset):
     # b near a, on either side, so that both the direct and the
