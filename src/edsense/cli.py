@@ -207,8 +207,8 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         raise DomainError(f"{cfg.command} needs an --snr-db value or range")
     if cfg.pf_points < 1 or not (0.0 < cfg.pf_min <= cfg.pf_max < 1.0):
         raise DomainError("invalid false-alarm grid")
-    if cfg.tol <= 0.0:
-        raise DomainError("--tol must be positive")
+    if not 0.0 < cfg.tol < math.inf:
+        raise DomainError("--tol must be positive and finite")
     return cfg
 
 
@@ -244,9 +244,11 @@ def _snr_sweep(cfg: SweepConfig, header: str, metric) -> tuple[list[str], bool]:
 
 
 def run_auc(cfg: SweepConfig) -> tuple[list[str], bool]:
+    """1 - A summed directly as sum_{i<u} pi_i w_i, rather than taken from A,
+    so that it keeps its relative accuracy where A is close to 1."""
     det = DetectorConfig(u=cfg.u, lam=0.0)
-    auc = detection.avg_auc_kms if cfg.channel == "kms" else detection.avg_auc_f
-    return _snr_sweep(cfg, "snr_db,comp_auc", lambda params: 1.0 - auc(params, det))
+    return _snr_sweep(cfg, "snr_db,comp_auc", lambda params: detection._roc_miss(
+        detection._poisson_pmf(params, det.u, 0.5), det.u))
 
 
 def run_effrate(cfg: SweepConfig) -> tuple[list[str], bool]:

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import edsense
+from edsense.channels import KappaMuShadowedParams
 from edsense.cli import main
 
 
@@ -200,6 +202,51 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, args):
     assert code == 2
     assert "invalid parameters" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
+    # --tol nan used to stop the detection series after one term and print
+    # P_md 0.01596 where 0.4379 is right
+    code, out = _run(tmp_path, "tol.csv",
+                     ["croc", "--channel", "kms", "--kappa", "2", "--mu", "3",
+                      "--m", "2", "--snr-db=10", "--u", "2", "--pf-points", "3",
+                      "--tol", tol])
+    assert code == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _comp_auc_reference(p, u):
+    """1 - A = E[sum_{i<u} Pois(gamma/2; i) w_i], w_i = P[Bin(2u-1, 1/2) >=
+    u+i], by scipy quadrature over the density of gamma = Gamma(mu-m,
+    theta1) + Gamma(m, theta2), itself a convolution quadrature of scipy
+    Gamma densities; the Poisson factor is below 1e-30 past gamma = 150."""
+    w = [stats.binom.sf(u + i - 1, 2 * u - 1, 0.5) for i in range(u)]
+
+    def density(g):
+        return integrate.quad(
+            lambda s: stats.gamma.pdf(s, p.mu - p.m, scale=1.0 / p.theta1)
+            * stats.gamma.pdf(g - s, p.m, scale=1.0 / p.theta2),
+            0.0, g, epsabs=0.0, epsrel=1e-13)[0]
+
+    return integrate.quad(
+        lambda g: sum(stats.poisson.pmf(i, g / 2.0) * w[i] for i in range(u)) * density(g),
+        0.0, 150.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def test_auc_complement_keeps_relative_accuracy(tmp_path):
+    # comp_auc is summed directly; taken as 1 - A it was 1.2e-7 relative off
+    # at 40 dB and 5.3e-5 at 50 dB
+    code, out = _run(tmp_path, "hi.csv",
+                     ["auc", "--channel", "kms", "--kappa", "2", "--mu", "3",
+                      "--m", "2", "--snr-db", "40:50:10", "--u", "2"])
+    assert code == 0
+    rows = _rows(out)[1]
+    assert [float(r[0]) for r in rows] == [40.0, 50.0]
+    for db, comp in rows:
+        p = KappaMuShadowedParams(2.0, 3, 2, 10.0 ** (float(db) / 10.0))
+        assert math.isclose(float(comp), _comp_auc_reference(p, 2), rel_tol=1e-9), db
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -152,10 +152,11 @@ def test_lower_gamma_run_matches_scipy(u, y):
     # smaller thresholds, whose rows have their modes elsewhere
     ys = np.array([y, 0.5 * y, 0.1 * y])
     n = math.ceil(y + 12.0 * math.sqrt(y)) + 20
+    gammas = detection._gamma_matrix(u, ys, n)
     for k in range(0, n, max(1, n // 200)):
         pmf = np.zeros(n)
         pmf[k] = 1.0
-        got, tail = detection._pmd_from_pmf(pmf, u, 2.0 * ys)
+        got, tail = detection._pmd_from_pmf(pmf, gammas)
         assert np.all(np.abs(got - special.gammainc(u + k, ys)) <= 1e-13), k
     want = special.gammainc(u + n, ys)
     assert np.all(np.abs(tail - want) <= 1e-13)
@@ -522,3 +523,97 @@ def test_croc_curve_work_is_batched(channel, monkeypatch):
     assert set(counts[0]) == {"_tails", "_poisson_terms"}
     assert counts[0].count("_poisson_terms") == 1
     assert counts[0].count("_tails") <= THRESHOLD_EVALS_MAX
+    # the detector side is kept: a curve on the other channel at the same
+    # (u, grid, tol) builds only its pmf
+    other = (FisherFParams(2.0, 3.0, 10.0) if isinstance(channel, KappaMuShadowedParams)
+             else KappaMuShadowedParams(1.7, 12, 3, 10.0))
+    calls.clear()
+    croc_curve(other, 2, np.geomspace(1e-3, 0.999, 200))
+    assert calls == []
+
+
+CROC_CHANNELS = [KappaMuShadowedParams(2.0, 3, 2, 10.0), FisherFParams(2.0, 3.0, 10.0)]
+
+
+def _croc_uncached(channel, u, grid, tol):
+    """P_md of a CROC curve from the detector-side steps called directly."""
+    lams = detection._thresholds(u, np.array(grid))
+    n = detection._terms_needed(u, float(lams.max()) / 2.0, tol,
+                                AccuracyPolicy().max_terms)
+    pmds, _ = detection._pmd_from_pmf(detection._poisson_pmf(channel, n, 1.0),
+                                      detection._gamma_matrix(u, lams / 2.0, n))
+    return pmds.tolist()
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("channel", CROC_CHANNELS)
+def test_croc_operator_cold_and_warm_agree_bitwise(channel, tol):
+    grid = np.geomspace(1e-3, 0.999, 50)
+    cold = croc_curve(channel, 2, grid, tol=tol)
+    warm = croc_curve(channel, 2, grid, tol=tol)
+    info = detection._croc_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold == warm
+    assert [pt.pmd for pt in cold] == _croc_uncached(channel, 2, grid, tol)
+
+
+def test_croc_operator_keys_are_distinct():
+    # each of tol, u and the grid changes the detector side, and no entry is
+    # reused for another key: every warm curve equals its cold rebuild
+    p = CROC_CHANNELS[0]
+    grid = [1e-3, 0.1, 0.5]
+    cases = [(2, grid, 1e-8), (2, grid, 1e-12), (3, grid, 1e-8), (2, grid[:2] + [0.6], 1e-8)]
+    curves = [croc_curve(p, u, g, tol=t) for u, g, t in cases]
+    info = detection._croc_operator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 4)
+    max_terms = AccuracyPolicy().max_terms
+    (n0, g0), (n1, _), (_, g2), (_, g3) = [
+        detection._croc_operator(u, tuple(g), t, max_terms) for u, g, t in cases]
+    assert n1 > n0
+    for other in (g2, g3):
+        assert other.shape != g0.shape or not np.array_equal(other, g0)
+    for (u, g, t), curve in zip(cases, curves):
+        detection._croc_operator.cache_clear()
+        assert croc_curve(p, u, g, tol=t) == curve
+
+
+def test_croc_operator_list_and_array_share_an_entry():
+    grid = [1e-3, 0.01, 0.1, 0.9]
+    first = croc_curve(CROC_CHANNELS[0], 2, grid)
+    second = croc_curve(CROC_CHANNELS[1], 2, np.array(grid))
+    info = detection._croc_operator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert [pt.pf for pt in first] == [pt.pf for pt in second] == grid
+
+
+def test_croc_operator_is_read_only_and_bounded():
+    _, gammas = detection._croc_operator(2, (0.1, 0.5), 1e-8, AccuracyPolicy().max_terms)
+    assert not gammas.flags.writeable
+    with pytest.raises(ValueError):
+        gammas[0, 0] = 0.0
+    assert detection._croc_operator.cache_info().maxsize == 16
+    for k in range(17):
+        croc_curve(CROC_CHANNELS[0], 2, [0.01 + 0.01 * k])
+    assert detection._croc_operator.cache_info().currsize == 16
+
+
+def test_croc_operator_keeps_no_failure():
+    # a key whose build raises raises again on the next call: nothing is kept
+    p = CROC_CHANNELS[0]
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            croc_curve(p, 2, [1e-200], policy=AccuracyPolicy(max_terms=100))
+        with pytest.raises(ConvergenceError):
+            croc_curve(p, 6000, [1e-3, 0.5])
+    assert detection._croc_operator.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_tol_outside_open_interval_raises(tol):
+    # NaN used to stop the series after one term, with P_md 0.01596 for
+    # 0.4379 here; the check comes before the cache is consulted
+    with pytest.raises(DomainError):
+        croc_curve(CROC_CHANNELS[0], 2, [1e-3, 0.1], tol=tol)
+    assert detection._croc_operator.cache_info().misses == 0
+    with pytest.raises(DomainError):
+        avg_pd_f(CROC_CHANNELS[1], DetectorConfig(u=2, lam=9.0), tol=tol)
