@@ -45,12 +45,10 @@ from .oracle import (
     mc_average,
     quad_average,
 )
-from .specfun import AccuracyPolicy
 from .verify import VerificationRecord, verify_closed_form
 
 __all__ = [
     "__version__",
-    "AccuracyPolicy",
     "ConvergenceError",
     "DomainError",
     "KappaMuShadowedParams",

@@ -19,7 +19,7 @@ import numpy as np
 from ._quad import tanhsinh_01
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
-from .specfun import AccuracyPolicy, DEFAULT_POLICY, gauss_2f1, ln_beta
+from .specfun import _REL_TOL, gauss_2f1, ln_beta
 
 __all__ = [
     "DelayQoS",
@@ -43,8 +43,7 @@ class DelayQoS:
             raise DomainError(f"a_exponent must be finite and positive, got {self.a_exponent}")
 
 
-def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float,
-                        policy: AccuracyPolicy) -> float:
+def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float) -> float:
     """ln E[(1 + gamma)^-A] from the MGF M(-t) = E[e^(-t gamma)].
 
     Since (1 + gamma)^-A = Gamma(A)^-1 int t^(A-1) e^(-t (1 + gamma)) dt, the
@@ -85,7 +84,7 @@ def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float,
         return w * np.exp(ln_integrand(s0 + ln_x - ln_omx) - peak - ln_x - ln_omx)
 
     with np.errstate(over="ignore", under="ignore"):
-        integral = tanhsinh_01(integrand, rel_tol=policy.rel_tol)
+        integral = tanhsinh_01(integrand, rel_tol=_REL_TOL)
     return peak + math.log(integral) - math.lgamma(a1)
 
 
@@ -97,18 +96,16 @@ def _guard_moment(ln_moment: float) -> float:
     return min(ln_moment, 0.0)
 
 
-def rate_moment_kms(p: KappaMuShadowedParams, q: DelayQoS,
-                    policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def rate_moment_kms(p: KappaMuShadowedParams, q: DelayQoS) -> float:
     """E[(1 + gamma)^-A] over the shadowed kappa-mu channel."""
-    return math.exp(_guard_moment(_ln_rate_moment_mgf(p, q.a_exponent, policy)))
+    return math.exp(_guard_moment(_ln_rate_moment_mgf(p, q.a_exponent)))
 
 
-def rate_moment_f(p: FisherFParams, q: DelayQoS,
-                  policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def rate_moment_f(p: FisherFParams, q: DelayQoS) -> float:
     """E[(1 + gamma)^-A] over the Fisher-Snedecor channel."""
     a = q.a_exponent
     m, ms, omega = p.m, p.m_s, p.omega
-    hyp = gauss_2f1(m + ms, m, m + ms + a, 1.0 - omega, policy)
+    hyp = gauss_2f1(m + ms, m, m + ms + a, 1.0 - omega)
     if hyp <= 0.0:
         raise ConvergenceError("hypergeometric factor of the rate moment not positive")
     ln_moment = (m * math.log(omega) + ln_beta(m, ms + a) - ln_beta(m, ms)
@@ -116,15 +113,13 @@ def rate_moment_f(p: FisherFParams, q: DelayQoS,
     return math.exp(_guard_moment(ln_moment))
 
 
-def eff_rate_kms(p: KappaMuShadowedParams, q: DelayQoS,
-                 policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def eff_rate_kms(p: KappaMuShadowedParams, q: DelayQoS) -> float:
     """Effective rate in bits/s/Hz over shadowed kappa-mu fading."""
-    ln_moment = _guard_moment(_ln_rate_moment_mgf(p, q.a_exponent, policy))
+    ln_moment = _guard_moment(_ln_rate_moment_mgf(p, q.a_exponent))
     return -ln_moment / (q.a_exponent * _LN2)
 
 
-def eff_rate_f(p: FisherFParams, q: DelayQoS,
-               policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def eff_rate_f(p: FisherFParams, q: DelayQoS) -> float:
     """Effective rate in bits/s/Hz over Fisher-Snedecor fading."""
-    moment = rate_moment_f(p, q, policy)
+    moment = rate_moment_f(p, q)
     return -math.log(moment) / (q.a_exponent * _LN2)

@@ -207,6 +207,8 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         raise DomainError(f"{cfg.command} needs an --snr-db value or range")
     if cfg.pf_points < 1 or not (0.0 < cfg.pf_min <= cfg.pf_max < 1.0):
         raise DomainError("invalid false-alarm grid")
+    if cfg.points < 1:
+        raise DomainError("--points must be at least 1")
     if not 0.0 < cfg.tol < math.inf:
         raise DomainError("--tol must be positive and finite")
     return cfg

@@ -57,8 +57,8 @@ import numpy as np
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
 from .specfun import (
-    AccuracyPolicy,
-    DEFAULT_POLICY,
+    _MAX_TERMS,
+    _REL_TOL,
     _ln_gamma_weight,
     _ln_poisson_tail,
     _poisson_terms,
@@ -104,7 +104,6 @@ class TruncationReport:
 
     terms_used: int
     error_bound: float
-    converged: bool
 
     def __post_init__(self):
         if self.error_bound < 0.0:
@@ -262,12 +261,11 @@ def _threshold_guess(u: int, ln_target: np.ndarray, sign: np.ndarray) -> np.ndar
     return np.maximum(wilson_hilferty, np.exp((ln_target + math.lgamma(u + 1.0)) / u))
 
 
-def prob_detect_instant(cfg: DetectorConfig, gamma: float,
-                        policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def prob_detect_instant(cfg: DetectorConfig, gamma: float) -> float:
     """Detection probability at instantaneous SNR ``gamma``."""
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    return marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(cfg.lam), policy)
+    return marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(cfg.lam))
 
 
 def _nb_pmf(r: int, rate: float, n: int) -> np.ndarray:
@@ -282,20 +280,19 @@ def _nb_pmf(r: int, rate: float, n: int) -> np.ndarray:
 
 
 def _poisson_pmf(channel: KappaMuShadowedParams | FisherFParams, n: int,
-                 scale: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> np.ndarray:
+                 scale: float) -> np.ndarray:
     """pi_k = E[e^(-s gamma) (s gamma)^k / k!] for k < n, at SNR scale s.
 
     Shadowed kappa-mu: the SNR is Gamma(mu-m, theta1) + Gamma(m, theta2), so
     pi is the convolution of two negative binomial pmfs, positive at any
     kappa.  Fisher-Snedecor: a negative binomial averaged over the shadowing
-    (``_fisher_pmf``), to relative accuracy min(1e-12, ``policy.rel_tol``).
+    (``_fisher_pmf``), to relative accuracy 1e-12 (``specfun._REL_TOL``).
     """
     if isinstance(channel, KappaMuShadowedParams):
         return np.convolve(
             _nb_pmf(channel.mu - channel.m, channel.theta1 / scale, n),
             _nb_pmf(channel.m, channel.theta2 / scale, n))[:n]
-    return _fisher_pmf(channel.m, channel.m_s, channel.omega / scale, n,
-                       min(1e-12, policy.rel_tol))
+    return _fisher_pmf(channel.m, channel.m_s, channel.omega / scale, n, _REL_TOL)
 
 
 # The Fisher pmf's trapezoid range ends where every row's log-integrand lies
@@ -433,20 +430,21 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
-def _terms_needed(u: int, y: float, tol: float, max_terms: int) -> int:
+def _terms_needed(u: int, y: float, tol: float) -> int:
     """Smallest S >= 1 at which a bound on the tail P(u+S, y) =
     P[Poisson(y) >= u+S] lies below tol: the Poisson pmf at u+S times a
     geometric majorant of the pmf ratios (``specfun._ln_poisson_tail``).
+    An S beyond 10,000 (``specfun._MAX_TERMS``) raises ConvergenceError.
     """
     _check_tol(tol)
     if y == 0.0:
         return 1
     ln_tol = math.log(tol)
-    s = bisect.bisect_left(range(1, max_terms + 1), -ln_tol,
+    s = bisect.bisect_left(range(1, _MAX_TERMS + 1), -ln_tol,
                            key=lambda s: -_ln_poisson_tail(y, u + s, True))
-    if s == max_terms:
+    if s == _MAX_TERMS:
         raise ConvergenceError(
-            f"detection series needs more than {max_terms} terms "
+            f"detection series needs more than {_MAX_TERMS} terms "
             f"for tol={tol} at u={u}, lam={2.0 * y}")
     return s + 1
 
@@ -487,26 +485,23 @@ def _pmd_from_pmf(pmf: np.ndarray,
     return np.minimum(1.0, gammas[:, :n] @ pmf), gammas[:, n]
 
 
-def _avg_pd(channel, cfg: DetectorConfig, tol: float,
-            policy: AccuracyPolicy) -> tuple[float, TruncationReport]:
+def _avg_pd(channel, cfg: DetectorConfig, tol: float) -> tuple[float, TruncationReport]:
     """Detection probability, truncated where the tail bound falls below tol."""
-    n = _terms_needed(cfg.u, cfg.lam / 2.0, tol, policy.max_terms)
+    n = _terms_needed(cfg.u, cfg.lam / 2.0, tol)
     if cfg.lam == 0.0:
-        return 1.0, TruncationReport(terms_used=n, error_bound=0.0, converged=True)
-    pmd, bound = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0, policy),
+        return 1.0, TruncationReport(terms_used=n, error_bound=0.0)
+    pmd, bound = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0),
                                _gamma_matrix(cfg.u, np.array([cfg.lam]) / 2.0, n))
-    return 1.0 - float(pmd[0]), TruncationReport(
-        terms_used=n, error_bound=float(bound[0]), converged=True)
+    return 1.0 - float(pmd[0]), TruncationReport(terms_used=n, error_bound=float(bound[0]))
 
 
-def avg_pd_kms(p: KappaMuShadowedParams, cfg: DetectorConfig,
-               policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def avg_pd_kms(p: KappaMuShadowedParams, cfg: DetectorConfig) -> float:
     """Channel-averaged detection probability, shadowed kappa-mu model.
 
     The mixed-Poisson series is truncated where its tail bound falls below
-    ``policy.rel_tol``.
+    1e-12 (``specfun._REL_TOL``).
     """
-    return _avg_pd(p, cfg, policy.rel_tol, policy)[0]
+    return _avg_pd(p, cfg, _REL_TOL)[0]
 
 
 def truncation_bound_f(p: FisherFParams, cfg: DetectorConfig, S: int) -> float:
@@ -522,14 +517,14 @@ def truncation_bound_f(p: FisherFParams, cfg: DetectorConfig, S: int) -> float:
     return reg_lower_gamma(cfg.u + S, cfg.lam / 2.0)
 
 
-def avg_pd_f(p: FisherFParams, cfg: DetectorConfig, tol: float = 1e-8,
-             policy: AccuracyPolicy = DEFAULT_POLICY) -> tuple[float, TruncationReport]:
+def avg_pd_f(p: FisherFParams, cfg: DetectorConfig,
+             tol: float = 1e-8) -> tuple[float, TruncationReport]:
     """Channel-averaged detection probability over Fisher-Snedecor fading.
 
     Sums the mixed-Poisson series until the certified tail bound drops below
     ``tol``; the report carries the number of terms and that bound.
     """
-    return _avg_pd(p, cfg, tol, policy)
+    return _avg_pd(p, cfg, tol)
 
 
 def _roc_weights(u: int) -> list[float]:
@@ -571,36 +566,33 @@ def avg_auc_kms(p: KappaMuShadowedParams, cfg: DetectorConfig) -> float:
     return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
 
 
-def avg_auc_f(p: FisherFParams, cfg: DetectorConfig,
-              policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def avg_auc_f(p: FisherFParams, cfg: DetectorConfig) -> float:
     """Average area under the ROC over Fisher-Snedecor fading."""
-    return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5, policy), cfg.u)
+    return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
 
 
 @functools.lru_cache(maxsize=16)
-def _croc_operator(u: int, grid: tuple[float, ...], tol: float,
-                   max_terms: int) -> tuple[int, np.ndarray]:
+def _croc_operator(u: int, grid: tuple[float, ...], tol: float) -> tuple[int, np.ndarray]:
     """The detector side of a CROC curve, which no channel enters: the term
     count n that the grid's largest threshold needs for a tail bound below
     tol, and the ``_gamma_matrix`` of P(u+k, lam/2) at every threshold
     (read-only).  Kept for the 16 most recent keys; an exception is not
     kept, so a key that failed fails again."""
     lams = _thresholds(u, np.array(grid))
-    n = _terms_needed(u, float(lams.max()) / 2.0, tol, max_terms)
+    n = _terms_needed(u, float(lams.max()) / 2.0, tol)
     gammas = _gamma_matrix(u, lams / 2.0, n)
     gammas.flags.writeable = False
     return n, gammas
 
 
 def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
-               pf_grid, tol: float = 1e-8,
-               policy: AccuracyPolicy = DEFAULT_POLICY) -> list[RocPoint]:
+               pf_grid, tol: float = 1e-8) -> list[RocPoint]:
     """Complementary ROC sweep: for each false-alarm target, the threshold
     and the channel-averaged detection probability.
 
     ``pf_grid`` must be strictly increasing inside (0, 1), and ``tol`` lie
     in (0, inf).  A curve is split into a detector side and a channel side.
-    The detector side depends only on (u, pf_grid, tol, policy.max_terms):
+    The detector side depends only on (u, pf_grid, tol):
     every threshold by one batched Newton inversion (``_thresholds``), the
     number n of terms that the largest threshold needs for a tail bound
     below ``tol``, and one read-only matrix of P(u+k, lam/2), one row per
@@ -621,7 +613,7 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     if cfg_u < 1 or int(cfg_u) != cfg_u:
         raise DomainError(f"u must be a positive integer, got {cfg_u}")
     _check_tol(tol)
-    n, gammas = _croc_operator(int(cfg_u), grid, float(tol), policy.max_terms)
-    pmds, _ = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0, policy), gammas)
+    n, gammas = _croc_operator(int(cfg_u), grid, float(tol))
+    pmds, _ = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0), gammas)
     return [RocPoint(pf=pf, pd=1.0 - pmd, pmd=pmd)
             for pf, pmd in zip(grid, pmds.tolist())]

@@ -4,7 +4,10 @@ Everything here is self-contained (stdlib ``math`` plus the local quadrature
 kernels): incomplete gamma and beta, the generalized Marcum-Q, the Kummer and
 Gauss hypergeometric series, and the Tricomi U function evaluated
 through its real integral representation.  All routines are pure and
-deterministic; accuracy targets are stated per function.  The Poisson terms
+deterministic; accuracy targets are stated per function.  The series and
+quadratures share one fixed contract: 1e-12 relative (``_REL_TOL``), at most
+10,000 series terms (``_MAX_TERMS``), and ConvergenceError where that cannot
+be met, never a silently truncated value.  The Poisson terms
 y^z e^(-y) / Gamma(z+1) that the Marcum-Q, the detection series and the
 kappa-mu distribution function sum come from one kernel, ``_poisson_terms``.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -21,8 +24,6 @@ from ._quad import adaptive_gk, tanhsinh_01
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "AccuracyPolicy",
-    "DEFAULT_POLICY",
     "ln_gamma",
     "lower_inc_gamma",
     "upper_inc_gamma",
@@ -39,28 +40,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Convergence budget for the series and quadrature routines.
-
-    rel_tol: target relative tolerance for truncated series (also used as the
-        absolute tolerance for probability-valued results, which live in
-        [0, 1]).
-    max_terms: hard cap on series terms before giving up.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-3):
-            raise DomainError(f"rel_tol must be in (0, 1e-3), got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise DomainError(f"max_terms must be >= 100, got {self.max_terms}")
-
-
-DEFAULT_POLICY = AccuracyPolicy()
-
+# Relative tolerance of the series and quadratures (also the absolute one of
+# the probability-valued results, which lie in [0, 1]), and the most terms a
+# series may take before it raises ConvergenceError.
+_REL_TOL = 1e-12
+_MAX_TERMS = 10_000
 _MAX_INNER_ITER = 20000
 
 
@@ -288,7 +272,7 @@ def _poisson_tail_index(lam: float, ln_tol: float) -> int:
                      + math.sqrt(ln_tol * ln_tol / 9.0 + 2.0 * ln_tol * lam))
 
 
-def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def marcum_q(u: int, a: float, b: float) -> float:
     """Generalized Marcum-Q Q_u(a, b) for integer order u >= 1.
 
     Evaluated as the Poisson mixture Q_u(a,b) = sum_k e^(-x) x^k / k! *
@@ -296,12 +280,12 @@ def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY
     P(u+k, y) for Q(u+k, y): one dot product over lo <= k < hi of Poisson
     weights and a run of incomplete gammas, both from ``_poisson_terms``.
     Each edge is the tightest at which a bound on the dropped mass is at most
-    3/8 of ``policy.rel_tol``, which bounds the absolute error with room for
+    3/8 of ``_REL_TOL``, which bounds the absolute error with room for
     rounding.  Where the factor is large the bound is a Poisson(x) tail
     (``_ln_poisson_tail``); where it is small, the factor is a Poisson(y)
     tail monotone in k, Q(u+k, y) = P[Poisson(y) <= u+k-1] or P(u+k, y) =
     P[Poisson(y) >= u+k], and the bound is the product of the two tails.
-    A window longer than ``policy.max_terms`` raises ConvergenceError; at
+    A window longer than ``_MAX_TERMS`` raises ConvergenceError; at
     b ~ a that happens from noncentrality a^2 of about 1.4e6 on.
     """
     if u < 1 or int(u) != u:
@@ -313,7 +297,7 @@ def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY
         return 1.0
     if x == 0.0:
         return reg_upper_gamma(u, y)
-    ln_target = math.log(0.375 * policy.rel_tol)
+    ln_target = math.log(0.375 * _REL_TOL)
     direct = y >= x
 
     def dropped_below(k):  # ln bound on the terms before k
@@ -329,9 +313,9 @@ def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY
     hi = bisect.bisect_left(range(end), -ln_target, key=lambda k: -dropped_from(k))
     lo = bisect.bisect_right(range(hi + 1), ln_target, key=dropped_below) - 1
     n = hi - lo
-    if n > policy.max_terms:
+    if n > _MAX_TERMS:
         raise ConvergenceError(
-            f"marcum_q needs {n} terms, more than max_terms={policy.max_terms}, "
+            f"marcum_q needs {n} terms, more than {_MAX_TERMS}, "
             f"at u={u}, a={a}, b={b}")
     if n == 0:
         return 0.0 if direct else 1.0
@@ -346,13 +330,24 @@ def marcum_q(u: int, a: float, b: float, policy: AccuracyPolicy = DEFAULT_POLICY
     return min(1.0, max(0.0, 1.0 - float(weights @ factor)))
 
 
-def _series_phq(num: tuple, den: tuple, z: float, policy: AccuracyPolicy,
-                what: str) -> float:
-    """Generalized hypergeometric power series with a three-small-terms stop."""
+_SCALE_BITS = 600
+_SCALE_LIMIT = 2.0 ** _SCALE_BITS
+
+
+def _series_phq(num: tuple, den: tuple, z: float, what: str,
+                ln_front: float = 0.0) -> float:
+    """e^ln_front times a generalized hypergeometric power series, with a
+    three-small-terms stop.
+
+    The term and the sum are scaled by 2^-_SCALE_BITS (exactly) whenever
+    the term passes 2^_SCALE_BITS, so neither overflows.  The sum meets the
+    front factor in log space only where e^ln_front underflows; a result
+    beyond the float range raises ConvergenceError.
+    """
     term = 1.0
     total = 1.0
-    small = 0
-    for l in range(policy.max_terms):
+    scale = small = 0
+    for l in range(_MAX_TERMS):
         ratio = z / (l + 1.0)
         for p in num:
             ratio *= p + l
@@ -360,29 +355,43 @@ def _series_phq(num: tuple, den: tuple, z: float, policy: AccuracyPolicy,
             ratio /= q + l
         term *= ratio
         total += term
-        if abs(term) <= policy.rel_tol * abs(total):
+        if abs(term) > _SCALE_LIMIT:
+            term = math.ldexp(term, -_SCALE_BITS)
+            total = math.ldexp(total, -_SCALE_BITS)
+            scale += _SCALE_BITS
+        if abs(term) <= _REL_TOL * abs(total):
             small += 1
             if small == 3:
-                return total
+                break
         else:
             small = 0
-    raise ConvergenceError(f"{what} series exceeded {policy.max_terms} terms")
+    else:
+        raise ConvergenceError(f"{what} series exceeded {_MAX_TERMS} terms")
+    front = math.exp(ln_front)
+    try:
+        if front >= sys.float_info.min:
+            return math.ldexp(front * total, scale)
+        return math.copysign(
+            math.exp(ln_front + math.log(abs(total)) + scale * math.log(2.0)), total)
+    except OverflowError:
+        raise ConvergenceError(f"{what} exceeds the float range at z={z}") from None
 
 
-def kummer_1f1(a: float, b: float, z: float, policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def kummer_1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric 1F1(a; b; z).
 
     Direct power series for z >= 0; for z < 0 the Kummer transformation
     1F1(a;b;z) = e^z 1F1(b-a; b; -z) avoids the alternating-series
-    cancellation.
+    cancellation.  A value beyond the float range, or a series longer than
+    10,000 terms (from |z| of about 9,400 on), raises ConvergenceError.
     """
     if b <= 0.0 and b == round(b):
         raise DomainError(f"kummer_1f1 undefined for nonpositive integer b={b}")
     if z == 0.0:
         return 1.0
     if z < 0.0:
-        return math.exp(z) * _series_phq((b - a,), (b,), -z, policy, "kummer_1f1")
-    return _series_phq((a,), (b,), z, policy, "kummer_1f1")
+        return _series_phq((b - a,), (b,), -z, "kummer_1f1", ln_front=z)
+    return _series_phq((a,), (b,), z, "kummer_1f1")
 
 
 def _gamma_sign_ln(x: float):
@@ -404,7 +413,7 @@ def _gamma_sign_ln(x: float):
 _MAX_CANCELLATION = 1e4
 
 
-def _euler_2f1(a: float, b: float, c: float, z: float, policy: AccuracyPolicy) -> float:
+def _euler_2f1(a: float, b: float, c: float, z: float) -> float:
     """Euler integral for 2F1 when c > b > 0; handles 0.5 < z < 1 robustly."""
     bm1 = b - 1.0
     cbm1 = c - b - 1.0
@@ -412,12 +421,11 @@ def _euler_2f1(a: float, b: float, c: float, z: float, policy: AccuracyPolicy) -
     def integrand(t, omt, ln_t, ln_omt, w):
         return w * np.exp(bm1 * ln_t + cbm1 * ln_omt - a * np.log(omt + t * (1.0 - z)))
 
-    integral = tanhsinh_01(integrand, rel_tol=min(1e-13, policy.rel_tol))
+    integral = tanhsinh_01(integrand, rel_tol=1e-13)
     return math.exp(math.lgamma(c) - math.lgamma(b) - math.lgamma(c - b)) * integral
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1.
 
     Direct series for z in [0, 0.5]; for z in (0.5, 1) the z -> 1-z linear
@@ -435,10 +443,10 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
     if z < 0.0:
         w = z / (z - 1.0)
         if abs(a) <= abs(b):
-            return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w, policy)
-        return (1.0 - z) ** (-b) * gauss_2f1(c - a, b, c, w, policy)
+            return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w)
+        return (1.0 - z) ** (-b) * gauss_2f1(c - a, b, c, w)
     if z <= 0.5:
-        return _series_phq((a, b), (c,), z, policy, "gauss_2f1")
+        return _series_phq((a, b), (c,), z, "gauss_2f1")
 
     d = c - a - b
     if abs(d - round(d)) > 0.05:
@@ -456,7 +464,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
                 continue  # 1/Gamma(pole) kills the term
             sign = gc[0] * gn[0] * g1[0] * g2[0]
             ln = gc[1] + gn[1] - g1[1] - g2[1] + shift * math.log(w)
-            piece = sign * math.exp(ln) * _series_phq(num, den, w, policy, "gauss_2f1")
+            piece = sign * math.exp(ln) * _series_phq(num, den, w, "gauss_2f1")
             total += piece
             size += abs(piece)
         if size <= _MAX_CANCELLATION * abs(total):
@@ -464,12 +472,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
 
     for (p, q) in ((a, b), (b, a)):
         if q > 0.0 and c - q > 0.0:
-            return _euler_2f1(p, q, c, z, policy)
-    return _series_phq((a, b), (c,), z, policy, "gauss_2f1")
+            return _euler_2f1(p, q, c, z)
+    return _series_phq((a, b), (c,), z, "gauss_2f1")
 
 
-def ln_tricomi_u(a: float, b: float, z: float,
-                 policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def ln_tricomi_u(a: float, b: float, z: float) -> float:
     """ln U(a; b; z) for a > 0, z > 0 via the Laplace-type integral.
 
     U(a;b;z) = (1/Gamma(a)) * integral over t > 0 of e^(-zt) t^(a-1)
@@ -507,14 +514,13 @@ def ln_tricomi_u(a: float, b: float, z: float,
             raise ConvergenceError("tricomi_u integrand has no right decay")
 
     integral = adaptive_gk(lambda s: np.exp(h(s) - h_star), lo, hi,
-                           rel_tol=min(1e-12, policy.rel_tol))
+                           rel_tol=_REL_TOL)
     return h_star + math.log(integral) - math.lgamma(a)
 
 
-def tricomi_u(a: float, b: float, z: float,
-              policy: AccuracyPolicy = DEFAULT_POLICY) -> float:
+def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi confluent hypergeometric U(a; b; z), a > 0, z > 0.
 
     Relative error target 1e-10.
     """
-    return math.exp(ln_tricomi_u(a, b, z, policy))
+    return math.exp(ln_tricomi_u(a, b, z))

@@ -204,6 +204,17 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_pdf_points_below_one_exit_2(tmp_path, capsys, points):
+    # -1 used to end in a numpy traceback (exit 1), 0 in a table with no rows
+    code, out = _run(tmp_path, "pts.csv",
+                     ["pdf", "--channel", "kms", "--kappa", "2", "--mu", "3",
+                      "--m", "2", "--snr-db", "10", "--points", points])
+    assert code == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
     # --tol nan used to stop the detection series after one term and print

@@ -36,7 +36,7 @@ from edsense.detection import (
 )
 from edsense.errors import ConvergenceError, DomainError
 from edsense.oracle import average_over_channel
-from edsense.specfun import AccuracyPolicy, ln_beta, ln_tricomi_u, reg_lower_gamma
+from edsense.specfun import ln_beta, ln_tricomi_u, reg_lower_gamma
 
 LAM_PF10_U2 = 7.7794403397348581  # threshold for pf = 0.1 at u = 2 (root-solve)
 
@@ -196,7 +196,7 @@ def test_avg_pd_f_reference_value():
     value, report = avg_pd_f(p, cfg, tol=1e-8)
     # CROC operating point at u=2, mean SNR 0 dB [reference quadrature]
     assert abs(value - 0.325302891783316) <= 1e-8 + 1e-10
-    assert report.converged and report.error_bound <= 1e-8
+    assert report.error_bound <= 1e-8
     assert isinstance(report, TruncationReport)
 
 
@@ -215,20 +215,17 @@ def test_avg_pd_f_truncation_consistency():
 
 
 def test_avg_pd_f_unreachable_tolerance_raises():
-    # lam = 600 needs over 400 terms before the certified tail bound reaches
-    # tol; under a 100-term cap the failure must be reported, not silently
-    # truncated
+    # lam = 25000 needs over 10,000 terms before the certified tail bound
+    # reaches tol; the failure must be reported, not silently truncated
     p = FisherFParams(m=2.0, m_s=1.2, mean_snr=10.0)
     with pytest.raises(ConvergenceError):
-        avg_pd_f(p, DetectorConfig(u=2, lam=600.0), tol=1e-8,
-                 policy=AccuracyPolicy(max_terms=100))
+        avg_pd_f(p, DetectorConfig(u=2, lam=25000.0), tol=1e-8)
 
 
 def test_avg_pd_kms_unreachable_tolerance_raises():
     p = KappaMuShadowedParams(2.0, 3, 2, 10.0)
     with pytest.raises(ConvergenceError):
-        avg_pd_kms(p, DetectorConfig(u=2, lam=600.0),
-                   AccuracyPolicy(max_terms=100))
+        avg_pd_kms(p, DetectorConfig(u=2, lam=25000.0))
 
 
 def _series_tail(p, cfg, start, count):
@@ -538,8 +535,7 @@ CROC_CHANNELS = [KappaMuShadowedParams(2.0, 3, 2, 10.0), FisherFParams(2.0, 3.0,
 def _croc_uncached(channel, u, grid, tol):
     """P_md of a CROC curve from the detector-side steps called directly."""
     lams = detection._thresholds(u, np.array(grid))
-    n = detection._terms_needed(u, float(lams.max()) / 2.0, tol,
-                                AccuracyPolicy().max_terms)
+    n = detection._terms_needed(u, float(lams.max()) / 2.0, tol)
     pmds, _ = detection._pmd_from_pmf(detection._poisson_pmf(channel, n, 1.0),
                                       detection._gamma_matrix(u, lams / 2.0, n))
     return pmds.tolist()
@@ -566,9 +562,8 @@ def test_croc_operator_keys_are_distinct():
     curves = [croc_curve(p, u, g, tol=t) for u, g, t in cases]
     info = detection._croc_operator.cache_info()
     assert (info.misses, info.hits, info.currsize) == (4, 0, 4)
-    max_terms = AccuracyPolicy().max_terms
     (n0, g0), (n1, _), (_, g2), (_, g3) = [
-        detection._croc_operator(u, tuple(g), t, max_terms) for u, g, t in cases]
+        detection._croc_operator(u, tuple(g), t) for u, g, t in cases]
     assert n1 > n0
     for other in (g2, g3):
         assert other.shape != g0.shape or not np.array_equal(other, g0)
@@ -587,7 +582,7 @@ def test_croc_operator_list_and_array_share_an_entry():
 
 
 def test_croc_operator_is_read_only_and_bounded():
-    _, gammas = detection._croc_operator(2, (0.1, 0.5), 1e-8, AccuracyPolicy().max_terms)
+    _, gammas = detection._croc_operator(2, (0.1, 0.5), 1e-8)
     assert not gammas.flags.writeable
     with pytest.raises(ValueError):
         gammas[0, 0] = 0.0
@@ -601,8 +596,6 @@ def test_croc_operator_keeps_no_failure():
     # a key whose build raises raises again on the next call: nothing is kept
     p = CROC_CHANNELS[0]
     for _ in range(2):
-        with pytest.raises(ConvergenceError):
-            croc_curve(p, 2, [1e-200], policy=AccuracyPolicy(max_terms=100))
         with pytest.raises(ConvergenceError):
             croc_curve(p, 6000, [1e-3, 0.5])
     assert detection._croc_operator.cache_info().currsize == 0

@@ -20,7 +20,6 @@ from scipy import special, stats
 from edsense.detection import DetectorConfig, prob_detect_instant
 from edsense.errors import ConvergenceError, DomainError
 from edsense.specfun import (
-    AccuracyPolicy,
     beta,
     gauss_2f1,
     kummer_1f1,
@@ -33,16 +32,6 @@ from edsense.specfun import (
     tricomi_u,
     upper_inc_gamma,
 )
-
-
-def test_policy_validation():
-    AccuracyPolicy()
-    with pytest.raises(DomainError):
-        AccuracyPolicy(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        AccuracyPolicy(rel_tol=1e-2)
-    with pytest.raises(DomainError):
-        AccuracyPolicy(max_terms=10)
 
 
 @pytest.mark.parametrize("x,expected", [
@@ -220,6 +209,17 @@ def test_kummer_1f1():
         kummer_1f1(1.0, -3.0, 1.0)
 
 
+@pytest.mark.parametrize("a,b,z,expected", [
+    (2.5, 2.0, -800.0, -1.565713346756869e-8),   # [reference mpmath hyp1f1]
+    (0.5, 1.5, -750.0, 0.03236043187592832),     # [reference mpmath hyp1f1]
+])
+def test_kummer_1f1_where_exp_z_underflows(a, b, z, expected):
+    # e^z underflows and 1F1(b-a; b; -z) overflows a float, once nan; the
+    # series stops at terms below 1e-12 of the sum, and with term ratios
+    # near 0.8 there its dropped tail is about 2e-12 of the result
+    assert math.isclose(kummer_1f1(a, b, z), expected, rel_tol=3e-12)
+
+
 def test_kummer_transformation_consistency():
     # direct series vs e^z * 1F1(b-a; b; -z) across the stated range
     for z in np.linspace(-20.0, 20.0, 11):
@@ -304,5 +304,9 @@ def test_determinism():
 
 
 def test_series_convergence_error():
-    with pytest.raises(ConvergenceError):
-        kummer_1f1(3.0, 2.0, 900.0, AccuracyPolicy(rel_tol=1e-12, max_terms=100))
+    # 1F1(3; 2; 900) = 3.3052952142606472e+393 [reference mpmath hyp1f1], once inf
+    with pytest.raises(ConvergenceError, match="float range"):
+        kummer_1f1(3.0, 2.0, 900.0)
+    # a finite value whose series needs more than 10,000 terms
+    with pytest.raises(ConvergenceError, match="10000 terms"):
+        kummer_1f1(0.5, 1.5, -2e4)
