@@ -210,28 +210,21 @@ def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np
     return first + rng.gamma(p.m, 1.0 / p.theta2, size=n)
 
 
-def f_pdf(p: FisherFParams, gamma) -> float | np.ndarray:
-    """Fisher-Snedecor SNR density; accepts a scalar or an array.
+def f_pdf(p: FisherFParams, gamma: float) -> float:
+    """Fisher-Snedecor SNR density at finite ``gamma`` >= 0.
 
     gamma = 0 is only in the domain for m >= 1 (the density has an
     integrable singularity at the origin when m < 1).
     """
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0.0):
-        raise DomainError("gamma must be >= 0")
-    if np.any(g == 0.0) and p.m < 1.0:
-        raise DomainError("density is singular at gamma = 0 for m < 1")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     ln_norm = p.m * math.log(p.omega) - ln_beta(p.m, p.m_s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln = ln_norm + (p.m - 1.0) * np.log(g) - (p.m + p.m_s) * np.log1p(p.omega * g)
-    out = np.exp(ln)
-    if g.ndim == 0:
-        val = float(out)
-        if g == 0.0:
-            val = math.exp(ln_norm) if p.m == 1.0 else 0.0
-        return val
-    out[g == 0.0] = math.exp(ln_norm) if p.m == 1.0 else 0.0
-    return out
+    if gamma == 0.0:
+        if p.m < 1.0:
+            raise DomainError("density is singular at gamma = 0 for m < 1")
+        return math.exp(ln_norm) if p.m == 1.0 else 0.0
+    return math.exp(ln_norm + (p.m - 1.0) * math.log(gamma)
+                    - (p.m + p.m_s) * math.log1p(p.omega * gamma))
 
 
 def f_cdf(p: FisherFParams, gamma: float) -> float:

@@ -336,30 +336,30 @@ _SCALE_LIMIT = 2.0 ** _SCALE_BITS
 
 def _series_phq(num: tuple, den: tuple, z: float, what: str,
                 ln_front: float = 0.0) -> float:
-    """e^ln_front times a generalized hypergeometric power series, with a
-    three-small-terms stop.
+    """e^ln_front times the power series 1F1(num; den; z) (one numerator
+    parameter) or 2F1(num; den; z) (two), with a three-small-terms stop.
 
     The term and the sum are scaled by 2^-_SCALE_BITS (exactly) whenever
     the term passes 2^_SCALE_BITS, so neither overflows.  The sum meets the
     front factor in log space only where e^ln_front underflows; a result
     beyond the float range raises ConvergenceError.
     """
-    term = 1.0
-    total = 1.0
+    p0, p1 = num if len(num) == 2 else (num[0], None)
+    (q0,) = den
+    term = total = 1.0
     scale = small = 0
     for l in range(_MAX_TERMS):
-        ratio = z / (l + 1.0)
-        for p in num:
-            ratio *= p + l
-        for q in den:
-            ratio /= q + l
-        term *= ratio
+        if p1 is None:
+            term *= z / (l + 1.0) * (p0 + l) / (q0 + l)
+        else:
+            term *= z / (l + 1.0) * (p0 + l) * (p1 + l) / (q0 + l)
         total += term
-        if abs(term) > _SCALE_LIMIT:
+        if term > _SCALE_LIMIT or term < -_SCALE_LIMIT:
             term = math.ldexp(term, -_SCALE_BITS)
             total = math.ldexp(total, -_SCALE_BITS)
             scale += _SCALE_BITS
-        if abs(term) <= _REL_TOL * abs(total):
+        bound = _REL_TOL * total
+        if -bound <= term <= bound or bound <= term <= -bound:
             small += 1
             if small == 3:
                 break
