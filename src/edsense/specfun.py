@@ -334,11 +334,30 @@ _SCALE_BITS = 600
 _SCALE_LIMIT = 2.0 ** _SCALE_BITS
 
 
+def _ratio_bound(p0: float, p1, q0: float, z: float, n: int) -> float:
+    """A bound on |t_(j+1) / t_j| for every j >= n in ``_series_phq``'s
+    series: |z| times a bound on each factor of the ratio.  The ratio is
+    z (j+p0)/(j+q0) / (j+1) for 1F1 and z (j+p0)/(j+1) (j+p1)/(j+q0) for
+    2F1.  1/(j+1) is at most its value at n; each (j+p)/(j+q) is monotone
+    in j beyond its pole and tends to 1, so it is at most the larger of 1
+    and its value at n.  inf while the pole j = -q0 lies ahead.
+    """
+    if n + q0 <= 0.0:
+        return math.inf
+    if p1 is None:
+        return abs(z) * max(abs((n + p0) / (n + q0)), 1.0) / (n + 1.0)
+    return abs(z) * max(abs((n + p0) / (n + 1.0)), 1.0) * max(abs((n + p1) / (n + q0)), 1.0)
+
+
 def _series_phq(num: tuple, den: tuple, z: float, what: str,
                 ln_front: float = 0.0) -> float:
     """e^ln_front times the power series 1F1(num; den; z) (one numerator
-    parameter) or 2F1(num; den; z) (two), with a three-small-terms stop.
+    parameter) or 2F1(num; den; z) (two).
 
+    The sum stops once three successive terms are at most _REL_TOL of it and
+    a geometric bound certifies the dropped tail: |t| R / (1 - R) at most
+    _REL_TOL of the sum, R from ``_ratio_bound``, or t = 0, after which every
+    term is 0.  Where R <= 1/2 the three small terms already imply it.
     The term and the sum are scaled by 2^-_SCALE_BITS (exactly) whenever
     the term passes 2^_SCALE_BITS, so neither overflows.  The sum meets the
     front factor in log space only where e^ln_front underflows; a result
@@ -361,8 +380,12 @@ def _series_phq(num: tuple, den: tuple, z: float, what: str,
         bound = _REL_TOL * total
         if -bound <= term <= bound or bound <= term <= -bound:
             small += 1
-            if small == 3:
-                break
+            if small >= 3:
+                if term == 0.0:
+                    break
+                r = _ratio_bound(p0, p1, q0, z, l + 1)
+                if r < 1.0 and abs(term) * r <= abs(bound) * (1.0 - r):
+                    break
         else:
             small = 0
     else:

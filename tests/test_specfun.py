@@ -215,9 +215,17 @@ def test_kummer_1f1():
 ])
 def test_kummer_1f1_where_exp_z_underflows(a, b, z, expected):
     # e^z underflows and 1F1(b-a; b; -z) overflows a float, once nan; the
-    # series stops at terms below 1e-12 of the sum, and with term ratios
-    # near 0.8 there its dropped tail is about 2e-12 of the result
-    assert math.isclose(kummer_1f1(a, b, z), expected, rel_tol=3e-12)
+    # term ratios are near 0.8 where the terms fall below 1e-12 of the sum,
+    # and the geometric tail bound keeps the dropped tail below 1e-12 of it
+    # (the three-small-terms stop alone left about 2e-12)
+    assert math.isclose(kummer_1f1(a, b, z), expected, rel_tol=1e-12)
+
+
+def test_kummer_1f1_tail_bound_where_term_ratios_near_one():
+    # 1F1(1; 1; z) = e^z; at z = 700 the ratios z/(j+1) are about 0.78 where
+    # the terms fall below 1e-12 of the sum, and the three-small-terms stop
+    # alone was 1.87e-12 off
+    assert math.isclose(kummer_1f1(1.0, 1.0, 700.0), math.exp(700.0), rel_tol=1e-12)
 
 
 def test_kummer_transformation_consistency():
