@@ -229,8 +229,8 @@ def f_pdf(p: FisherFParams, gamma: float) -> float:
 
 def f_cdf(p: FisherFParams, gamma: float) -> float:
     """Fisher-Snedecor SNR distribution function (regularized incomplete beta)."""
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if gamma == 0.0:
         return 0.0
     x = p.omega * gamma / (1.0 + p.omega * gamma)

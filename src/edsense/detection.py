@@ -39,9 +39,9 @@ false-alarm tails of integer order u as Poisson sums along the rows of one
 matrix per round (``_tails``), and every P_md from one matrix of P(u+k,
 lam/2), one row per threshold (``_gamma_matrix``).  The thresholds, the
 term count and that matrix depend on the detector alone; ``_croc_operator``
-keeps them for the 16 most recent (u, grid, tol) keys, so a curve for
-another channel at the same detector costs one pmf and one matrix-vector
-product.
+keeps them for the 16 most recent (u, grid, tol) keys whose matrix is at
+most 1 MiB, so a curve for another channel at the same detector costs one
+pmf and one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -571,17 +571,29 @@ def avg_auc_f(p: FisherFParams, cfg: DetectorConfig) -> float:
     return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
 
 
+# Largest matrix, in bytes, that _croc_operator keeps (a 50-point grid's is
+# at most 71 KB, a 20,000-point grid's 17-25 MB).
+_CROC_KEEP_BYTES = 1 << 20
+
+
+class _NotKept(Exception):
+    """Carries (n, matrix) past _CROC_KEEP_BYTES out of the cache, which keeps no exception."""
+
+
 @functools.lru_cache(maxsize=16)
 def _croc_operator(u: int, grid: tuple[float, ...], tol: float) -> tuple[int, np.ndarray]:
     """The detector side of a CROC curve, which no channel enters: the term
     count n that the grid's largest threshold needs for a tail bound below
     tol, and the ``_gamma_matrix`` of P(u+k, lam/2) at every threshold
     (read-only).  Kept for the 16 most recent keys; an exception is not
-    kept, so a key that failed fails again."""
+    kept, so a key that failed fails again, and a larger matrix comes in
+    ``_NotKept``."""
     lams = _thresholds(u, np.array(grid))
     n = _terms_needed(u, float(lams.max()) / 2.0, tol)
     gammas = _gamma_matrix(u, lams / 2.0, n)
     gammas.flags.writeable = False
+    if gammas.nbytes > _CROC_KEEP_BYTES:
+        raise _NotKept(n, gammas)
     return n, gammas
 
 
@@ -597,8 +609,9 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     number n of terms that the largest threshold needs for a tail bound
     below ``tol``, and one read-only matrix of P(u+k, lam/2), one row per
     threshold (``_gamma_matrix``).  It is built once per key and kept for
-    the 16 most recent keys (``_croc_operator``), so curves for many
-    channels at one detector share it.  The channel side runs on every
+    the 16 most recent keys whose matrix is at most 1 MiB
+    (``_croc_operator``), so curves for many channels at one detector share
+    it.  The channel side runs on every
     call: the channel's pmf with n terms, and one matrix-vector product
     (``_pmd_from_pmf``).  Every point shares those terms, so its error is at
     most ``tol``.  Each returned point carries (pf, pd, pmd).
@@ -613,7 +626,10 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     if cfg_u < 1 or int(cfg_u) != cfg_u:
         raise DomainError(f"u must be a positive integer, got {cfg_u}")
     _check_tol(tol)
-    n, gammas = _croc_operator(int(cfg_u), grid, float(tol))
+    try:
+        n, gammas = _croc_operator(int(cfg_u), grid, float(tol))
+    except _NotKept as big:
+        n, gammas = big.args
     pmds, _ = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0), gammas)
     return [RocPoint(pf=pf, pd=1.0 - pmd, pmd=pmd)
             for pf, pmd in zip(grid, pmds.tolist())]

@@ -334,40 +334,25 @@ _SCALE_BITS = 600
 _SCALE_LIMIT = 2.0 ** _SCALE_BITS
 
 
-def _ratio_bound(p0: float, p1, q0: float, z: float, n: int) -> float:
-    """A bound on |t_(j+1) / t_j| for every j >= n in ``_series_phq``'s
-    series: |z| times a bound on each factor of the ratio.  The ratio is
-    z (j+p0)/(j+q0) / (j+1) for 1F1 and z (j+p0)/(j+1) (j+p1)/(j+q0) for
-    2F1.  1/(j+1) is at most its value at n; each (j+p)/(j+q) is monotone
-    in j beyond its pole and tends to 1, so it is at most the larger of 1
-    and its value at n.  inf while the pole j = -q0 lies ahead.
-    """
-    if n + q0 <= 0.0:
-        return math.inf
-    if p1 is None:
-        return abs(z) * max(abs((n + p0) / (n + q0)), 1.0) / (n + 1.0)
-    return abs(z) * max(abs((n + p0) / (n + 1.0)), 1.0) * max(abs((n + p1) / (n + q0)), 1.0)
-
-
-def _series_phq(num: tuple, den: tuple, z: float, what: str,
+def _series_phq(p0: float, p1, q0: float, z: float, what: str,
                 ln_front: float = 0.0) -> float:
-    """e^ln_front times the power series 1F1(num; den; z) (one numerator
-    parameter) or 2F1(num; den; z) (two).
+    """e^ln_front times the power series 1F1(p0; q0; z) (p1 None) or
+    2F1(p0, p1; q0; z).
 
-    The sum stops once three successive terms are at most _REL_TOL of it and
-    a geometric bound certifies the dropped tail: |t| R / (1 - R) at most
-    _REL_TOL of the sum, R from ``_ratio_bound``, or t = 0, after which every
-    term is 0.  Where R <= 1/2 the three small terms already imply it.
-    The term and the sum are scaled by 2^-_SCALE_BITS (exactly) whenever
-    the term passes 2^_SCALE_BITS, so neither overflows.  The sum meets the
-    front factor in log space only where e^ln_front underflows; a result
-    beyond the float range raises ConvergenceError.
+    The sum stops once three successive terms t are at most _REL_TOL of it
+    and |t| R / (1 - R) also is, which bounds the dropped tail, or at t = 0,
+    after which every term is 0.  R bounds every later term ratio: |z| times
+    a bound on each factor, 1/(j+1) by its value at the next index n and
+    each (j+p)/(j+q), monotone in j beyond its pole with limit 1, by the
+    larger of 1 and its value at n.  Where R <= 1/2 the three small terms
+    imply the bound.  The term and the sum are scaled by 2^-_SCALE_BITS
+    (exactly) whenever the term passes 2^_SCALE_BITS, so neither overflows.
+    The sum meets the front factor in log space only where e^ln_front
+    underflows; a result beyond the float range raises ConvergenceError.
     """
-    p0, p1 = num if len(num) == 2 else (num[0], None)
-    (q0,) = den
     term = total = 1.0
     scale = small = 0
-    for l in range(_MAX_TERMS):
+    for l in map(float, range(_MAX_TERMS)):  # float + float is the fast addition
         if p1 is None:
             term *= z / (l + 1.0) * (p0 + l) / (q0 + l)
         else:
@@ -380,12 +365,16 @@ def _series_phq(num: tuple, den: tuple, z: float, what: str,
         bound = _REL_TOL * total
         if -bound <= term <= bound or bound <= term <= -bound:
             small += 1
-            if small >= 3:
-                if term == 0.0:
-                    break
-                r = _ratio_bound(p0, p1, q0, z, l + 1)
-                if r < 1.0 and abs(term) * r <= abs(bound) * (1.0 - r):
-                    break
+            n = l + 1.0  # the next index
+            if small < 3 or n + q0 <= 0.0:  # too few, or the ratio's pole j = -q0 ahead
+                continue
+            if p1 is None:  # the ratio is z (j+p0)/(j+q0) / (j+1)
+                r = abs(z) * max(abs((n + p0) / (n + q0)), 1.0) / (n + 1.0)
+            else:  # z (j+p0)/(j+1) (j+p1)/(j+q0)
+                r = (abs(z) * max(abs((n + p0) / (n + 1.0)), 1.0)
+                     * max(abs((n + p1) / (n + q0)), 1.0))
+            if term == 0.0 or r < 1.0 and abs(term) * r <= abs(bound) * (1.0 - r):
+                break
         else:
             small = 0
     else:
@@ -406,15 +395,18 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     Direct power series for z >= 0; for z < 0 the Kummer transformation
     1F1(a;b;z) = e^z 1F1(b-a; b; -z) avoids the alternating-series
     cancellation.  A value beyond the float range, or a series longer than
-    10,000 terms (from |z| of about 9,400 on), raises ConvergenceError.
+    10,000 terms (from |z| of about 9,400 on), raises ConvergenceError; a
+    non-finite argument raises DomainError.
     """
+    if not all(map(math.isfinite, (a, b, z))):
+        raise DomainError(f"kummer_1f1 requires finite arguments, got a={a}, b={b}, z={z}")
     if b <= 0.0 and b == round(b):
         raise DomainError(f"kummer_1f1 undefined for nonpositive integer b={b}")
     if z == 0.0:
         return 1.0
     if z < 0.0:
-        return _series_phq((b - a,), (b,), -z, "kummer_1f1", ln_front=z)
-    return _series_phq((a,), (b,), z, "kummer_1f1")
+        return _series_phq(b - a, None, b, -z, "kummer_1f1", ln_front=z)
+    return _series_phq(a, None, b, z, "kummer_1f1")
 
 
 def _gamma_sign_ln(x: float):
@@ -455,8 +447,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     transformation, unless its parameters are near the integer degeneracy or
     its two terms cancel, in which case the Euler integral (or, where that
     does not apply, the direct series); the Pfaff transformation maps z < 0
-    into [0, 1).
+    into [0, 1).  A non-finite argument raises DomainError.
     """
+    if not all(map(math.isfinite, (a, b, c, z))):
+        raise DomainError(
+            f"gauss_2f1 requires finite arguments, got a={a}, b={b}, c={c}, z={z}")
     if c <= 0.0 and c == round(c):
         raise DomainError(f"gauss_2f1 undefined for nonpositive integer c={c}")
     if z >= 1.0:
@@ -469,25 +464,21 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
             return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w)
         return (1.0 - z) ** (-b) * gauss_2f1(c - a, b, c, w)
     if z <= 0.5:
-        return _series_phq((a, b), (c,), z, "gauss_2f1")
+        return _series_phq(a, b, c, z, "gauss_2f1")
 
     d = c - a - b
     if abs(d - round(d)) > 0.05:
         w = 1.0 - z
         total = size = 0.0
         gc = _gamma_sign_ln(c)
-        for (num, den, coef_args, shift) in (
-            ((a, b), (1.0 - d,), (d, c - a, c - b), 0.0),
-            ((c - a, c - b), (1.0 + d,), (-d, a, b), d),
-        ):
-            gn = _gamma_sign_ln(coef_args[0])
-            g1 = _gamma_sign_ln(coef_args[1])
-            g2 = _gamma_sign_ln(coef_args[2])
+        for (p0, p1, q0, coef_args, shift) in ((a, b, 1.0 - d, (d, c - a, c - b), 0.0),
+                                               (c - a, c - b, 1.0 + d, (-d, a, b), d)):
+            gn, g1, g2 = map(_gamma_sign_ln, coef_args)
             if g1 is None or g2 is None:
                 continue  # 1/Gamma(pole) kills the term
             sign = gc[0] * gn[0] * g1[0] * g2[0]
             ln = gc[1] + gn[1] - g1[1] - g2[1] + shift * math.log(w)
-            piece = sign * math.exp(ln) * _series_phq(num, den, w, "gauss_2f1")
+            piece = sign * math.exp(ln) * _series_phq(p0, p1, q0, w, "gauss_2f1")
             total += piece
             size += abs(piece)
         if size <= _MAX_CANCELLATION * abs(total):
@@ -496,7 +487,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     for (p, q) in ((a, b), (b, a)):
         if q > 0.0 and c - q > 0.0:
             return _euler_2f1(p, q, c, z)
-    return _series_phq((a, b), (c,), z, "gauss_2f1")
+    return _series_phq(a, b, c, z, "gauss_2f1")
 
 
 def ln_tricomi_u(a: float, b: float, z: float) -> float:

@@ -217,6 +217,61 @@ def test_f_pdf_normalizes():
         assert math.isclose(total, 1.0, abs_tol=1e-9)
 
 
+def test_f_pdf_matches_scipy_over_the_parameter_box():
+    # the SNR is mean_snr times an F(2m, 2m_s) variate; over m, m_s in
+    # [0.3, 20] and gamma from 1e-6 to 1e6 times mean_snr.  Both are
+    # log-space evaluations; where |ln f| is in the hundreds (m or m_s near
+    # 20, far tails) scipy's value is itself up to 7.5e-14 off mpmath and
+    # the two differ by up to 1.5e-13, so 1e-13 is checked against frozen
+    # mpmath values (next test) and scipy against 2e-13
+    x = np.geomspace(1e-6, 1e6, 49)
+    for m in np.geomspace(0.3, 20.0, 9):
+        for ms in np.geomspace(0.3, 20.0, 9):
+            for mean in (0.01, 1.0, 100.0):
+                p = FisherFParams(float(m), float(ms), mean)
+                want = stats.f.pdf(x, 2.0 * m, 2.0 * ms) / mean
+                got = [f_pdf(p, float(g)) for g in x * mean]
+                np.testing.assert_allclose(got, want, rtol=2e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("m,ms,mean,g,want", [
+    # [reference mpmath 40 digits] of w^m g^(m-1) (1+w g)^-(m+m_s) / B(m, m_s)
+    (20.0, 20.0, 100.0, 1e8, 1.3784101507187977e-116),
+    (20.0, 0.9, 10.0, 1e7, 3.3808071779821394e-13),
+    (20.0, 20.0, 100.0, 1e-4, 1.378410150718799e-104),
+    (0.3, 0.3, 1.0, 1e-6, 2637.2570479188382),
+    (0.3, 20.0, 1.0, 1e6, 2.4530682182211204e-90),
+    (7.0, 20.0, 100.0, 5.6e7, 1.1744178105852134e-107),
+])
+def test_f_pdf_corners_of_the_parameter_box(m, ms, mean, g, want):
+    assert math.isclose(f_pdf(FisherFParams(m, ms, mean), g), want, rel_tol=1e-13)
+
+
+def test_f_pdf_at_zero():
+    # m = 1: omega / B(1, m_s) = omega m_s; m > 1: 0; m < 1: singular
+    p = FisherFParams(m=1.0, m_s=2.5, mean_snr=4.0)
+    assert math.isclose(f_pdf(p, 0.0), p.omega * 2.5, rel_tol=1e-13)
+    assert f_pdf(FisherFParams(m=1.5, m_s=2.5, mean_snr=4.0), 0.0) == 0.0
+    with pytest.raises(DomainError, match="singular"):
+        f_pdf(FisherFParams(m=0.8, m_s=2.5, mean_snr=4.0), 0.0)
+
+
+def test_f_pdf_rejects_non_finite_gamma():
+    # NaN and infinity used to come back as nan
+    p = FisherFParams(m=2.0, m_s=3.0, mean_snr=4.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="gamma"):
+            f_pdf(p, bad)
+
+
+def test_f_cdf_rejects_non_finite_gamma():
+    # NaN and infinity used to raise an error about reg_inc_beta's x
+    p = FisherFParams(m=2.0, m_s=3.0, mean_snr=4.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="gamma"):
+            f_cdf(p, bad)
+
+
 def test_f_cdf():
     p = FisherFParams(m=2.0, m_s=3.0, mean_snr=4.0)
     assert f_cdf(p, 0.0) == 0.0

@@ -592,6 +592,23 @@ def test_croc_operator_is_read_only_and_bounded():
     assert detection._croc_operator.cache_info().currsize == 16
 
 
+def test_croc_operator_keeps_no_large_matrix():
+    # a 2,000-point grid's matrix (2000 x 107 at u = 2, 1.7 MB) is past the
+    # byte limit: it is built on every call and never kept, and the curve
+    # still equals the uncached steps
+    p = CROC_CHANNELS[0]
+    grid = np.geomspace(1e-12, 0.999, 2000)
+    first = croc_curve(p, 2, grid)
+    second = croc_curve(p, 2, grid)
+    info = detection._croc_operator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+    assert first == second
+    assert [pt.pmd for pt in first] == _croc_uncached(p, 2, grid, 1e-8)
+    # a small key is still kept next to it
+    croc_curve(p, 2, grid[::100])
+    assert detection._croc_operator.cache_info().currsize == 1
+
+
 def test_croc_operator_keeps_no_failure():
     # a key whose build raises raises again on the next call: nothing is kept
     p = CROC_CHANNELS[0]

@@ -304,6 +304,25 @@ def test_tricomi_u_kummer_connection():
         found += 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gauss_2f1_rejects_non_finite_arguments(bad):
+    # a NaN z or parameter used to run the whole series or tanh-sinh budget
+    # and then raise ConvergenceError
+    for args in ((bad, 1.0, 2.0, 0.3), (1.0, bad, 2.0, 0.3),
+                 (1.0, 1.0, bad, 0.3), (1.0, 1.0, 2.0, bad)):
+        with pytest.raises(DomainError, match="finite"):
+            gauss_2f1(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kummer_1f1_rejects_non_finite_arguments(bad):
+    # a NaN parameter used to run 10,000 terms and raise ConvergenceError;
+    # z = inf returned inf
+    for args in ((bad, 1.5, 2.0), (1.0, bad, 2.0), (1.0, 1.5, bad)):
+        with pytest.raises(DomainError, match="finite"):
+            kummer_1f1(*args)
+
+
 def test_determinism():
     args = (2, 1.9, 2.7)
     assert marcum_q(*args) == marcum_q(*args)
