@@ -611,10 +611,10 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     threshold (``_gamma_matrix``).  It is built once per key and kept for
     the 16 most recent keys whose matrix is at most 1 MiB
     (``_croc_operator``), so curves for many channels at one detector share
-    it.  The channel side runs on every
-    call: the channel's pmf with n terms, and one matrix-vector product
-    (``_pmd_from_pmf``).  Every point shares those terms, so its error is at
-    most ``tol``.  Each returned point carries (pf, pd, pmd).
+    it.  The channel side runs on every call: the channel's pmf with n
+    terms, and one matrix-vector product (``_pmd_from_pmf``).  Every point
+    shares those terms, so its error is at most ``tol``.  Each returned
+    point carries (pf, pd, pmd).
     """
     grid = tuple(float(x) for x in pf_grid)
     if not grid:
