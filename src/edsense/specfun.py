@@ -168,8 +168,8 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for i in range(1, _MAX_INNER_ITER):
-        m2 = 2 * i
+    for i in map(float, range(1, _MAX_INNER_ITER)):  # float + float is the fast addition
+        m2 = 2.0 * i
         aa = i * (b - i) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
         if abs(d) < tiny:
