@@ -49,8 +49,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,22 +112,18 @@ class TruncationReport:
             raise DomainError("error_bound must be >= 0")
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    """One operating point: false-alarm probability, average detection
-    probability and average missed-detection probability.
+class RocPoint(NamedTuple):
+    """One operating point, a named tuple: false-alarm probability, average
+    detection probability and average missed-detection probability.
 
-    ``pmd`` is summed directly rather than taken as 1 - pd, so it keeps its
-    relative accuracy where it is small.
+    ``pmd`` is summed directly and ``pd`` is 1 - pmd, so pmd keeps its
+    relative accuracy where it is small.  ``croc_curve`` checks that every
+    pmd lies in [0, 1].
     """
 
     pf: float
     pd: float
     pmd: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.pf <= 1.0 and 0.0 <= self.pd <= 1.0 and 0.0 <= self.pmd <= 1.0):
-            raise DomainError(f"probabilities must lie in [0, 1], got {self}")
 
 
 def prob_false_alarm(cfg: DetectorConfig) -> float:
@@ -298,7 +296,11 @@ def _poisson_pmf(channel: KappaMuShadowedParams | FisherFParams, n: int,
 # The Fisher pmf's trapezoid range ends where every row's log-integrand lies
 # this far below its peak (e^-45 < 3e-20).
 _TRAP_DROP = 45.0
+# Trapezoid levels 0..2 form the first block, evaluated in one node matrix;
+# each deeper level is a block of its own.  Most pmfs settle at level 2 or 3,
+# and a block reaching past the settling level evaluates its nodes for nothing.
 _TRAP_MAX_LEVEL = 12
+_TRAP_LEVEL_BLOCKS = ((0, 1, 2),) + tuple((level,) for level in range(3, _TRAP_MAX_LEVEL + 1))
 # Largest (k, node) block evaluated at once.
 _TRAP_BLOCK = 1 << 15
 
@@ -323,7 +325,9 @@ def _fisher_log_weight(sigma: float, k: int, m: float, ms: float,
 
 def _fisher_peak(k: int, m: float, ms: float, ln_w: float) -> float:
     """Maximum of row k's log-integrand, by Newton steps kept inside the
-    bracket [ln(m_s / (1 + k w)), ln(m_s + m)] on which g' changes sign."""
+    bracket [ln(m_s / (1 + k w)), ln(m_s + m)] on which g' changes sign.
+    A Newton step below 1e-9 ends it before the bracket test, which a
+    converged step landing on the bracket's end would fail."""
     lo = math.log(ms) - math.log1p(k * math.exp(ln_w))
     hi = math.log(ms + m)
     sigma = hi
@@ -334,11 +338,9 @@ def _fisher_peak(k: int, m: float, ms: float, ln_w: float) -> float:
         else:
             hi = sigma
         nxt = sigma - slope / curve
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
         if abs(nxt - sigma) <= 1e-9:
             return nxt
-        sigma = nxt
+        sigma = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     raise ConvergenceError(f"Fisher pmf: no peak found for row {k}")
 
 
@@ -379,7 +381,9 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
     row 0 has on the right, and holds every row down to e^-_TRAP_DROP of its
     peak.  The first step is about twice the width of row n-1 at its peak;
     h is halved, reusing every node, until two levels agree to ``tol``
-    relative in every row.
+    relative in every row (T_l = T_(l-1)/2 + h_l c_l, c_l the sums over the
+    new nodes), or raises ConvergenceError after level 12.  Levels 0..2
+    come from one node matrix and each deeper level from one more.
     """
     ln_w, top = math.log(w), n - 1
     peak = _fisher_peak(top, m, ms, ln_w)
@@ -391,36 +395,37 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
     k = np.arange(n, dtype=float)
     shift = np.empty(n)
 
-    def row_sums(sigma: np.ndarray, first: bool) -> np.ndarray:
-        """Sum over the nodes sigma of exp(g_k - shift_k) for every row k, in
-        blocks of rows; the first level sets each shift to the row maximum."""
+    def level_sums(levels: tuple[int, ...]) -> np.ndarray:
+        """Sum over each level's new nodes of exp(g_k - shift_k), one column
+        per level and one row per k, in blocks of rows; the block holding
+        level 0 sets each shift to the row maximum over the level-0 nodes."""
+        nodes = [lo + h * np.arange(count + 1) if level == 0 else
+                 lo + h / 2 ** level * np.arange(1, 2 ** level * count, 2) for level in levels]
+        starts = np.cumsum([0] + [len(x) for x in nodes[:-1]])
+        sigma = np.concatenate(nodes)
         t = sigma + ln_w
         a = ms * sigma - np.exp(sigma) - m * np.logaddexp(0.0, -t)
         b = -np.logaddexp(0.0, t)
-        out = np.empty(n)
+        out = np.empty((n, len(levels)))
         rows = max(1, _TRAP_BLOCK // len(sigma))
         for r in range(0, n, rows):
             g = np.multiply.outer(k[r:r + rows], b)
             g += a
-            if first:
-                shift[r:r + rows] = g.max(axis=1)
+            if levels[0] == 0:
+                shift[r:r + rows] = g[:, :count + 1].max(axis=1)
             g -= shift[r:r + rows, None]
-            out[r:r + rows] = np.exp(g, out=g).sum(axis=1)
+            out[r:r + rows] = np.add.reduceat(np.exp(g, out=g), starts, axis=1)
         return out
 
-    total = h * row_sums(lo + h * np.arange(count + 1), True)
-    for _ in range(_TRAP_MAX_LEVEL):
-        h *= 0.5
-        prev, total = total, 0.5 * total + h * row_sums(
-            lo + h * np.arange(1, 2 * count, 2), False)
-        count *= 2
-        if np.all(np.abs(total - prev) <= tol * total):
-            break
-    else:
-        raise ConvergenceError(
-            f"Fisher pmf trapezoid sum did not settle by h = {h:g}")
-    ln_binom = np.concatenate(([0.0], np.cumsum(np.log((m + k[:-1]) / (k[:-1] + 1.0)))))
-    return np.exp(ln_binom - math.lgamma(ms) + shift + np.log(total))
+    total = 0.0
+    for levels in _TRAP_LEVEL_BLOCKS:
+        for level, sums in zip(levels, level_sums(levels).T):
+            prev, total = total, 0.5 * total + h / 2 ** level * sums
+            if level and np.all(np.abs(total - prev) <= tol * total):
+                ln_binom = np.concatenate(
+                    ([0.0], np.cumsum(np.log((m + k[:-1]) / (k[:-1] + 1.0)))))
+                return np.exp(ln_binom - math.lgamma(ms) + shift + np.log(total))
+    raise ConvergenceError(f"Fisher pmf trapezoid sum did not settle by h = {h / 2 ** level:g}")
 
 
 def _check_tol(tol: float) -> None:
@@ -614,14 +619,15 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     it.  The channel side runs on every call: the channel's pmf with n
     terms, and one matrix-vector product (``_pmd_from_pmf``).  Every point
     shares those terms, so its error is at most ``tol``.  Each returned
-    point carries (pf, pd, pmd).
+    point is a ``RocPoint`` named tuple (pf, pd, pmd); one check on the
+    whole P_md vector raises DomainError unless every pmd lies in [0, 1].
     """
-    grid = tuple(float(x) for x in pf_grid)
+    grid = tuple(map(float, pf_grid))
     if not grid:
         raise DomainError("pf_grid must be nonempty")
-    if any(not 0.0 < x < 1.0 for x in grid):
-        raise DomainError("pf_grid values must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(map(operator.lt, (0.0,) + grid, grid + (1.0,))):  # 0 < g_0 < ... < 1
+        if not all(0.0 < x < 1.0 for x in grid):
+            raise DomainError("pf_grid values must lie strictly inside (0, 1)")
         raise DomainError("pf_grid must be strictly increasing")
     if cfg_u < 1 or int(cfg_u) != cfg_u:
         raise DomainError(f"u must be a positive integer, got {cfg_u}")
@@ -631,5 +637,6 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     except _NotKept as big:
         n, gammas = big.args
     pmds, _ = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0), gammas)
-    return [RocPoint(pf=pf, pd=1.0 - pmd, pmd=pmd)
-            for pf, pmd in zip(grid, pmds.tolist())]
+    if not (0.0 <= pmds.min() and pmds.max() <= 1.0):  # NaN fails too
+        raise DomainError(f"probabilities must lie in [0, 1], got pmd {pmds.min()}..{pmds.max()}")
+    return list(map(RocPoint._make, zip(grid, (1.0 - pmds).tolist(), pmds.tolist())))

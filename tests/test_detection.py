@@ -427,6 +427,38 @@ def test_croc_curve_validation():
         croc_curve(p, 2, [0.5, 0.2])
     with pytest.raises(DomainError):
         croc_curve(p, 2, [0.0, 0.5])
+    # a value outside (0, 1) is named before the order, NaN included
+    for grid in ([0.5, 1.5, 0.2], [0.1, math.nan, 0.5], [0.3, 0.2, 1.0]):
+        with pytest.raises(DomainError, match="strictly inside"):
+            croc_curve(p, 2, grid)
+    with pytest.raises(DomainError, match="nonempty"):
+        croc_curve(p, 2, np.array([]))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        croc_curve(p, 2, [0.1, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_croc_curve_checks_every_pmd(bad, monkeypatch):
+    # RocPoint checks nothing itself: croc_curve checks its whole P_md vector
+    real = detection._pmd_from_pmf
+
+    def corrupt(pmf, gammas):
+        pmds, bound = real(pmf, gammas)
+        return np.where(np.arange(len(pmds)) == 1, bad, pmds), bound
+
+    monkeypatch.setattr(detection, "_pmd_from_pmf", corrupt)
+    with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+        croc_curve(KappaMuShadowedParams(2.0, 3, 2, 10.0), 2, [1e-3, 0.1, 0.5])
+
+
+def test_roc_point_is_a_named_tuple():
+    assert RocPoint._fields == ("pf", "pd", "pmd")
+    point = RocPoint(pf=0.1, pd=0.75, pmd=0.25)
+    assert isinstance(point, RocPoint) and point == (0.1, 0.75, 0.25)
+    for channel in (KappaMuShadowedParams(2.0, 3, 2, 10.0), FisherFParams(2.0, 3.0, 10.0)):
+        for pt in croc_curve(channel, 2, np.geomspace(1e-3, 0.999, 50)):
+            assert isinstance(pt, RocPoint)
+            assert pt.pd == 1.0 - pt.pmd
 
 
 def test_croc_pmd_keeps_relative_accuracy():

@@ -22,6 +22,7 @@ from edsense.detection import (
     croc_curve,
     threshold_for_pf,
 )
+from edsense.errors import ConvergenceError
 from edsense.oracle import auc_metric, average_over_channel, detect_metric
 from edsense.specfun import ln_beta, ln_tricomi_u
 
@@ -50,6 +51,52 @@ def test_pmf_matches_tricomi_coefficient(m, ms, snr_db, scale):
     for k in PMF_KS:
         want = _tricomi_pmf(m, ms, p.omega / scale, k)
         assert math.isclose(pmf[k], want, rel_tol=1e-11), (k, pmf[k], want)
+
+
+@pytest.mark.parametrize("m,ms,snr_db,n", [
+    (4.7, 30.0, -20.0, 30),  # settles at level 4
+    (4.7, 1.1, -20.0, 2),  # settles at level 5
+])
+def test_pmf_that_settles_past_the_first_block(m, ms, snr_db, n, monkeypatch):
+    p = _fisher(m, ms, snr_db)
+    pmf = detection._poisson_pmf(p, n, 1.0)
+    for k in range(n):
+        want = _tricomi_pmf(m, ms, p.omega, k)
+        assert math.isclose(pmf[k], want, rel_tol=1e-11), (k, pmf[k], want)
+    # it needs the deeper blocks: with levels 0..3 alone it does not settle
+    monkeypatch.setattr(detection, "_TRAP_LEVEL_BLOCKS",
+                        tuple(b for b in detection._TRAP_LEVEL_BLOCKS if max(b) <= 3))
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        detection._poisson_pmf(p, n, 1.0)
+
+
+def test_pmf_unreachable_tol_raises():
+    # two levels of 30 rows never agree to 1e-20: the level budget ends it
+    p = _fisher(4.7, 30.0, -20.0)
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        detection._fisher_pmf(p.m, p.m_s, p.omega, 30, 1e-20)
+
+
+@pytest.mark.parametrize("m,ms,snr_db,n,scale", [
+    (2.5, 10.0, 5.2, 30, 1.0),
+    (1.0, 3.0, -5.1, 30, 1.0),
+    (1.121, 3.073, 17.0, 2, 0.5),
+])
+def test_fisher_peak_stops_when_newton_converges(m, ms, snr_db, n, scale, monkeypatch):
+    # on each of these cells one converged Newton step lands on the
+    # bracket's end; bisecting the bracket shut from there took 31-34
+    # log-weight evaluations
+    calls = []
+    weight = detection._fisher_log_weight
+    monkeypatch.setattr(detection, "_fisher_log_weight",
+                        lambda *a: calls.append(a) or weight(*a))
+    ln_w = math.log(_fisher(m, ms, snr_db).omega / scale)
+    for row in (0, n - 1):
+        calls.clear()
+        peak = detection._fisher_peak(row, m, ms, ln_w)
+        assert len(calls) <= 8, (row, len(calls))
+        _, slope, curve = weight(peak, row, m, ms, ln_w)
+        assert abs(slope / curve) <= 1e-9
 
 
 def _pd_reference(p, u, lam):
