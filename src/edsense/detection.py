@@ -269,10 +269,11 @@ def prob_detect_instant(cfg: DetectorConfig, gamma: float) -> float:
 def _nb_pmf(r: int, rate: float, n: int) -> np.ndarray:
     """pmf at 0..n-1 of Poisson(G), G ~ Gamma(r, rate): the negative binomial
     NB(r, rate/(1+rate)); r = 0 gives the point mass at zero."""
+    if r == 0:
+        return np.eye(1, n)[0]
     k = np.arange(n)
-    with np.errstate(divide="ignore"):
-        ln_binom = np.concatenate(
-            ([0.0], np.cumsum(np.log((r + k) / (k + 1.0)))))[:n]
+    ln_binom = np.zeros(n)
+    np.add.accumulate(np.log((r + k[:-1]) / (k[:-1] + 1.0)), out=ln_binom[1:])
     return np.exp(ln_binom + r * (math.log(rate) - math.log1p(rate))
                   - k * math.log1p(rate))
 
@@ -401,7 +402,7 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
         level 0 sets each shift to the row maximum over the level-0 nodes."""
         nodes = [lo + h * np.arange(count + 1) if level == 0 else
                  lo + h / 2 ** level * np.arange(1, 2 ** level * count, 2) for level in levels]
-        starts = np.cumsum([0] + [len(x) for x in nodes[:-1]])
+        starts = list(accumulate(map(len, nodes[:-1]), initial=0))
         sigma = np.concatenate(nodes)
         t = sigma + ln_w
         a = ms * sigma - np.exp(sigma) - m * np.logaddexp(0.0, -t)
@@ -412,7 +413,7 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
             g = np.multiply.outer(k[r:r + rows], b)
             g += a
             if levels[0] == 0:
-                shift[r:r + rows] = g[:, :count + 1].max(axis=1)
+                shift[r:r + rows] = np.maximum.reduce(g[:, :count + 1], axis=1)
             g -= shift[r:r + rows, None]
             out[r:r + rows] = np.add.reduceat(np.exp(g, out=g), starts, axis=1)
         return out
@@ -421,9 +422,9 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
     for levels in _TRAP_LEVEL_BLOCKS:
         for level, sums in zip(levels, level_sums(levels).T):
             prev, total = total, 0.5 * total + h / 2 ** level * sums
-            if level and np.all(np.abs(total - prev) <= tol * total):
-                ln_binom = np.concatenate(
-                    ([0.0], np.cumsum(np.log((m + k[:-1]) / (k[:-1] + 1.0)))))
+            if level and (np.abs(total - prev) <= tol * total).all():
+                ln_binom = np.zeros(n)
+                np.add.accumulate(np.log((m + k[:-1]) / (k[:-1] + 1.0)), out=ln_binom[1:])
                 return np.exp(ln_binom - math.lgamma(ms) + shift + np.log(total))
     raise ConvergenceError(f"Fisher pmf trapezoid sum did not settle by h = {h / 2 ** level:g}")
 
@@ -637,6 +638,7 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
     except _NotKept as big:
         n, gammas = big.args
     pmds, _ = _pmd_from_pmf(_poisson_pmf(channel, n, 1.0), gammas)
-    if not (0.0 <= pmds.min() and pmds.max() <= 1.0):  # NaN fails too
-        raise DomainError(f"probabilities must lie in [0, 1], got pmd {pmds.min()}..{pmds.max()}")
+    lowest, highest = np.minimum.reduce(pmds), np.maximum.reduce(pmds)
+    if not 0.0 <= lowest <= highest <= 1.0:  # NaN fails too
+        raise DomainError(f"probabilities must lie in [0, 1], got pmd {lowest}..{highest}")
     return list(map(RocPoint._make, zip(grid, (1.0 - pmds).tolist(), pmds.tolist())))
