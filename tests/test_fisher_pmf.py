@@ -1,7 +1,9 @@
 """Fisher-Snedecor detection through the mixed-Poisson pmf: the pmf itself
-against the Tricomi-U coefficient it replaced, fixed cells in the heavy-
-shadowing and high-SNR regions, a property test against the scipy-only
-oracle, and a guard that no per-term quadrature comes back.
+against the Tricomi-U coefficient it replaced (also where the trapezoid
+settles past its first level block), its level budget and peak search,
+fixed cells in the heavy-shadowing and high-SNR regions, a property test
+against the scipy-only oracle, and a guard that no per-term quadrature
+comes back.
 
 The oracle averages scipy's noncentral chi-square survival function over
 the F density by QUADPACK; it shares no code with the series.
