@@ -46,6 +46,11 @@ _TOL = math.exp(-_LN_TOL)
 # The density's running terms are scaled down by this factor once they pass it.
 _RESCALE = 1e250
 _LN_RESCALE = math.log(_RESCALE)
+# Draws handled at a time: the samplers draw their second Gamma factor in
+# blocks of this size, and ``oracle.mc_average`` applies its metric to them
+# in such blocks, so that neither holds more than one full-length array plus
+# temporaries of one block.
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -203,11 +208,13 @@ def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np
     """Draw ``n`` SNR variates as the sum of the two Gamma factors."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if p.mu > p.m:
-        first = rng.gamma(p.mu - p.m, 1.0 / p.theta1, size=n)
-    else:
-        first = np.zeros(n)
-    return first + rng.gamma(p.m, 1.0 / p.theta2, size=n)
+    if p.mu == p.m:
+        return rng.gamma(p.m, 1.0 / p.theta2, size=n)
+    first = rng.gamma(p.mu - p.m, 1.0 / p.theta1, size=n)
+    for start in range(0, n, _DRAW_BLOCK):
+        block = first[start:start + _DRAW_BLOCK]
+        block += rng.gamma(p.m, 1.0 / p.theta2, size=block.size)
+    return first
 
 
 def f_pdf(p: FisherFParams, gamma: float) -> float:
@@ -242,5 +249,11 @@ def f_sample(p: FisherFParams, rng: np.random.Generator, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     g1 = rng.gamma(p.m, 1.0, size=n)
-    g2 = rng.gamma(p.m_s, 1.0, size=n)
-    return p.mean_snr * (g1 / p.m) / (g2 / p.m_s)
+    g1 /= p.m
+    g1 *= p.mean_snr
+    for start in range(0, n, _DRAW_BLOCK):
+        block = g1[start:start + _DRAW_BLOCK]
+        g2 = rng.gamma(p.m_s, 1.0, size=block.size)
+        g2 /= p.m_s
+        block /= g2
+    return g1

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import (
+    _DRAW_BLOCK,
     FisherFParams,
     KappaMuShadowedParams,
     f_cdf,
@@ -201,6 +202,14 @@ def mc_average(metric: Callable[[np.ndarray], np.ndarray],
     The sample budget is split across ``n_streams`` deterministic
     sub-streams spawned from the seed; streams are reduced in index order,
     so the result is bit-identical for a fixed (seed, n_streams).
+
+    Each stream's draws come from one ``sampler`` call, and ``metric`` is
+    applied to consecutive blocks of them (2^16 draws), its values written
+    over the draws.  So ``metric`` must act elementwise, as ``detect_metric``,
+    ``auc_metric`` and ``rate_metric`` do.  The working memory is one
+    stream's draws (8 bytes each) plus the metric's temporaries for one
+    block; the channel samplers stay within one array of draws plus one
+    block as well.
     """
     seq = np.random.SeedSequence(spec.seed)
     children = seq.spawn(spec.n_streams)
@@ -213,10 +222,13 @@ def mc_average(metric: Callable[[np.ndarray], np.ndarray],
         n = base + (1 if idx < remainder else 0)
         if n == 0:
             continue
-        values = np.asarray(metric(sampler(np.random.default_rng(child), n)),
-                            dtype=float)
+        values = np.asarray(sampler(np.random.default_rng(child), n), dtype=float)
+        for start in range(0, n, _DRAW_BLOCK):
+            block = values[start:start + _DRAW_BLOCK]
+            block[...] = metric(block)
         total += float(np.sum(values))
-        total_sq += float(np.sum(values * values))
+        values *= values
+        total_sq += float(np.sum(values))
         count += n
     mean = total / count
     var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
@@ -227,13 +239,26 @@ def detect_metric(u: int, lam: float) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized instantaneous detection probability gamma -> P_d.
 
     Uses the noncentral chi-square survival function (the detector statistic
-    under the signal hypothesis has 2u degrees of freedom and noncentrality
-    2 gamma), an implementation independent of the series Marcum-Q.
+    X under the signal hypothesis has 2u degrees of freedom and noncentrality
+    nc = 2 gamma), an implementation independent of the series Marcum-Q.
+
+    Far above the threshold, P_d is 1.0 without scipy: the Chernoff bound at
+    s = 1/2 on the lower tail, P[X <= lam] <= 2^-u e^(lam/2 - nc/4), is below
+    2^-54 (half the spacing of doubles under 1) once nc > 2 lam + 152, so P_d
+    rounds to 1.0 there.  That is where scipy fails: its ``sf`` is ``nan``
+    from nc of about 1e19 on, and for lam <= 2e-8 it overflows from nc of
+    about 400 on.  A non-finite nc is left to scipy.
     """
     from scipy import stats
 
+    nc_one = 2.0 * lam + 152.0
+
     def metric(g):
-        return stats.ncx2.sf(lam, 2 * u, 2.0 * np.asarray(g, dtype=float))
+        nc = 2.0 * np.asarray(g, dtype=float)
+        pd = np.ones_like(nc)
+        near = ~np.isfinite(nc) | (nc <= nc_one)
+        pd[near] = stats.ncx2.sf(lam, 2 * u, nc[near])
+        return pd
     return metric
 
 

@@ -157,6 +157,18 @@ def test_kms_cdf_matches_pdf_derivative():
         assert math.isclose(derivative, kms_pdf(p, float(g)), rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("mu", [3, 2])
+@pytest.mark.parametrize("n", [1, 1000, 200_003])
+def test_kms_sample_matches_whole_array_draws(mu, n):
+    # the sampler adds its second Gamma factor in place, block by block;
+    # the draws must equal the two whole-array draws summed
+    p = KappaMuShadowedParams(kappa=2.0, mu=mu, m=2, mean_snr=8.0)
+    rng = np.random.default_rng(61)
+    first = rng.gamma(p.mu - p.m, 1.0 / p.theta1, size=n) if mu > 2 else np.zeros(n)
+    want = first + rng.gamma(p.m, 1.0 / p.theta2, size=n)
+    assert np.array_equal(kms_sample(p, np.random.default_rng(61), n), want)
+
+
 def test_kms_sampling_determinism_and_mean():
     p = KappaMuShadowedParams(kappa=2.0, mu=3, m=2, mean_snr=10.0)
     a = kms_sample(p, np.random.default_rng(7), 1000)
@@ -288,6 +300,18 @@ def test_f_cdf_median_monte_carlo():
     g = f_sample(p, np.random.default_rng(55), 10**7)
     median = float(np.median(g))
     assert abs(f_cdf(p, median) - 0.5) < 1e-3
+
+
+@pytest.mark.parametrize("m,m_s", [(2.0, 3.0), (0.8, 0.3), (4.5, 7.5)])
+@pytest.mark.parametrize("n", [1, 1000, 200_003])
+def test_f_sample_matches_whole_array_draws(m, m_s, n):
+    # same float operations as the whole-array expression, done in place
+    p = FisherFParams(m=m, m_s=m_s, mean_snr=4.0)
+    rng = np.random.default_rng(62)
+    g1 = rng.gamma(p.m, 1.0, size=n)
+    g2 = rng.gamma(p.m_s, 1.0, size=n)
+    want = p.mean_snr * (g1 / p.m) / (g2 / p.m_s)
+    assert np.array_equal(f_sample(p, np.random.default_rng(62), n), want)
 
 
 def test_f_sampler_statistics():

@@ -2,12 +2,14 @@
 Monte Carlo reproducibility and error scaling, and oracle self-consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_cdf, kms_cdf
+from edsense.detection import DetectorConfig, avg_pd_f
 from edsense.errors import DomainError
 from edsense.oracle import (
     McResult,
@@ -101,6 +103,80 @@ def test_oracle_self_consistency_detection_cell():
     # reference quadrature value for this cell: 0.650807023237729
     assert math.isclose(quad.value, 0.650807023237729, abs_tol=1e-9)
     assert abs(quad.value - mc.mean) <= 4.0 * mc.std_error
+
+
+# mc_average at the change that made it apply the metric by blocks:
+# (channel, metric, n_streams, mean, std_error), 200,003 draws at seed 2024,
+# so one stream spans several blocks and a partial one, and each of four
+# streams is shorter than one block.
+_MC_FROZEN = [
+    ("kms", "detect", 1, "0x1.add979cebf63cp-1", "0x1.b7de36a6c864ep-12"),
+    ("kms", "detect", 4, "0x1.ae2d293f7a4fap-1", "0x1.b6493990528b7p-12"),
+    ("kms", "auc", 1, "0x1.dfcc45c57cc9bp-1", "0x1.73b32f029416bp-13"),
+    ("kms", "auc", 4, "0x1.dff2244554079p-1", "0x1.7209ea75b9329p-13"),
+    ("kms", "rate", 1, "0x1.38cc877f86dbcp-3", "0x1.c1032b4e2ee8cp-13"),
+    ("kms", "rate", 4, "0x1.3811a4785b570p-3", "0x1.bef734b84f14cp-13"),
+    ("fisher", "detect", 1, "0x1.4da5335f0eb4ap-2", "0x1.d55ba2179f2cfp-12"),
+    ("fisher", "detect", 4, "0x1.4ca2101fa5085p-2", "0x1.d452440ef6acap-12"),
+    ("fisher", "auc", 1, "0x1.5b05ac919bce4p-1", "0x1.16c9b25284a2ep-12"),
+    ("fisher", "auc", 4, "0x1.5aba4316221c9p-1", "0x1.15f8b739744a9p-12"),
+    ("fisher", "rate", 1, "0x1.08b54305491c2p-1", "0x1.e7fa7a7d7d1a6p-12"),
+    ("fisher", "rate", 4, "0x1.09144d36f9531p-1", "0x1.e65dd254893d1p-12"),
+]
+
+
+@pytest.mark.parametrize("channel,metric,n_streams,mean,std_error", _MC_FROZEN)
+def test_mc_average_bit_identical_to_whole_array_form(channel, metric, n_streams,
+                                                       mean, std_error):
+    params = {"kms": KMS, "fisher": FISHER}[channel]
+    vec = {"detect": detect_metric(2, 7.78), "auc": auc_metric(2),
+           "rate": rate_metric(1.0)}[metric]
+    res = mc_average(vec, channel_sampler(params),
+                     MonteCarloSpec(seed=2024, n_samples=200_003, n_streams=n_streams))
+    assert (res.mean.hex(), res.std_error.hex()) == (mean, std_error)
+
+
+def test_mc_average_memory_is_one_array_plus_one_block():
+    # 10^6 draws are 8 MB; applied to all of them at once, scipy's noncentral
+    # chi-square held about 72 MB of temporaries
+    metric = detect_metric(2, 7.78)
+    metric(np.ones(8))  # scipy's import and first-call set-up are not counted
+    for params in (KMS, FISHER):
+        tracemalloc.start()
+        try:
+            mc_average(metric, channel_sampler(params),
+                       MonteCarloSpec(seed=31, n_samples=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, (params, peak)
+
+
+def test_detect_metric_tiny_threshold_at_large_noncentrality():
+    # scipy's ncx2.sf overflows for lam <= 2e-8 once nc reaches about 400
+    lam = 2e-9
+    res = average_over_channel(detect_metric(1, lam), FisherFParams(1, 2, 1))
+    pf = math.exp(-lam / 2.0)  # Q(1, lam/2)
+    assert pf - 1e-10 <= res.value <= 1.0
+
+
+def test_detect_metric_far_above_threshold():
+    # P[X <= lam] <= 2^-u e^(lam/2 - nc/4) < 2^-54 once nc > 2 lam + 152, so
+    # P_d is 1.0 there; scipy returns nan from nc of about 1e19 on
+    u, lam = 2, 7.78
+    g = np.array([0.0, 0.5, 5.0, 83.0, 83.78, 83.79, 1e3, 5e18, 1e20, 1e300])
+    got = detect_metric(u, lam)(g)
+    near = 2.0 * g <= 2.0 * lam + 152.0
+    assert near.sum() == 5
+    assert np.array_equal(got[near], stats.ncx2.sf(lam, 2 * u, 2.0 * g[near]))
+    assert np.all(got[~near] == 1.0)
+    assert float(detect_metric(u, lam)(1e20)) == 1.0
+    # Fisher draws at m_s = 0.3 reach SNRs near 1e20
+    params = FisherFParams(2, 0.3, 10.0)
+    mc = mc_average(detect_metric(u, lam), channel_sampler(params), MonteCarloSpec(seed=1))
+    assert math.isfinite(mc.mean) and math.isfinite(mc.std_error)
+    closed, _ = avg_pd_f(params, DetectorConfig(u=u, lam=lam))
+    assert abs(mc.mean - closed) <= 4.0 * mc.std_error
 
 
 def _auc_double_sum(u, g):
