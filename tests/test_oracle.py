@@ -105,10 +105,10 @@ def test_oracle_self_consistency_detection_cell():
     assert abs(quad.value - mc.mean) <= 4.0 * mc.std_error
 
 
-# mc_average at the change that made it apply the metric by blocks:
-# (channel, metric, n_streams, mean, std_error), 200,003 draws at seed 2024,
-# so one stream spans several blocks and a partial one, and each of four
-# streams is shorter than one block.
+# mc_average as computed with the metric applied to all of a stream's draws
+# at once: (channel, metric, n_streams, mean, std_error), 200,003 draws at
+# seed 2024, so one stream spans several blocks and a partial one, and each
+# of four streams is shorter than one block.
 _MC_FROZEN = [
     ("kms", "detect", 1, "0x1.add979cebf63cp-1", "0x1.b7de36a6c864ep-12"),
     ("kms", "detect", 4, "0x1.ae2d293f7a4fap-1", "0x1.b6493990528b7p-12"),
