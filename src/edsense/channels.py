@@ -117,9 +117,9 @@ class FisherFParams:
 
 
 def kms_mgf(p: KappaMuShadowedParams, s: float) -> float:
-    """MGF E[exp(s * gamma)] of the shadowed kappa-mu SNR, for s < theta2."""
-    if s >= p.theta2:
-        raise DomainError(f"MGF requires s < theta2 = {p.theta2}, got s={s}")
+    """MGF E[exp(s * gamma)] of the shadowed kappa-mu SNR, for finite s < theta2."""
+    if not -math.inf < s < p.theta2:
+        raise DomainError(f"MGF requires finite s < theta2 = {p.theta2}, got s={s}")
     return math.exp(-(p.mu - p.m) * math.log1p(-s / p.theta1)
                     - p.m * math.log1p(-s / p.theta2))
 

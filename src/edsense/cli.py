@@ -283,6 +283,7 @@ _VERIFY_DEFAULT_GRID = (
     dict(channel="fisher", m=2.0, ms=3.0, snr_db=[0.0]),
     dict(channel="fisher", m=1.0, ms=10.0, snr_db=[10.0]),
     dict(channel="fisher", m=2.5, ms=10.0, snr_db=[5.0]),
+    dict(channel="fisher", m=2.0, ms=0.3, snr_db=[10.0]),  # heavy shadowing
 )
 
 

@@ -261,8 +261,8 @@ def _threshold_guess(u: int, ln_target: np.ndarray, sign: np.ndarray) -> np.ndar
 
 def prob_detect_instant(cfg: DetectorConfig, gamma: float) -> float:
     """Detection probability at instantaneous SNR ``gamma``."""
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     return marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(cfg.lam))
 
 
@@ -561,8 +561,8 @@ def _auc_from_pmf(pmf: np.ndarray, u: int) -> float:
 def auc_instant(cfg: DetectorConfig, gamma: float) -> float:
     """Area under the ROC at instantaneous SNR ``gamma``; lies in [1/2, 1].
     The Poisson(gamma/2) pmf is a point mass at gamma = 0, where A = 1/2."""
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     pmf = _poisson_terms(0, gamma / 2.0, cfg.u) if gamma > 0.0 else np.ones(1)
     return _auc_from_pmf(pmf, cfg.u)
 

@@ -1,5 +1,5 @@
-"""Independent reference machinery: averaging by adaptive quadrature with a
-certified finite cutoff, and seeded Monte Carlo estimation.
+"""Independent reference machinery: adaptive quadrature up to a cutoff from
+scipy's inverse tails, the mass past it counted in the error, and Monte Carlo.
 
 Nothing in this module calls ``detection`` or ``capacity``.  Channel
 densities and samplers come from ``channels``, and the instantaneous metrics
@@ -8,15 +8,16 @@ scipy's noncentral chi-square, the ROC area from its own double sum over the
 Poisson(gamma/2) terms, and the rate-moment integrand (1 + gamma)^-A.  None
 of them shares code with the closed forms they are used to check.
 
-scipy is imported inside ``quad_average`` and ``detect_metric``, its only
-users, so that ``import edsense`` and the CLI subcommands other than
-``verify`` load numpy but not scipy (whose import takes about 1.2 s on a
-2-vCPU VM); the oracle and ``verify`` load it on first use.
+scipy is imported only inside ``channel_cutoff``, ``quad_average`` and
+``detect_metric``, so ``import edsense`` and the CLI subcommands other than
+``verify`` load no scipy (whose import takes about 1.2 s on a 2-vCPU VM).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -26,14 +27,12 @@ from .channels import (
     _DRAW_BLOCK,
     FisherFParams,
     KappaMuShadowedParams,
-    f_cdf,
     f_pdf,
     f_sample,
     kms_pdf,
     kms_sample,
 )
 from .errors import ConvergenceError, DomainError
-from .specfun import reg_upper_gamma
 
 __all__ = [
     "QuadratureSpec",
@@ -53,37 +52,31 @@ __all__ = [
 
 
 def channel_cutoff(params, abs_tol: float) -> float:
-    """Finite upper limit L whose analytic tail mass is below abs_tol / 10.
+    """Upper limit L with P[gamma > L] <= abs_tol / 20, from scipy's inverse tails.
 
-    Shadowed kappa-mu: the SNR is a sum of two Gamma variates, so
-    P[gamma > L] <= Q(mu-m, theta1 L/2) + Q(m, theta2 L/2) (union bound on
-    the halves).  Fisher-Snedecor: start from the inverted power-law tail
-    (1 + omega L)^-m_s scaling and tighten with the exact distribution
-    complement.
+    Kappa-mu: L puts each half of the union bound Q(mu-m, theta1 L/2) +
+    Q(m, theta2 L/2) at abs_tol / 40.  Fisher: 1/(1 + omega gamma) is
+    Beta(m_s, m), so the tail is I_y(m_s, m) at y = 1/(1 + omega L), exactly
+    (at abs_tol / 10 its rounding leaves slightly more than abs_tol / 10).
+    A cut that is not positive and finite raises ConvergenceError.
     """
-    target = abs_tol / 10.0
+    from scipy import special
+
+    if not 0.0 < abs_tol < math.inf:
+        raise DomainError(f"abs_tol must be finite and positive, got {abs_tol}")
+    t = abs_tol / 20.0
     if isinstance(params, KappaMuShadowedParams):
-        L = 10.0 * params.mean_snr + 10.0
-        for _ in range(300):
-            tail = reg_upper_gamma(params.m, params.theta2 * L / 2.0)
-            if params.mu > params.m:
-                tail += reg_upper_gamma(params.mu - params.m,
-                                        params.theta1 * L / 2.0)
-            if tail < target:
-                return L
-            L *= 1.5
-        raise ConvergenceError("no finite cutoff found for kappa-mu tail")
-    if isinstance(params, FisherFParams):
-        m, ms, omega = params.m, params.m_s, params.omega
-        ln_L = (math.log(10.0 / abs_tol) - ms * math.log(omega)
-                - (math.lgamma(m) + math.lgamma(ms) - math.lgamma(m + ms))
-                - math.log(ms)) / ms
-        L = math.exp(min(ln_L, 60.0))
-        L = max(L, 10.0 * params.mean_snr)
-        while L > 20.0 * params.mean_snr and 1.0 - f_cdf(params, L / 2.0) < target:
-            L /= 2.0
-        return L
-    raise DomainError(f"no cutoff policy for parameter type {type(params)!r}")
+        halves = ((params.m, params.theta2), (params.mu - params.m, params.theta1))
+        L = max(2.0 * special.gammainccinv(a, t / 2.0) / rate for a, rate in halves if a > 0)
+    elif isinstance(params, FisherFParams):
+        # where y underflows, scipy returns the smallest normal float
+        y = special.betaincinv(params.m_s, params.m, t)
+        L = (1.0 - y) / (params.omega * y) if y > sys.float_info.min else math.inf
+    else:
+        raise DomainError(f"no cutoff policy for parameter type {type(params)!r}")
+    if not 0.0 < L < math.inf:
+        raise ConvergenceError(f"no finite cutoff for {params!r} at abs_tol={abs_tol}")
+    return float(L)
 
 
 _MAX_SUBDIVISIONS = 2000  # QUADPACK's limit on each geometric piece
@@ -97,8 +90,8 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise DomainError("quadrature tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError("quadrature tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,10 @@ class MonteCarloSpec:
     n_streams: int = 1
 
     def __post_init__(self):
+        try:
+            list(map(operator.index, (self.seed, self.n_samples, self.n_streams)))
+        except TypeError:
+            raise DomainError("seed, n_samples and n_streams must be integers") from None
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
         if self.n_samples < 10**4:
@@ -154,7 +151,8 @@ def quad_average(metric: Callable[[float], float],
 
     The cutoff is ``channel_cutoff(params, spec.abs_tol)``; ``params`` is
     required.  The interval is split geometrically so heavy-tailed densities
-    integrate accurately piece by piece.
+    integrate accurately piece by piece.  ``error`` adds the tail mass past the
+    cutoff (abs_tol / 20) to scipy's estimates: a bound for any metric in [0, 1].
     """
     from scipy import integrate
 
@@ -174,7 +172,7 @@ def quad_average(metric: Callable[[float], float],
         return metric(g) * density(g)
 
     total = 0.0
-    err = 0.0
+    err = spec.abs_tol / 20.0  # the tail that channel_cutoff leaves
     per_piece = spec.abs_tol / (2.0 * len(edges))
     for lo, hi in zip(edges, edges[1:]):
         v, a = integrate.quad(integrand, lo, hi, epsabs=per_piece,

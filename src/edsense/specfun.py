@@ -49,9 +49,9 @@ _MAX_INNER_ITER = 20000
 
 
 def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0; exp(result) is accurate to well under 1e-13."""
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
+    """ln Gamma(x) for finite x > 0; exp(result) is accurate to well under 1e-13."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"ln_gamma requires finite x > 0, got {x}")
     return math.lgamma(x)
 
 
@@ -114,8 +114,8 @@ def _reg_upper_cf(z: float, y: float) -> float:
 
 def reg_lower_gamma(z: float, y: float) -> float:
     """Regularized lower incomplete gamma P(z, y) = G(z, y) / Gamma(z)."""
-    if z <= 0.0 or y < 0.0:
-        raise DomainError(f"reg_lower_gamma requires z > 0, y >= 0, got z={z}, y={y}")
+    if not (0.0 < z < math.inf and 0.0 <= y < math.inf):
+        raise DomainError(f"reg_lower_gamma requires finite z > 0, y >= 0, got z={z}, y={y}")
     if y == 0.0:
         return 0.0
     if y < z + 1.0:
@@ -125,8 +125,8 @@ def reg_lower_gamma(z: float, y: float) -> float:
 
 def reg_upper_gamma(z: float, y: float) -> float:
     """Regularized upper incomplete gamma Q(z, y) = Gamma(z, y) / Gamma(z)."""
-    if z <= 0.0 or y < 0.0:
-        raise DomainError(f"reg_upper_gamma requires z > 0, y >= 0, got z={z}, y={y}")
+    if not (0.0 < z < math.inf and 0.0 <= y < math.inf):
+        raise DomainError(f"reg_upper_gamma requires finite z > 0, y >= 0, got z={z}, y={y}")
     if y == 0.0:
         return 1.0
     if y < z + 1.0:
@@ -154,8 +154,8 @@ def beta(c1: float, c2: float) -> float:
 
 
 def ln_beta(c1: float, c2: float) -> float:
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise DomainError(f"beta requires positive arguments, got ({c1}, {c2})")
+    if not 0.0 < c1 < math.inf > c2 > 0.0:  # both finite and positive
+        raise DomainError(f"beta requires finite positive arguments, got ({c1}, {c2})")
     return math.lgamma(c1) + math.lgamma(c2) - math.lgamma(c1 + c2)
 
 
@@ -196,8 +196,8 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"reg_inc_beta requires positive parameters, got ({a}, {b})")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"reg_inc_beta requires finite positive parameters, got ({a}, {b})")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
     if x == 0.0:
@@ -288,10 +288,10 @@ def marcum_q(u: int, a: float, b: float) -> float:
     A window longer than ``_MAX_TERMS`` raises ConvergenceError; at
     b ~ a that happens from noncentrality a^2 of about 1.4e6 on.
     """
-    if u < 1 or int(u) != u:
+    if not 1 <= u < math.inf or int(u) != u:
         raise DomainError(f"marcum_q requires integer order u >= 1, got {u}")
-    if a < 0.0 or b < 0.0:
-        raise DomainError(f"marcum_q requires a, b >= 0, got a={a}, b={b}")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise DomainError(f"marcum_q requires finite a, b >= 0, got a={a}, b={b}")
     x, y = 0.5 * a * a, 0.5 * b * b
     if y == 0.0:
         return 1.0
@@ -491,14 +491,14 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 def ln_tricomi_u(a: float, b: float, z: float) -> float:
-    """ln U(a; b; z) for a > 0, z > 0 via the Laplace-type integral.
+    """ln U(a; b; z) for finite a > 0, b, z > 0 via the Laplace-type integral.
 
     U(a;b;z) = (1/Gamma(a)) * integral over t > 0 of e^(-zt) t^(a-1)
     (1+t)^(b-a-1); integrating in s = ln t with the peak value factored out
     keeps the result finite for very large a, where U itself underflows.
     """
-    if a <= 0.0 or z <= 0.0:
-        raise DomainError(f"tricomi_u requires a > 0 and z > 0, got a={a}, z={z}")
+    if not (0.0 < a < math.inf and 0.0 < z < math.inf and math.isfinite(b)):
+        raise DomainError(f"tricomi_u requires finite a > 0, b, z > 0, got a={a}, b={b}, z={z}")
     cba = b - a - 1.0
 
     def h(s):

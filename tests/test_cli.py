@@ -283,6 +283,18 @@ def test_verify_single_cell_and_perturb(tmp_path, monkeypatch):
     assert "FAIL" in out.read_text()
 
 
+def test_verify_heavy_shadowing_cell(tmp_path):
+    # the reference cutoff used to drop up to 1e-2 of the Fisher mass at
+    # m_s = 0.3, so the quadrature missed P_d and the AUC by 1.7e-5
+    code, out = _run(tmp_path, "v.txt",
+                     ["verify", "--channel", "fisher", "--m", "2", "--ms", "0.3",
+                      "--snr-db", "10", "--u", "2"])
+    assert code == 0
+    _, body = _rows(out)
+    assert [row[0] for row in body] == ["avg_pd_f", "avg_auc_f", "eff_rate_f"]
+    assert all(row[-1] == "PASS" for row in body)
+
+
 def test_stdout_output(capsys):
     code = main(["pdf", "--channel", "fisher", "--m", "1", "--ms", "2",
                  "--snr-db", "0", "--points", "5", "--out", "-"])

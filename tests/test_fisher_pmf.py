@@ -138,8 +138,8 @@ def test_fixed_auc_cells_against_oracle(m, ms, snr_db, u):
 
 @st.composite
 def _channels(draw):
-    return _fisher(draw(st.floats(0.5, 20.0)), draw(st.floats(1.1, 20.0)),
-                   draw(st.floats(-10.0, 40.0)))
+    return _fisher(draw(st.floats(0.5, 20.0)), draw(st.floats(0.1, 20.0)),
+                   draw(st.floats(-30.0, 60.0)))
 
 
 @settings(max_examples=15)

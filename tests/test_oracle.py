@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import edsense
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_cdf, kms_cdf
-from edsense.detection import DetectorConfig, avg_pd_f
-from edsense.errors import DomainError
+from edsense.detection import DetectorConfig, avg_auc_f, avg_pd_f, threshold_for_pf
+from edsense.errors import ConvergenceError, DomainError
 from edsense.oracle import (
     McResult,
     MonteCarloSpec,
@@ -36,6 +37,19 @@ def test_spec_validation():
         MonteCarloSpec(seed=1, n_samples=100)
     with pytest.raises(DomainError):
         MonteCarloSpec(seed=-1)
+    # a NaN abs_tol used to give QuadResult(0.0, 0.0) for any metric
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            QuadratureSpec(abs_tol=bad)
+        with pytest.raises(DomainError):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(DomainError):
+            channel_cutoff(FISHER, bad)
+    # a float seed used to fail later, with a TypeError inside numpy
+    for bad in (dict(seed=1.5), dict(seed=1, n_samples=1e5),
+                dict(seed=1, n_streams=2.0), dict(seed="1")):
+        with pytest.raises(DomainError, match="integer"):
+            MonteCarloSpec(**bad)
 
 
 def test_cutoff_certified_by_cdf_complement():
@@ -49,6 +63,62 @@ def test_quad_average_normalization():
         res = average_over_channel(lambda g: 1.0, params)
         assert math.isclose(res.value, 1.0, abs_tol=2e-10)
         assert res.error <= 1e-10 + 1e-10 * abs(res.value)
+
+
+@pytest.mark.parametrize("params", [
+    KMS,
+    KappaMuShadowedParams(0.0, 2, 2, 1.0),  # mu == m: one Gamma factor
+    KappaMuShadowedParams(10.0, 6, 6, 1000.0),
+    FISHER,
+    FisherFParams(2.0, 0.125, 10.0),
+    FisherFParams(0.5, 0.1, 1e6),
+])
+def test_cutoff_is_closed_form_and_counted_in_error(params):
+    cdf = kms_cdf if isinstance(params, KappaMuShadowedParams) else f_cdf
+    L = channel_cutoff(params, 1e-10)
+    assert math.isfinite(L)
+    assert 1.0 - cdf(params, L) <= 5e-12 + 1e-15
+    res = average_over_channel(lambda g: 1.0, params)
+    assert res.error >= 5e-12  # the dropped tail is part of the error
+    assert abs(res.value - 1.0) <= res.error
+
+
+def test_cutoff_beyond_the_float_range_raises():
+    # the tail 5e-12 starts beyond omega gamma = 1e308, where scipy's
+    # betaincinv returns its smallest normal float instead of the quantile
+    with pytest.raises(ConvergenceError, match="finite cutoff"):
+        channel_cutoff(FisherFParams(2.0, 0.01, 10.0), 1e-10)
+
+
+@pytest.mark.parametrize("ms", [0.125, 0.3, 0.6])
+def test_heavy_shadowing_reference_within_its_error(ms):
+    # the searched cutoff stopped near omega L = 1e16 and dropped up to 1e-2
+    # of the mass, while the error reported about 5e-12
+    params = FisherFParams(2.0, ms, 10.0)
+    cfg = DetectorConfig(u=2, lam=threshold_for_pf(2, 0.1))
+    one = average_over_channel(lambda g: 1.0, params)
+    assert abs(one.value - 1.0) <= one.error
+    pd = average_over_channel(detect_metric(cfg.u, cfg.lam), params)
+    closed, _ = avg_pd_f(params, cfg, tol=1e-12)
+    assert abs(pd.value - closed) <= pd.error
+    auc = average_over_channel(auc_metric(cfg.u), params)
+    assert abs(auc.value - avg_auc_f(params, cfg)) <= auc.error
+
+
+def test_reference_independent_of_closed_forms(monkeypatch):
+    def stub(*args, **kwargs):
+        raise AssertionError("the reference called a function it checks")
+
+    names = ("reg_upper_gamma", "reg_lower_gamma", "reg_inc_beta", "marcum_q",
+             "kms_cdf", "f_cdf")
+    for module in (edsense, edsense.specfun, edsense.channels, edsense.detection,
+                   edsense.capacity, edsense.oracle, edsense.verify):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stub)
+    for params in (KMS, FISHER):
+        res = average_over_channel(auc_metric(2), params)
+        assert 0.5 <= res.value <= 1.0
 
 
 def test_quad_average_recovers_mgf():

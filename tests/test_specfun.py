@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from edsense.detection import DetectorConfig, prob_detect_instant
+from edsense.channels import KappaMuShadowedParams, kms_mgf
+from edsense.detection import DetectorConfig, auc_instant, prob_detect_instant
 from edsense.errors import ConvergenceError, DomainError
 from edsense.specfun import (
     beta,
     gauss_2f1,
     kummer_1f1,
+    ln_beta,
     ln_gamma,
     lower_inc_gamma,
     marcum_q,
@@ -321,6 +323,35 @@ def test_kummer_1f1_rejects_non_finite_arguments(bad):
     for args in ((bad, 1.5, 2.0), (1.0, bad, 2.0), (1.0, 1.5, bad)):
         with pytest.raises(DomainError, match="finite"):
             kummer_1f1(*args)
+
+
+_KMS = KappaMuShadowedParams(2.0, 3, 2, 8.0)
+_CFG = DetectorConfig(2, 5.0)
+
+
+# Each function with a valid argument tuple; the test puts the bad value in
+# every slot in turn.
+@pytest.mark.parametrize("fn,args", [
+    (ln_gamma, (2.0,)),
+    (ln_beta, (2.0, 1.0)),
+    (reg_lower_gamma, (2.0, 1.0)),
+    (reg_upper_gamma, (2.0, 1.0)),
+    (reg_inc_beta, (2.0, 1.0, 0.5)),
+    (marcum_q, (2, 1.0, 1.0)),
+    (tricomi_u, (1.5, 2.0, 1.0)),
+    (lambda s: kms_mgf(_KMS, s), (0.1,)),
+    (lambda g: prob_detect_instant(_CFG, g), (1.0,)),
+    (lambda g: auc_instant(_CFG, g), (1.0,)),
+], ids=["ln_gamma", "ln_beta", "reg_lower_gamma", "reg_upper_gamma", "reg_inc_beta",
+        "marcum_q", "tricomi_u", "kms_mgf", "prob_detect_instant", "auc_instant"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_raise(fn, args, bad):
+    # these returned nan or 0.5, or raised ValueError, OverflowError or a
+    # "stalled" ConvergenceError
+    fn(*args)
+    for i in range(len(args)):
+        with pytest.raises(DomainError):
+            fn(*args[:i], bad, *args[i + 1:])
 
 
 def test_determinism():
