@@ -298,7 +298,11 @@ def _verify_cells(cfg: SweepConfig):
 
 
 def run_verify(cfg: SweepConfig) -> tuple[list[str], bool]:
-    perturb = float(os.environ.get(_PERTURB_ENV, "0") or "0")
+    raw = os.environ.get(_PERTURB_ENV, "0") or "0"
+    try:
+        perturb = float(raw)
+    except ValueError:
+        raise DomainError(f"{_PERTURB_ENV} must be a number, got {raw!r}") from None
     det = DetectorConfig(u=cfg.u, lam=detection.threshold_for_pf(cfg.u, 0.1))
     qos = DelayQoS(cfg.a_exponent)
     lines = ["metric,label,closed,quad,quad_err,mc,mc_se,status"]

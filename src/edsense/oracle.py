@@ -4,13 +4,16 @@ scipy's inverse tails, the mass past it counted in the error, and Monte Carlo.
 Nothing in this module calls ``detection`` or ``capacity``.  Channel
 densities and samplers come from ``channels``, and the instantaneous metrics
 that both references average are built here: the detection probability from
-scipy's noncentral chi-square, the ROC area from its own double sum over the
+the Boost noncentral chi-square kernel in ``scipy.special`` (the one
+``scipy.stats.ncx2.sf`` calls), the ROC area from its own double sum over the
 Poisson(gamma/2) terms, and the rate-moment integrand (1 + gamma)^-A.  None
 of them shares code with the closed forms they are used to check.
 
 scipy is imported only inside ``channel_cutoff``, ``quad_average`` and
 ``detect_metric``, so ``import edsense`` and the CLI subcommands other than
-``verify`` load no scipy (whose import takes about 1.2 s on a 2-vCPU VM).
+``verify`` load no scipy.  ``verify`` loads ``scipy.special`` and
+``scipy.integrate`` but not ``scipy.stats``, which would add about 20 MB of
+resident memory.
 """
 
 from __future__ import annotations
@@ -233,29 +236,48 @@ def mc_average(metric: Callable[[np.ndarray], np.ndarray],
     return McResult(mean=mean, std_error=math.sqrt(var / count))
 
 
+def _positive_int(u) -> int:
+    if not 1 <= u < math.inf or int(u) != u:
+        raise DomainError(f"u must be a positive integer, got {u}")
+    return int(u)
+
+
 def detect_metric(u: int, lam: float) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized instantaneous detection probability gamma -> P_d.
 
     Uses the noncentral chi-square survival function (the detector statistic
     X under the signal hypothesis has 2u degrees of freedom and noncentrality
-    nc = 2 gamma), an implementation independent of the series Marcum-Q.
+    nc = 2 gamma), an implementation independent of the series Marcum-Q.  The
+    values are those of ``scipy.stats.ncx2.sf(lam, 2u, nc)``, bit for bit,
+    taken from the Boost kernel it wraps: ``chdtrc(2u, lam)`` at nc = 0, nan
+    where nc is nan or negative, the kernel's nan at nc = +inf, and 1.0 on the
+    whole support nc >= 0 when lam = 0.
 
-    Far above the threshold, P_d is 1.0 without scipy: the Chernoff bound at
-    s = 1/2 on the lower tail, P[X <= lam] <= 2^-u e^(lam/2 - nc/4), is below
-    2^-54 (half the spacing of doubles under 1) once nc > 2 lam + 152, so P_d
-    rounds to 1.0 there.  That is where scipy fails: its ``sf`` is ``nan``
+    Far above the threshold, P_d is 1.0 without the kernel: the Chernoff bound
+    at s = 1/2 on the lower tail, P[X <= lam] <= 2^-u e^(lam/2 - nc/4), is
+    below 2^-54 (half the spacing of doubles under 1) once nc > 2 lam + 152,
+    so P_d rounds to 1.0 there.  That is where the kernel fails: it is ``nan``
     from nc of about 1e19 on, and for lam <= 2e-8 it overflows from nc of
-    about 400 on.  A non-finite nc is left to scipy.
+    about 400 on.  A u that is not a positive integer, or a lam that is not
+    finite and >= 0, raises DomainError.
     """
-    from scipy import stats
+    from scipy import special
+    from scipy.special._ufuncs import _ncx2_sf
 
+    df = 2 * _positive_int(u)
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"lam must be finite and >= 0, got {lam}")
     nc_one = 2.0 * lam + 152.0
+    sf_central = special.chdtrc(df, lam)
 
     def metric(g):
         nc = 2.0 * np.asarray(g, dtype=float)
         pd = np.ones_like(nc)
-        near = ~np.isfinite(nc) | (nc <= nc_one)
-        pd[near] = stats.ncx2.sf(lam, 2 * u, nc[near])
+        # at lam = 0, P_d is 1.0 on the whole support
+        one = (nc > nc_one) & (nc < math.inf) if lam > 0.0 else nc >= 0.0
+        central = nc == 0.0  # where the kernel can overflow and stats uses chi2
+        _ncx2_sf(lam, df, nc, out=pd, where=~(one | central))
+        np.copyto(pd, sf_central, where=central)
         return pd
     return metric
 
@@ -265,7 +287,9 @@ def auc_metric(u: int) -> Callable[[np.ndarray], np.ndarray]:
     = 1 - sum_{l<u} sum_{i<=l} C(l+u-1, l-i) 2^-(l+i+u) gamma^i e^(-gamma/2) / i!,
     summed by i: A = 1 - sum_{i<u} c_i gamma^i e^(-gamma/2) / i!, where
     c_i = 2^-i sum_{l=i}^{u-1} C(l+u-1, l-i) 2^-(l+u).  Each term is formed
-    in log space, so no factorial overflows and gamma = 0 stays finite."""
+    in log space, so no factorial overflows and gamma = 0 stays finite.
+    A u that is not a positive integer raises DomainError."""
+    u = _positive_int(u)
     ln_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * u)])
     ln_coef = np.empty(u)
     for i in range(u):
@@ -288,7 +312,11 @@ def auc_metric(u: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def rate_metric(a_exponent: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized rate-moment integrand gamma -> (1 + gamma)^-A."""
+    """Vectorized rate-moment integrand gamma -> (1 + gamma)^-A, for a
+    finite A > 0 (any other A raises DomainError)."""
+    if not 0.0 < a_exponent < math.inf:
+        raise DomainError(f"A must be finite and positive, got {a_exponent}")
+
     def metric(g):
         return np.exp(-a_exponent * np.log1p(np.asarray(g, dtype=float)))
     return metric

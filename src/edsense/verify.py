@@ -11,6 +11,7 @@ metric built by ``oracle``, so no reference path calls ``detection`` or
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import capacity, detection, oracle
@@ -97,8 +98,11 @@ def verify_closed_form(name: str,
     Carlo window (4 standard errors, plus the series' certified truncation
     error) are fixed and recorded.  ``perturb`` multiplies the closed-form
     value by (1 + perturb) before comparison; the CLI exposes it so the
-    verification machinery itself can be shown to catch a wrong constant.
+    verification machinery itself can be shown to catch a wrong constant; a
+    non-finite ``perturb`` raises DomainError.
     """
+    if not math.isfinite(perturb):
+        raise DomainError(f"perturb must be finite, got {perturb}")
     if name not in METRIC_NAMES:
         raise DomainError(f"unknown metric {name!r}; choose from {METRIC_NAMES}")
     kind = KappaMuShadowedParams if name.endswith("kms") else FisherFParams

@@ -283,6 +283,30 @@ def test_verify_single_cell_and_perturb(tmp_path, monkeypatch):
     assert "FAIL" in out.read_text()
 
 
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_verify_rejects_malformed_perturb(value, monkeypatch, capsys):
+    # "abc" used to die with a ValueError traceback and "nan" to print FAIL
+    # rows, both with exit code 1, which means a failed verification
+    monkeypatch.setenv("EDSENSE_VERIFY_PERTURB", value)
+    code = main(["verify", "--channel", "kms", "--kappa", "0", "--mu", "2", "--m", "1",
+                 "--snr-db", "6", "--mc-samples", "10000", "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("edsense: invalid parameters: ")
+
+
+def test_verify_beyond_the_fisher_reference_exits_3(capsys):
+    # below m_s of about 0.03 (m = 2, 10 dB) the Fisher tail past the cut lies
+    # beyond the float range, so the reference cannot be formed
+    code = main(["verify", "--channel", "fisher", "--m", "2", "--ms", "0.03",
+                 "--snr-db", "10", "--u", "2", "--mc-samples", "10000", "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "no finite cutoff" in captured.err
+
+
 def test_verify_heavy_shadowing_cell(tmp_path):
     # the reference cutoff used to drop up to 1e-2 of the Fisher mass at
     # m_s = 0.3, so the quadrature missed P_d and the AUC by 1.7e-5
@@ -354,4 +378,5 @@ def test_verify_loads_scipy(tmp_path):
          "--snr-db", "6", "--seed", "7", "--mc-samples", "100000",
          "--out", str(tmp_path / "v.txt")])
     assert code == 0
-    assert "scipy.integrate" in scipy_modules and "scipy.stats" in scipy_modules
+    assert "scipy.integrate" in scipy_modules and "scipy.special" in scipy_modules
+    assert not [m for m in scipy_modules if m.startswith("scipy.stats")]

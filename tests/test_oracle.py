@@ -249,6 +249,50 @@ def test_detect_metric_far_above_threshold():
     assert abs(mc.mean - closed) <= 4.0 * mc.std_error
 
 
+@pytest.mark.parametrize("u", [1, 2, 4, 10, 50])
+def test_detect_metric_bit_identical_to_stats(u):
+    # detect_metric calls the Boost kernel behind stats.ncx2.sf directly; if a
+    # scipy release moves that private name, this fails instead of the
+    # reference changing without notice
+    rng = np.random.default_rng(u)
+    for lam in (0.0, 1e-9, 0.5, 7.78, 60.0, 1e4):
+        cut = 2.0 * lam + 152.0
+        edges = np.array([0.0, 1e-323, np.nextafter(cut, 0.0), cut,
+                          np.nextafter(cut, np.inf), np.inf, -np.inf, np.nan])
+        nc = np.concatenate([edges, rng.gamma(2.0, (lam + 2.0 * u) / 2.0, 2000)])
+        assert np.array_equal(2.0 * (nc / 2.0), nc, equal_nan=True)  # gamma = nc / 2 is exact
+        near = ~((nc > cut) & (nc < np.inf))
+        want = np.ones_like(nc)
+        with np.errstate(invalid="ignore"):
+            want[near] = stats.ncx2.sf(lam, 2 * u, nc[near])
+        # the 0-d call is the one the quadrature makes
+        for got in (detect_metric(u, lam)(nc / 2.0),
+                    np.array([detect_metric(u, lam)(x) for x in nc / 2.0])):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), (u, lam)
+            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), (u, lam)
+        assert np.ndim(detect_metric(u, lam)(np.asarray(1.5))) == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: detect_metric(2, math.nan),
+    lambda: detect_metric(2, -1.0),
+    lambda: detect_metric(2, math.inf),
+    lambda: detect_metric(0, 7.78),
+    lambda: auc_metric(0),
+    lambda: auc_metric(-1),
+    lambda: auc_metric(1.5),
+    lambda: rate_metric(-1.0),
+    lambda: rate_metric(math.nan),
+], ids=["detect-lam-nan", "detect-lam-negative", "detect-lam-inf", "detect-u-0",
+        "auc-u-0", "auc-u-negative", "auc-u-fraction", "rate-a-negative", "rate-a-nan"])
+def test_metric_builders_reject_bad_arguments(build):
+    # each used to return 1.0, 0.0, nan or 1 + gamma at every gamma, or to
+    # raise IndexError, ValueError or TypeError
+    with pytest.raises(DomainError):
+        build()
+
+
 def _auc_double_sum(u, g):
     """The ROC area's double sum term by term, with float factorials (which
     overflow from i = 171 on)."""
