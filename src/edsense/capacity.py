@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import tanhsinh_01
+from ._quad import ln_peak_integral
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
-from .specfun import _REL_TOL, gauss_2f1, ln_beta
+from .specfun import gauss_2f1, ln_beta
 
 __all__ = [
     "DelayQoS",
@@ -55,7 +55,7 @@ def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float) -> float:
 
     whose integrand is positive and, unlike t^(A-1) phi(t), bounded at t = 0
     for every A > 0.  The integral runs in s = ln t, centred on the peak of
-    the log-integrand, on the tanh-sinh rule with s = s0 + ln(x / (1 - x)).
+    the log-integrand (``ln_peak_integral``).
     """
     n1, th1, n2, th2 = p.mu - p.m, p.theta1, p.m, p.theta2
     a1 = a + 1.0
@@ -77,15 +77,7 @@ def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float) -> float:
             lo = s0
         else:
             hi = s0
-    s0 = 0.5 * (lo + hi)
-    peak = float(ln_integrand(s0))
-
-    def integrand(x, omx, ln_x, ln_omx, w):
-        return w * np.exp(ln_integrand(s0 + ln_x - ln_omx) - peak - ln_x - ln_omx)
-
-    with np.errstate(over="ignore", under="ignore"):
-        integral = tanhsinh_01(integrand, rel_tol=_REL_TOL)
-    return peak + math.log(integral) - math.lgamma(a1)
+    return ln_peak_integral(ln_integrand, 0.5 * (lo + hi)) - math.lgamma(a1)
 
 
 def _guard_moment(ln_moment: float) -> float:

@@ -20,12 +20,14 @@ mean_snr * (G1/m) / (G2/m_s) with independent unit-scale Gamma variates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .specfun import _poisson_tail_index, _poisson_terms, ln_beta, reg_inc_beta
+from .errors import ConvergenceError, DomainError
+from .specfun import (_ln_poisson_tail, _poisson_tail_index, _poisson_terms, ln_beta,
+                      reg_inc_beta)
 
 __all__ = [
     "KappaMuShadowedParams",
@@ -46,6 +48,10 @@ _TOL = math.exp(-_LN_TOL)
 # The density's running terms are scaled down by this factor once they pass it.
 _RESCALE = 1e250
 _LN_RESCALE = math.log(_RESCALE)
+# exp(x) is 0.0 below about -745.13.
+_LN_UNDERFLOW = -746.0
+# The most mixture indices kms_cdf sums, each array of them about 8 MB.
+_MAX_INDEX = 1 << 20
 # Draws handled at a time: the samplers draw their second Gamma factor in
 # blocks of this size, and ``oracle.mc_average`` applies its metric to them
 # in such blocks, so that neither holds more than one full-length array plus
@@ -147,7 +153,9 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     ratio is below 1 the rest of the sum is at most the last term times
     ratio / (1 - ratio); the sum stops when that bound is below e^-_LN_TOL of
     the partial sum.  The terms are carried relative to the first one and
-    rescaled before they can overflow.
+    rescaled before they can overflow.  Their sum is 1F1(r; a; qx) <= e^qx
+    (r <= a), so where the log of the first term plus qx lies below exp's
+    underflow the density is 0.0 without a walk.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
@@ -158,6 +166,8 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     qx = q * x
     ln_scale = (r * math.log1p(-q) + math.log(rate) + (a - 1) * math.log(x)
                 - x - math.lgamma(a))
+    if not ln_scale + qx >= _LN_UNDERFLOW:  # NaN where x overflows
+        return 0.0
     term = total = 1.0
     tol = _TOL
     # r + j and (j+1)(a+j) at j = 0; both stay exact integers
@@ -187,11 +197,25 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     Poisson indices below x - sqrt(2 L x) and from ``_poisson_tail_index(x, L)``
     on are dropped; each side carries at most e^-L of probability
     (L = _LN_TOL), which bounds the absolute error.
+
+    The negative binomial cdf runs over all indices from 0, so past x =
+    _MAX_INDEX the result is 1.0 where 1 - F is at most e^-L by the bound
+    Q(mu-m, theta1 gamma/2) + Q(m, theta2 gamma/2) (one of the two Gamma
+    factors passes gamma/2), each Q(k, y) = P[Poisson(y) <= k-1] bounded
+    by ``_ln_poisson_tail``, and ConvergenceError elsewhere.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     a, rate, r, q = _gamma_mixture(p)
     x = rate * gamma
+    if x > _MAX_INDEX:
+        half = min(0.5 * gamma, sys.float_info.max / p.theta1)  # theta * half stays finite
+        tail = sum(math.exp(_ln_poisson_tail(theta * half, k - 1, False))
+                   for k, theta in ((p.m, p.theta2), (p.mu - p.m, p.theta1)) if k > 0)
+        if tail <= _TOL:
+            return 1.0
+        raise ConvergenceError(
+            f"kms_cdf needs about {x:.3g} mixture indices, more than {_MAX_INDEX}")
     n = _poisson_tail_index(x, _LN_TOL) - a
     if gamma == 0.0 or n <= 0:
         return 0.0

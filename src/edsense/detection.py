@@ -146,7 +146,7 @@ def threshold_for_pf(u: int, pf_target: float) -> float:
     """
     if not 0.0 < pf_target < 1.0:
         raise DomainError(f"pf_target must be in (0, 1), got {pf_target}")
-    if u < 1 or int(u) != u:
+    if not 1 <= u < math.inf or int(u) != u:
         raise DomainError(f"u must be a positive integer, got {u}")
     return float(_thresholds(int(u), np.array([float(pf_target)]))[0])
 
@@ -193,7 +193,7 @@ def _tails(u: int, y: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.nda
     col_y = y[:, None]
     terms = np.where(upper[:, None], falling / col_y, col_y / rising)
     ratio = np.multiply.accumulate(terms, axis=1).sum(axis=1) + upper
-    return _ln_gamma_weight(u, y, np.log, np.log1p) - np.log(y) + np.log(ratio), ratio
+    return _ln_gamma_weight(u, y) - np.log(y) + np.log(ratio), ratio
 
 
 def _thresholds(u: int, pf: np.ndarray) -> np.ndarray:
@@ -518,7 +518,7 @@ def truncation_bound_f(p: FisherFParams, cfg: DetectorConfig, S: int) -> float:
     P falls with its first argument and pi sums to at most one.  The bound
     holds for every channel; ``p`` does not enter it.
     """
-    if S < 1 or int(S) != S:
+    if not 1 <= S < math.inf or int(S) != S:
         raise DomainError(f"S must be a positive integer, got {S}")
     return reg_lower_gamma(cfg.u + S, cfg.lam / 2.0)
 
@@ -630,7 +630,7 @@ def croc_curve(channel: KappaMuShadowedParams | FisherFParams, cfg_u: int,
         if not all(0.0 < x < 1.0 for x in grid):
             raise DomainError("pf_grid values must lie strictly inside (0, 1)")
         raise DomainError("pf_grid must be strictly increasing")
-    if cfg_u < 1 or int(cfg_u) != cfg_u:
+    if not 1 <= cfg_u < math.inf or int(cfg_u) != cfg_u:
         raise DomainError(f"u must be a positive integer, got {cfg_u}")
     _check_tol(tol)
     try:

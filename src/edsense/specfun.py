@@ -2,12 +2,12 @@
 
 Everything here is self-contained (stdlib ``math`` plus the local quadrature
 kernels): incomplete gamma and beta, the generalized Marcum-Q, the Kummer and
-Gauss hypergeometric series, and the Tricomi U function evaluated
-through its real integral representation.  All routines are pure and
-deterministic; accuracy targets are stated per function.  The series and
-quadratures share one fixed contract: 1e-12 relative (``_REL_TOL``), at most
-10,000 series terms (``_MAX_TERMS``), and ConvergenceError where that cannot
-be met, never a silently truncated value.  The Poisson terms
+Gauss hypergeometric series, and the Tricomi U function evaluated through its
+real integral representation.  All routines are pure and deterministic.  The
+series and quadratures share one contract: 1e-12 relative (``_REL_TOL``), at
+most 10,000 terms for the hypergeometric and Marcum-Q series (``_MAX_TERMS``)
+and 20,000 for the incomplete gamma and beta loops, and ConvergenceError where
+that cannot be met, never a silently truncated value.  The Poisson terms
 y^z e^(-y) / Gamma(z+1) that the Marcum-Q, the detection series and the
 kappa-mu distribution function sum come from one kernel, ``_poisson_terms``.
 """
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from ._quad import adaptive_gk, tanhsinh_01
+from ._quad import _REL_TOL, ln_peak_integral, tanhsinh_01
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -40,10 +40,7 @@ __all__ = [
 ]
 
 
-# Relative tolerance of the series and quadratures (also the absolute one of
-# the probability-valued results, which lie in [0, 1]), and the most terms a
-# series may take before it raises ConvergenceError.
-_REL_TOL = 1e-12
+# The most terms a series may take before it raises ConvergenceError.
 _MAX_TERMS = 10_000
 _MAX_INNER_ITER = 20000
 
@@ -55,23 +52,30 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _ln_gamma_weight(z: float, y, log=math.log, log1p=math.log1p):
+def _ln_gamma_weight(z: float, y):
     """ln(y^z e^(-y) / Gamma(z)), the factor in front of both incomplete-gamma
-    expansions.  With ``log`` and ``log1p`` from numpy, y may be an array,
-    taken elementwise at the one order z.
+    expansions.  y may be a numpy array, taken elementwise at the one order z.
 
     For z >= 30 it is taken as -z (t - ln(1 + t)) + ln(z / 2 pi) / 2 - S(z),
     t = y/z - 1, with S the Stirling remainder of ln Gamma(z) to the z^-7
     term (truncation error below 1e-16).  The direct form subtracts two
     numbers near z ln z, and its rounding error, about 1e-16 z ln z, reaches
-    2e-12 relative at z = 2400.
+    2e-12 relative at z = 2400.  ln(1 + t) is log1p(t) from y = z/2 up and
+    ln(y/z) below, where t drops y's digits (y/z held at the least normal
+    float, so that an underflow gives a weight far below exp's range).
     """
+    array = isinstance(y, np.ndarray)
     if z < 30.0:
-        return z * log(y) - y - math.lgamma(z)
+        return z * (np.log(y) if array else math.log(y)) - y - math.lgamma(z)
     t = (y - z) / z
+    if array:
+        ln_ratio = np.log(np.maximum(y / z, sys.float_info.min))
+        np.log1p(t, out=ln_ratio, where=t >= -0.5)
+    else:
+        ln_ratio = math.log1p(t) if t >= -0.5 else math.log(max(y / z, sys.float_info.min))
     w = 1.0 / (z * z)
     stirling = (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
-    return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - log1p(t)) - stirling
+    return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - ln_ratio) - stirling
 
 
 def _reg_lower_series(z: float, y: float) -> float:
@@ -494,42 +498,24 @@ def ln_tricomi_u(a: float, b: float, z: float) -> float:
     """ln U(a; b; z) for finite a > 0, b, z > 0 via the Laplace-type integral.
 
     U(a;b;z) = (1/Gamma(a)) * integral over t > 0 of e^(-zt) t^(a-1)
-    (1+t)^(b-a-1); integrating in s = ln t with the peak value factored out
-    keeps the result finite for very large a, where U itself underflows.
+    (1+t)^(b-a-1), on ``ln_peak_integral`` in s = ln t about the peak, the
+    root t > 0 of z t^2 + (z - b + 1) t - a; in log space it stays finite
+    where U underflows (very large a).  Near t = 0 the integrand falls only
+    as t^a, too slowly for the rule below a = 0.05: ConvergenceError.
     """
     if not (0.0 < a < math.inf and 0.0 < z < math.inf and math.isfinite(b)):
         raise DomainError(f"tricomi_u requires finite a > 0, b, z > 0, got a={a}, b={b}, z={z}")
+    if a < 0.05:
+        raise ConvergenceError(f"tricomi_u integrand decays too slowly at a={a} < 0.05")
     cba = b - a - 1.0
 
     def h(s):
-        t = np.exp(s)
-        return -z * t + a * s + cba * np.logaddexp(0.0, s)
+        return -z * np.exp(s) + a * s + cba * np.logaddexp(0.0, s)
 
-    # interior maximum of the log-integrand: root of z t^2 + (z - b + 1) t - a
     coeff = z - b + 1.0
-    t_star = (-coeff + math.sqrt(coeff * coeff + 4.0 * z * a)) / (2.0 * z)
-    s_star = math.log(t_star)
-    h_star = float(h(np.array([s_star]))[0])
-
-    drop = 55.0
-    lo = s_star - 1.0
-    width = 1.0
-    while float(h(np.array([lo]))[0]) > h_star - drop:
-        width *= 2.0
-        lo = s_star - width
-        if width > 1e8:
-            raise ConvergenceError("tricomi_u integrand has no left decay")
-    hi = s_star + 1.0
-    width = 1.0
-    while float(h(np.array([hi]))[0]) > h_star - drop:
-        width *= 2.0
-        hi = s_star + width
-        if width > 1e8:
-            raise ConvergenceError("tricomi_u integrand has no right decay")
-
-    integral = adaptive_gk(lambda s: np.exp(h(s) - h_star), lo, hi,
-                           rel_tol=_REL_TOL)
-    return h_star + math.log(integral) - math.lgamma(a)
+    root = math.hypot(coeff, 2.0 * math.sqrt(z * a))
+    t_star = 2.0 * a / (coeff + root) if coeff > 0.0 else (root - coeff) / (2.0 * z)
+    return ln_peak_integral(h, math.log(t_star)) - math.lgamma(a)
 
 
 def tricomi_u(a: float, b: float, z: float) -> float:

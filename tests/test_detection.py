@@ -437,6 +437,17 @@ def test_croc_curve_validation():
         croc_curve(p, 2, [0.1, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_orders_raise_domain_error(bad):
+    p = FisherFParams(2.0, 3.0, 10.0)
+    with pytest.raises(DomainError):
+        threshold_for_pf(bad, 0.1)
+    with pytest.raises(DomainError):
+        croc_curve(p, bad, [0.1, 0.5])
+    with pytest.raises(DomainError):
+        truncation_bound_f(p, DetectorConfig(u=2, lam=3.0), bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, 1.5])
 def test_croc_curve_checks_every_pmd(bad, monkeypatch):
     # RocPoint checks nothing itself: croc_curve checks its whole P_md vector

@@ -27,7 +27,7 @@ from edsense.detection import (
     croc_curve,
     threshold_for_pf,
 )
-from edsense.errors import DomainError
+from edsense.errors import ConvergenceError, DomainError
 from edsense.oracle import auc_metric, average_over_channel, detect_metric
 
 
@@ -158,3 +158,18 @@ def test_kms_pdf_and_cdf_reject_non_finite_gamma():
             kms_pdf(p, bad)
         with pytest.raises(DomainError):
             kms_cdf(p, bad)
+
+
+def test_kms_pdf_returns_at_once_far_in_the_tail():
+    # the term walk toward j ~ q x overflowed to inf at 1e300 and never stopped
+    p = _kms(2.0, 3, 2, 10.0)
+    assert kms_pdf(p, 1e300) == 0.0
+    assert kms_pdf(p, 1e6) == 0.0
+
+
+def test_kms_cdf_past_the_index_window():
+    # the negative binomial cdf ran from index 0 to about theta1 gamma
+    assert kms_cdf(_kms(2.0, 3, 2, 10.0), 1e300) == 1.0
+    # a Gamma(2, 2e-300) factor: F(1e300) is about 0.6, not within e^-37 of 1
+    with pytest.raises(ConvergenceError):
+        kms_cdf(KappaMuShadowedParams(1e300, 3, 2, 1e300), 1e300)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import edsense
-from edsense import _quad, capacity, specfun
+from edsense import _quad, specfun
 from edsense.capacity import DelayQoS, rate_moment_kms
 from edsense.channels import KappaMuShadowedParams
 from edsense.errors import ConvergenceError
@@ -65,7 +65,7 @@ def _captured_integrands(monkeypatch, run):
         return real(f, rel_tol)
 
     monkeypatch.setattr(specfun, "tanhsinh_01", recording)
-    monkeypatch.setattr(capacity, "tanhsinh_01", recording)
+    monkeypatch.setattr(_quad, "tanhsinh_01", recording)
     run()
     return seen
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from edsense import specfun
 from edsense.channels import KappaMuShadowedParams, kms_mgf
 from edsense.detection import DetectorConfig, auc_instant, prob_detect_instant
 from edsense.errors import ConvergenceError, DomainError
@@ -26,6 +27,7 @@ from edsense.specfun import (
     kummer_1f1,
     ln_beta,
     ln_gamma,
+    ln_tricomi_u,
     lower_inc_gamma,
     marcum_q,
     reg_inc_beta,
@@ -75,6 +77,20 @@ def test_incomplete_gamma_partition():
         for y in (0.0, 0.1, 1.0, 5.0, 60.0):
             total = lower_inc_gamma(z, y) + upper_inc_gamma(z, y)
             assert math.isclose(total, math.exp(ln_gamma(z)), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("z,y", [(30.0, 1e-5), (60.0, 1e-3), (60.0, 1e-300)])
+def test_reg_lower_gamma_far_below_large_order(z, y):
+    # (y - z)/z drops y's digits where y << z; (60, 1e-300) used to take the
+    # log of 0
+    assert math.isclose(reg_lower_gamma(z, y), special.gammainc(z, y), rel_tol=1e-12)
+
+
+def test_gamma_weight_array_matches_scalar():
+    for z in (12.5, 30.0, 60.0):
+        y = np.array([1e-300, 1e-5, 0.3 * z, 0.5 * z, z, 2.0 * z, 1e4])
+        want = [specfun._ln_gamma_weight(z, v) for v in y.tolist()]
+        np.testing.assert_allclose(specfun._ln_gamma_weight(z, y), want, rtol=1e-14)
 
 
 @pytest.mark.parametrize("z", [29.5, 30.0, 200.0, 2400.0, 2400.5])
@@ -304,6 +320,75 @@ def test_tricomi_u_kummer_connection():
         u_val = tricomi_u(a, b, z)
         assert abs(u_val - (t1 + t2)) <= 1e-9 * (abs(t1) + abs(t2) + abs(u_val))
         found += 1
+
+
+# ln U(a; b; z) from mpmath 1.3.0 at mp.dps = 30:
+# float(mpmath.log(mpmath.hyperu(a, b, z))).
+_LN_TRICOMI_REF = [
+    (0.1, -30.0, 0.001, -0.3419442208015792),
+    (0.1, -20.0, 0.5, -0.3047634035701526),
+    (0.1, 0.0, 1.0, -0.06343816796967931),
+    (0.1, 0.5, 30.0, -0.3420662288503788),
+    (0.1, 12.0, 100.0, -0.44905013633847424),
+    (0.35, -30.0, 0.02, -1.1984536461591127),
+    (0.35, -1.0, 0.5, -0.3012943665343416),
+    (0.35, 0.0, 4.0, -0.5776523002890591),
+    (0.35, 2.5, 30.0, -1.177047886837448),
+    (0.35, 12.0, 0.001, 90.15620441857898),
+    (1.0, -30.0, 0.5, -3.450507260761084),
+    (1.0, -1.0, 1.0, -1.210079139561991),
+    (1.0, 1.0, 4.0, -1.5782026041734052),
+    (1.0, 2.5, 100.0, -4.600207156280825),
+    (1.0, 30.0, 0.001, 268.2156462276635),
+    (2.5, -7.5, 0.5, -5.714016031262275),
+    (2.5, -1.0, 4.0, -5.107061795515247),
+    (2.5, 1.0, 30.0, -8.693520994692872),
+    (2.5, 25.0, 100.0, -10.922272128273123),
+    (2.5, 30.0, 0.02, 181.07265561981447),
+    (7.5, -20.0, 0.02, -23.891054952187215),
+    (7.5, -7.5, 1.0, -19.233021550388436),
+    (7.5, 0.5, 4.0, -17.000762125277113),
+    (7.5, 1.0, 100.0, -35.06152877623827),
+    (7.5, 25.0, 0.001, 209.85915541327347),
+    (40.0, -20.0, 0.5, -147.2563134803275),
+    (40.0, 0.0, 1.0, -120.96136643461789),
+    (40.0, 0.5, 30.0, -164.12384040515755),
+    (40.0, 12.0, 100.0, -193.14884380727202),
+    (40.0, 25.0, 0.02, 38.84956510116367),
+    (300.0, -30.0, 0.02, -1513.0603258663616),
+    (300.0, -20.0, 1.0, -1498.9956693696556),
+    (300.0, 0.0, 4.0, -1479.876929676435),
+    (300.0, 2.5, 30.0, -1584.3122208551742),
+    (300.0, 12.0, 0.001, -1318.1411990558588),
+    (2000.0, -30.0, 0.5, -13384.612292053864),
+    (2000.0, -1.0, 1.0, -13296.787471890078),
+    (2000.0, 0.0, 30.0, -13678.405594915685),
+    (2000.0, 2.5, 100.0, -14045.166230710889),
+    (2000.0, 30.0, 0.001, -12930.779101954624),
+    (30000.0, -20.0, 0.001, -279439.9501080448),
+    (30000.0, -7.5, 0.5, -279557.5031645109),
+    (30000.0, -1.0, 1.0, -279622.56625765597),
+    (30000.0, 1.0, 0.02, -279314.35306169064),
+    (30000.0, 2.5, 0.001, -279262.5760719765),
+    (30000.0, 25.0, 1.0, -279487.6554167652),
+    (30000.0, 30.0, 0.02, -279099.86042952054),
+]
+
+
+@pytest.mark.parametrize("a,b,z,want", _LN_TRICOMI_REF)
+def test_ln_tricomi_u_against_mpmath(a, b, z, want):
+    """Frozen mpmath values over a in [0.1, 3e4], b in [-30, 30], z in
+    [1e-3, 100]; at (3e4, -20, 1e-3) and (3e4, 25, 1) an adaptive
+    Gauss-Kronrod rule stalled at its 4000-panel budget."""
+    assert abs(ln_tricomi_u(a, b, z) - want) <= 2e-15 * max(1.0, abs(want))
+
+
+def test_ln_tricomi_u_small_a_raises():
+    # toward t = 0 the integrand falls only as t^a, past the rule's reach
+    # below a = 0.05 (reference as in _LN_TRICOMI_REF)
+    assert abs(ln_tricomi_u(0.05, 1.0, 1.0) - -0.0018173811204801123) <= 1e-13
+    with pytest.raises(ConvergenceError):
+        ln_tricomi_u(0.04, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
