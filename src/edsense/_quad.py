@@ -109,6 +109,10 @@ def adaptive_gk(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 _TS_MAX_LEVEL = 12
 _TS_BLOCKS = ((0, 1, 2, 3, 4, 5),) + tuple(
     (level,) for level in range(6, _TS_MAX_LEVEL + 1))
+_TS_X_MAX = 6.0  # weights underflow well before this
+# No node lies nearer 0 or 1 than e^-_TS_REACH (about e^-633.7), so mass that
+# an integrand keeps closer to an end than that is cut short.
+_TS_REACH = math.pi * math.sinh(_TS_X_MAX)
 
 
 @functools.cache
@@ -121,13 +125,12 @@ def _ts_block(block: int):
     """
     us, ws, starts = [], [], []
     size = 0
-    x_max = 6.0  # weights underflow well before this
     for level in _TS_BLOCKS[block]:
         h = 1.0 / 2 ** level
         if level == 0:
-            ks = np.arange(0, int(x_max / h) + 1)
+            ks = np.arange(0, int(_TS_X_MAX / h) + 1)
         else:
-            ks = np.arange(1, int(x_max / h) + 1, 2)  # odd multiples only
+            ks = np.arange(1, int(_TS_X_MAX / h) + 1, 2)  # odd multiples only
         x = ks * h
         u = np.pi * np.sinh(x)
         w = h * np.pi * 0.25 * np.cosh(x) / np.cosh(u / 2.0) ** 2

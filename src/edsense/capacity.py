@@ -5,12 +5,15 @@ delay-QoS exponent.  For the shadowed kappa-mu channel the expectation (the
 "rate moment" below) is one positive integral of the channel's MGF (cf. Di
 Renzo, Graziosi & Santucci, IEEE TVT 2010), evaluated by tanh-sinh
 quadrature in log space; for the Fisher-Snedecor channel it is a single
-Gauss hypergeometric value.  Both paths work with the logarithm of the
-moment, so large A only shrinks the moment instead of underflowing it.
+Gauss hypergeometric value, taken with its argument's complement omega
+exactly and its SNR-free set-up cached per shape (``_ln_rate_moment_f``).
+Both paths work with the logarithm of the moment, so large A or a high SNR
+only shrinks the moment instead of underflowing it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ import numpy as np
 from ._quad import ln_peak_integral
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
-from .specfun import gauss_2f1, ln_beta
+from .specfun import _CACHED, _gauss_2f1, ln_beta
 
 __all__ = [
     "DelayQoS",
@@ -95,14 +98,36 @@ def rate_moment_kms(p: KappaMuShadowedParams, q: DelayQoS) -> float:
 
 def rate_moment_f(p: FisherFParams, q: DelayQoS) -> float:
     """E[(1 + gamma)^-A] over the Fisher-Snedecor channel."""
-    a = q.a_exponent
+    return math.exp(_guard_moment(_ln_rate_moment_f(p, q.a_exponent)))
+
+
+@functools.lru_cache(maxsize=_CACHED)
+def _ln_beta_ratio(m: float, ms: float, a: float) -> float:
+    """ln B(m, m_s + A) - ln B(m, m_s), the SNR-free factor of the Fisher moment."""
+    return ln_beta(m, ms + a) - ln_beta(m, ms)
+
+
+def _ln_rate_moment_f(p: FisherFParams, a: float) -> float:
+    """ln E[(1 + gamma)^-A] over the Fisher-Snedecor channel:
+
+        m ln omega + ln B(m, m_s+A) - ln B(m, m_s)
+            + ln 2F1(m+m_s, m; m+m_s+A; 1-omega).
+
+    omega goes to the 2F1 core as the argument's complement, so no digit of
+    it is lost to 1 - (1 - omega) at high SNR; the core's scale factor, which
+    carries the Pfaff front omega^-m at low SNR and the 1-z formula's
+    omega^(A-m) at high SNR, is added in log space, so the moment may
+    underflow while its logarithm stays finite.  At low SNR ln M is a
+    difference of O(1) terms and keeps an absolute, not a relative, error of
+    about 1e-16 (2e-9 relative at -60 dB).
+    """
     m, ms, omega = p.m, p.m_s, p.omega
-    hyp = gauss_2f1(m + ms, m, m + ms + a, 1.0 - omega)
+    if not 0.0 < omega < math.inf:
+        raise ConvergenceError(f"Fisher scale omega = {omega} outside the float range")
+    hyp, ln_scale = _gauss_2f1(m + ms, m, m + ms + a, 1.0 - omega, omega)
     if hyp <= 0.0:
         raise ConvergenceError("hypergeometric factor of the rate moment not positive")
-    ln_moment = (m * math.log(omega) + ln_beta(m, ms + a) - ln_beta(m, ms)
-                 + math.log(hyp))
-    return math.exp(_guard_moment(ln_moment))
+    return m * math.log(omega) + ln_scale + _ln_beta_ratio(m, ms, a) + math.log(hyp)
 
 
 def eff_rate_kms(p: KappaMuShadowedParams, q: DelayQoS) -> float:
@@ -113,5 +138,5 @@ def eff_rate_kms(p: KappaMuShadowedParams, q: DelayQoS) -> float:
 
 def eff_rate_f(p: FisherFParams, q: DelayQoS) -> float:
     """Effective rate in bits/s/Hz over Fisher-Snedecor fading."""
-    moment = rate_moment_f(p, q)
-    return -math.log(moment) / (q.a_exponent * _LN2)
+    ln_moment = _guard_moment(_ln_rate_moment_f(p, q.a_exponent))
+    return -ln_moment / (q.a_exponent * _LN2)

@@ -10,17 +10,22 @@ and 20,000 for the incomplete gamma and beta loops, and ConvergenceError where
 that cannot be met, never a silently truncated value.  The Poisson terms
 y^z e^(-y) / Gamma(z+1) that the Marcum-Q, the detection series and the
 kappa-mu distribution function sum come from one kernel, ``_poisson_terms``.
+Whatever the hypergeometric series and 2F1's routes need that does not
+depend on z (term ratios and their tail bounds, connection coefficients,
+the Euler integral's set-up) is built once per parameter set and kept in
+bounded LRU caches of immutable tuples, so a sweep over z pays for it once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
 
 import numpy as np
 
-from ._quad import _REL_TOL, ln_peak_integral, tanhsinh_01
+from ._quad import _REL_TOL, _TS_REACH, ln_peak_integral, tanhsinh_01
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -93,7 +98,16 @@ def _reg_lower_series(z: float, y: float) -> float:
 
 
 def _reg_upper_cf(z: float, y: float) -> float:
-    """Regularized upper gamma Q(z, y) for y >= z + 1, by Lentz's method."""
+    """Regularized upper gamma Q(z, y) for y >= z + 1, by Lentz's method.
+
+    There the continued fraction is at most 1/(y + 1 - z) <= 1, so Q is at
+    most the weight y^z e^-y / Gamma(z), and where that lies below half the
+    least subnormal Q rounds to 0.0 at once; from y of about 1e16 on,
+    b += 2 no longer moves b and the fraction would never settle.
+    """
+    ln_weight = _ln_gamma_weight(z, y)
+    if ln_weight < -745.2:
+        return 0.0
     tiny = 1e-300
     b = y + 1.0 - z
     c = 1.0 / tiny
@@ -112,7 +126,7 @@ def _reg_upper_cf(z: float, y: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return math.exp(_ln_gamma_weight(z, y)) * h
+            return math.exp(ln_weight) * h
     raise ConvergenceError(f"incomplete gamma continued fraction stalled at z={z}, y={y}")
 
 
@@ -336,61 +350,91 @@ def marcum_q(u: int, a: float, b: float) -> float:
 
 _SCALE_BITS = 600
 _SCALE_LIMIT = 2.0 ** _SCALE_BITS
+_LN2 = math.log(2.0)
+
+# The series take their z-free term ratios from chunks of _CHUNK indices, and
+# 2F1 its z-free set-up per (a, b, c); both are built on first use and the
+# most recent _CACHED of each are kept.
+_CHUNK = 50
+_CACHED = 256
 
 
-def _series_phq(p0: float, p1, q0: float, z: float, what: str,
-                ln_front: float = 0.0) -> float:
-    """e^ln_front times the power series 1F1(p0; q0; z) (p1 None) or
-    2F1(p0, p1; q0; z).
+@functools.lru_cache(maxsize=_CACHED)
+def _series_ratios(p0: float, p1, q0: float, k: int):
+    """Chunk k of the z-free term ratios of 1F1(p0; q0; z) (p1 None) or
+    2F1(p0, p1; q0; z), as (rho, bound) for the indices j of the chunk:
+    t_(j+1) = z rho_j t_j, and |z| bound_j bounds every term ratio after
+    t_(j+1).  The bound takes 1/(j+1) at the next index n = j + 1 and each
+    (j+p)/(j+q), monotone in j beyond its pole with limit 1, as the larger of
+    1 and its value at n; it is inf while the pole j = -q0 lies ahead."""
+    rho, bound = [], []
+    for l in map(float, range(k * _CHUNK, (k + 1) * _CHUNK)):
+        n = l + 1.0
+        if p1 is None:
+            rho.append((p0 + l) / n / (q0 + l))
+        else:
+            rho.append((p0 + l) / n * (p1 + l) / (q0 + l))
+        if n + q0 <= 0.0:
+            bound.append(math.inf)
+        elif p1 is None:  # the ratio is z (j+p0)/(j+q0) / (j+1)
+            bound.append(max(abs((n + p0) / (n + q0)), 1.0) / (n + 1.0))
+        else:  # z (j+p0)/(j+1) (j+p1)/(j+q0)
+            bound.append(max(abs((n + p0) / (n + 1.0)), 1.0)
+                         * max(abs((n + p1) / (n + q0)), 1.0))
+    return tuple(rho), tuple(bound)
+
+
+def _series_phq(p0: float, p1, q0: float, z: float, what: str):
+    """The power series 1F1(p0; q0; z) (p1 None) or 2F1(p0, p1; q0; z) as
+    (s, bits), the sum being s 2^bits.
 
     The sum stops once three successive terms t are at most _REL_TOL of it
     and |t| R / (1 - R) also is, which bounds the dropped tail, or at t = 0,
-    after which every term is 0.  R bounds every later term ratio: |z| times
-    a bound on each factor, 1/(j+1) by its value at the next index n and
-    each (j+p)/(j+q), monotone in j beyond its pole with limit 1, by the
-    larger of 1 and its value at n.  Where R <= 1/2 the three small terms
-    imply the bound.  The term and the sum are scaled by 2^-_SCALE_BITS
-    (exactly) whenever the term passes 2^_SCALE_BITS, so neither overflows.
-    The sum meets the front factor in log space only where e^ln_front
-    underflows; a result beyond the float range raises ConvergenceError.
+    after which every term is 0; R = |z| bound from ``_series_ratios``.
+    Where R <= 1/2 the three small terms imply the bound.  The term and the
+    sum are scaled by 2^-_SCALE_BITS (exactly) whenever the term passes
+    2^_SCALE_BITS, so neither overflows.
     """
     term = total = 1.0
     scale = small = 0
-    for l in map(float, range(_MAX_TERMS)):  # float + float is the fast addition
-        if p1 is None:
-            term *= z / (l + 1.0) * (p0 + l) / (q0 + l)
-        else:
-            term *= z / (l + 1.0) * (p0 + l) * (p1 + l) / (q0 + l)
-        total += term
-        if term > _SCALE_LIMIT or term < -_SCALE_LIMIT:
-            term = math.ldexp(term, -_SCALE_BITS)
-            total = math.ldexp(total, -_SCALE_BITS)
-            scale += _SCALE_BITS
-        bound = _REL_TOL * total
-        if -bound <= term <= bound or bound <= term <= -bound:
-            small += 1
-            n = l + 1.0  # the next index
-            if small < 3 or n + q0 <= 0.0:  # too few, or the ratio's pole j = -q0 ahead
-                continue
-            if p1 is None:  # the ratio is z (j+p0)/(j+q0) / (j+1)
-                r = abs(z) * max(abs((n + p0) / (n + q0)), 1.0) / (n + 1.0)
-            else:  # z (j+p0)/(j+1) (j+p1)/(j+q0)
-                r = (abs(z) * max(abs((n + p0) / (n + 1.0)), 1.0)
-                     * max(abs((n + p1) / (n + q0)), 1.0))
-            if term == 0.0 or r < 1.0 and abs(term) * r <= abs(bound) * (1.0 - r):
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError(f"{what} series exceeded {_MAX_TERMS} terms")
-    front = math.exp(ln_front)
+    az = abs(z)
+    for k in range(_MAX_TERMS // _CHUNK):
+        rhos, bounds = _series_ratios(p0, p1, q0, k)
+        for rho, r in zip(rhos, bounds):
+            term *= z * rho
+            total += term
+            if term > _SCALE_LIMIT or term < -_SCALE_LIMIT:
+                term = math.ldexp(term, -_SCALE_BITS)
+                total = math.ldexp(total, -_SCALE_BITS)
+                scale += _SCALE_BITS
+            bound = _REL_TOL * total
+            if -bound <= term <= bound or bound <= term <= -bound:
+                small += 1
+                if small >= 3:
+                    r *= az
+                    if term == 0.0 or r < 1.0 and abs(term) * r <= abs(bound) * (1.0 - r):
+                        return total, scale
+            else:
+                small = 0
+    raise ConvergenceError(f"{what} series exceeded {_MAX_TERMS} terms")
+
+
+def _to_float(s: float, ln_front: float, bits: int, what: str, z: float) -> float:
+    """s 2^bits e^ln_front as a float.  The parts meet in log space only
+    where e^ln_front underflows; a value beyond the float range raises
+    ConvergenceError."""
     try:
-        if front >= sys.float_info.min:
-            return math.ldexp(front * total, scale)
-        return math.copysign(
-            math.exp(ln_front + math.log(abs(total)) + scale * math.log(2.0)), total)
+        front = math.exp(ln_front)
+        if front >= sys.float_info.min or s == 0.0:
+            value = math.ldexp(front * s, bits)
+        else:
+            value = math.copysign(
+                math.exp(ln_front + math.log(abs(s)) + bits * _LN2), s)
     except OverflowError:
-        raise ConvergenceError(f"{what} exceeds the float range at z={z}") from None
+        value = math.inf
+    if math.isinf(value):
+        raise ConvergenceError(f"{what} exceeds the float range at z={z}")
+    return value
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:
@@ -409,8 +453,10 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     if z == 0.0:
         return 1.0
     if z < 0.0:
-        return _series_phq(b - a, None, b, -z, "kummer_1f1", ln_front=z)
-    return _series_phq(a, None, b, z, "kummer_1f1")
+        s, bits = _series_phq(b - a, None, b, -z, "kummer_1f1")
+        return _to_float(s, z, bits, "kummer_1f1", z)
+    s, bits = _series_phq(a, None, b, z, "kummer_1f1")
+    return _to_float(s, 0.0, bits, "kummer_1f1", z)
 
 
 def _gamma_sign_ln(x: float):
@@ -432,16 +478,115 @@ def _gamma_sign_ln(x: float):
 _MAX_CANCELLATION = 1e4
 
 
-def _euler_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Euler integral for 2F1 when c > b > 0; handles 0.5 < z < 1 robustly."""
+@functools.lru_cache(maxsize=_CACHED)
+def _setup_2f1(a: float, b: float, c: float):
+    """What 2F1(a, b; c; z) needs on (1/2, 1) that does not depend on z, as
+    (connection, euler).
+
+    ``connection`` holds the terms of the z -> 1-z formula (DLMF 15.8.4), each
+    (p0, p1, q0, sign, ln, shift) for sign e^ln w^shift 2F1(p0, p1; q0; w),
+    w = 1-z, with a term whose 1/Gamma has a pole left out; it is None where
+    c-a-b is within 0.05 of an integer.  ``euler`` is (p, q, ln of
+    Gamma(c) / (Gamma(q) Gamma(c-q))) for the Euler integral, or None where
+    neither ordering (p, q) of (a, b) has c > q > 0.
+    """
+    connection = None
+    d = c - a - b
+    if abs(d - round(d)) > 0.05:
+        gc = _gamma_sign_ln(c)
+        connection = []
+        for (p0, p1, q0, coef_args, shift) in ((a, b, 1.0 - d, (d, c - a, c - b), 0.0),
+                                               (c - a, c - b, 1.0 + d, (-d, a, b), d)):
+            gn, g1, g2 = map(_gamma_sign_ln, coef_args)
+            if g1 is None or g2 is None:
+                continue  # 1/Gamma(pole) kills the term
+            connection.append((p0, p1, q0, gc[0] * gn[0] * g1[0] * g2[0],
+                               gc[1] + gn[1] - g1[1] - g2[1], shift))
+        connection = tuple(connection)
+    # Of the orderings (p, q) of (a, b) with c > q > 0, take one with q and
+    # c - q at least 1 where there is one, which keeps the endpoint powers
+    # t^(q-1) and (1-t)^(c-q-1) bounded, and among those the larger q: the
+    # gentler power where the mass gathers as z -> 1 lets the rule settle at
+    # fewer levels.
+    q = max((x for x in (a, b) if 0.0 < x < c), key=lambda x: (min(x, c - x, 1.0), x),
+            default=None)
+    euler = None if q is None else (a + b - q, q, math.lgamma(c) - math.lgamma(q)
+                                    - math.lgamma(c - q))
+    return connection, euler
+
+
+def _euler_2f1(a: float, b: float, c: float, w: float, ln_front: float):
+    """Euler integral for 2F1(a, b; c; 1-w) when c > b > 0, as (s, ln_scale),
+    value s e^ln_scale: e^ln_front times the integral over (0, 1) of
+    t^(b-1) (1-t)^(c-b-1) (1-t+tw)^-a, robust for 0.5 < 1-w < 1.
+
+    The integrand is scaled by w^-min(0, c-a-b), which keeps the integral of
+    order one as w -> 0.  For a > 0 the factor (1-t+tw)^-a gathers mass at
+    1-t of about w; where the part of it nearer t = 1 than the rule's nodes,
+    about (e^-_TS_REACH / w)^(c-b), could pass e^-30 (1e-13), the rule cannot
+    reach it: ConvergenceError.
+    """
+    ln_w = math.log(w)
+    if a > 0.0 and (c - b) * (_TS_REACH + ln_w) < 30.0:
+        raise ConvergenceError(f"gauss_2f1 Euler integral out of the rule's reach at 1-z={w}")
     bm1 = b - 1.0
     cbm1 = c - b - 1.0
+    shift = min(0.0, c - a - b) * ln_w
 
-    def integrand(t, omt, ln_t, ln_omt, w):
-        return w * np.exp(bm1 * ln_t + cbm1 * ln_omt - a * np.log(omt + t * (1.0 - z)))
+    def integrand(t, omt, ln_t, ln_omt, wt):
+        x = t * w
+        x += omt
+        np.log(x, out=x)
+        x *= -a
+        x += bm1 * ln_t
+        x += cbm1 * ln_omt
+        x -= shift
+        np.exp(x, out=x)
+        x *= wt
+        return x
 
-    integral = tanhsinh_01(integrand, rel_tol=1e-13)
-    return math.exp(math.lgamma(c) - math.lgamma(b) - math.lgamma(c - b)) * integral
+    return tanhsinh_01(integrand, rel_tol=1e-13), ln_front + shift
+
+
+def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
+    """2F1(a, b; c; z) for z < 1 as (s, ln_scale), the value being
+    s e^ln_scale, with w = 1 - z given exactly by the caller.
+
+    Every route that needs 1 - z takes w, never 1 - z rounded: the Pfaff step
+    maps z < 0 to z/(z-1), whose complement is 1/w, and the 1-z formula and
+    the Euler integral work in w.  The route and the z-free set-up come from
+    ``_setup_2f1``.  Arguments are not checked.
+    """
+    if z < 0.0:
+        # Pfaff: w^-a 2F1(a, c-b; c; z/(z-1)), or the same with a and b swapped
+        if abs(a) <= abs(b):
+            s, ln_scale = _gauss_2f1(a, c - b, c, -z / w, 1.0 / w)
+            return s, ln_scale - a * math.log(w)
+        s, ln_scale = _gauss_2f1(c - a, b, c, -z / w, 1.0 / w)
+        return s, ln_scale - b * math.log(w)
+    if z <= 0.5:
+        s, bits = _series_phq(a, b, c, z, "gauss_2f1")
+        return s, bits * _LN2
+    connection, euler = _setup_2f1(a, b, c)
+    if connection is not None:
+        ln_w = math.log(w)
+        pieces = []
+        for p0, p1, q0, sign, ln, shift in connection:
+            s, bits = _series_phq(p0, p1, q0, w, "gauss_2f1")
+            pieces.append((sign * s, ln + shift * ln_w + bits * _LN2))
+        top = max([ln for _, ln in pieces], default=0.0)
+        total = size = 0.0
+        for s, ln in pieces:
+            piece = s * math.exp(ln - top)
+            total += piece
+            size += abs(piece)
+        if size <= _MAX_CANCELLATION * abs(total):
+            return total, top
+    if euler is not None:
+        p, q, ln_front = euler
+        return _euler_2f1(p, q, c, w, ln_front)
+    s, bits = _series_phq(a, b, c, z, "gauss_2f1")
+    return s, bits * _LN2
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -451,7 +596,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     transformation, unless its parameters are near the integer degeneracy or
     its two terms cancel, in which case the Euler integral (or, where that
     does not apply, the direct series); the Pfaff transformation maps z < 0
-    into [0, 1).  A non-finite argument raises DomainError.
+    into [0, 1), handing on 1/(1-z) as the new argument's complement, so
+    that z/(z-1) rounding to 1 loses nothing.  A non-finite argument raises
+    DomainError; a value beyond the float range, or an Euler integral whose
+    mass lies nearer t = 1 than the rule's nodes (1-z below about 1e-262 at
+    c-b = 1, after the Pfaff step), raises ConvergenceError.
     """
     if not all(map(math.isfinite, (a, b, c, z))):
         raise DomainError(
@@ -462,36 +611,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         raise DomainError(f"gauss_2f1 requires z < 1, got {z}")
     if z == 0.0:
         return 1.0
-    if z < 0.0:
-        w = z / (z - 1.0)
-        if abs(a) <= abs(b):
-            return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, w)
-        return (1.0 - z) ** (-b) * gauss_2f1(c - a, b, c, w)
-    if z <= 0.5:
-        return _series_phq(a, b, c, z, "gauss_2f1")
-
-    d = c - a - b
-    if abs(d - round(d)) > 0.05:
-        w = 1.0 - z
-        total = size = 0.0
-        gc = _gamma_sign_ln(c)
-        for (p0, p1, q0, coef_args, shift) in ((a, b, 1.0 - d, (d, c - a, c - b), 0.0),
-                                               (c - a, c - b, 1.0 + d, (-d, a, b), d)):
-            gn, g1, g2 = map(_gamma_sign_ln, coef_args)
-            if g1 is None or g2 is None:
-                continue  # 1/Gamma(pole) kills the term
-            sign = gc[0] * gn[0] * g1[0] * g2[0]
-            ln = gc[1] + gn[1] - g1[1] - g2[1] + shift * math.log(w)
-            piece = sign * math.exp(ln) * _series_phq(p0, p1, q0, w, "gauss_2f1")
-            total += piece
-            size += abs(piece)
-        if size <= _MAX_CANCELLATION * abs(total):
-            return total
-
-    for (p, q) in ((a, b), (b, a)):
-        if q > 0.0 and c - q > 0.0:
-            return _euler_2f1(p, q, c, z)
-    return _series_phq(a, b, c, z, "gauss_2f1")
+    s, ln_scale = _gauss_2f1(a, b, c, z, 1.0 - z)
+    return _to_float(s, ln_scale, 0, "gauss_2f1", z)
 
 
 def ln_tricomi_u(a: float, b: float, z: float) -> float:

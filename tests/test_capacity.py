@@ -2,10 +2,13 @@
 monotonicity, and a property test against the scipy-only oracle.
 
 Frozen [reference] values: scipy adaptive quadrature of
-(1 + gamma)^-A times the density at epsabs 1e-13.
+(1 + gamma)^-A times the density at epsabs 1e-13, and the mpmath values
+noted where they are used.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from edsense import capacity, specfun
 from edsense.capacity import (
     DelayQoS,
     eff_rate_f,
@@ -21,7 +25,7 @@ from edsense.capacity import (
     rate_moment_kms,
 )
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_pdf, kms_pdf
-from edsense.errors import DomainError
+from edsense.errors import ConvergenceError, DomainError
 from edsense.oracle import average_over_channel, rate_metric
 from edsense.specfun import beta
 
@@ -134,3 +138,114 @@ def test_large_exponent_stays_finite():
     assert 0.0 < r < 10.0
     r = eff_rate_f(FisherFParams(m=2.0, m_s=3.0, mean_snr=5.0), DelayQoS(200.0))
     assert 0.0 < r < 10.0
+
+
+# E[(1+gamma)^-A] = omega^m B(m, m_s+A) / B(m, m_s) 2F1(m+m_s, m; m+m_s+A; 1-omega)
+# from mpmath 1.3.0 at mp.dps = 40, with omega the float m / (m_s * mean_snr)
+# and mean_snr = 10 ** (snr_db / 10).  Shapes (m, m_s, A): variant 0 of the
+# benchmark's three Fisher rate sweeps, its Fisher verify cell with A = 1,
+# and (2, 3, 1).
+_RATE_F_DB = (20, 30, 60, 80, 120, 160, 200)
+_RATE_F_REF = [
+    ((1.112, 3.029, 1.004), (0.033669921294834676, 0.004770923085732081, 7.333031774385826e-06,
+                             8.13631946902749e-08, 8.725361495519322e-12, 8.724624472654674e-16,
+                             8.521281278880502e-20)),
+    ((4.057, 1.468, 1.119), (0.008130261123389923, 0.0006398210907776726, 2.8238021075117474e-07,
+                             1.6324355084245924e-09, 5.4555187259675717e-14, 1.8232072989954783e-18,
+                             6.093068362636989e-23)),
+    ((2.5, 10.1, 1.528), (0.002471980849624715, 8.206705998685591e-05, 2.1901379984121634e-09,
+                          1.925298024827338e-12, 1.4876417732692573e-18, 1.1494719159724998e-24,
+                          8.881746325847282e-31)),
+    ((2.114, 15.47, 1.0), (0.017827985254466813, 0.0018804229791092185, 1.897637827788902e-06,
+                           1.8976657481429646e-08, 1.8976660681870667e-12, 1.897666068222618e-16,
+                           1.897666068222622e-20)),
+    ((2.0, 3.0, 1.0), (0.018371041521153784, 0.0019719998444437574, 1.9999352656775557e-06,
+                       1.9999991070499678e-08, 1.9999999998615833e-12, 1.9999999999999812e-16,
+                       2e-20)),
+]
+
+
+@pytest.mark.parametrize("shape,want", _RATE_F_REF, ids=[str(s) for s, _ in _RATE_F_REF])
+def test_rate_moment_f_against_mpmath_up_to_200_db(shape, want):
+    # omega reaches the 2F1 as 1 - z exactly: rebuilt as 1 - (1 - omega) it
+    # was 1e-11 off at 60 dB, up to 2e-4 at 120 dB, and raised at 160 dB
+    m, ms, a = shape
+    for db, ref in zip(_RATE_F_DB, want):
+        got = rate_moment_f(FisherFParams(m, ms, 10.0 ** (db / 10.0)), DelayQoS(a))
+        assert math.isclose(got, ref, rel_tol=1e-12), db
+
+
+def test_eff_rate_f_when_the_moment_underflows():
+    # the moment is 2.2e-803, below the float range; the rate comes from its
+    # logarithm (mpmath 1.3.0, mp.dps = 50: 13.331829025754604 bits/s/Hz)
+    p, q = FisherFParams(m=100.0, m_s=3.0, mean_snr=1e9), DelayQoS(200.0)
+    assert rate_moment_f(p, q) == 0.0
+    assert math.isclose(eff_rate_f(p, q), 13.331829025754604, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1.112, 3.029, 1.004), (2.5, 10.1, 1.528), (2.0, 3.0, 1.0),
+                                   (100.0, 3.0, 200.0), (100.0, 3.0, 1.0), (0.5, 0.5, 0.01)])
+def test_fisher_rate_over_the_whole_snr_range(shape):
+    # a value or ConvergenceError for every mean_snr in [1e-300, 1e300]; the
+    # parent raised DomainError beyond about +-150 dB and ValueError where
+    # the moment underflowed
+    m, ms, a = shape
+    for k in range(-300, 301, 10):
+        p, q = FisherFParams(m, ms, 10.0 ** k), DelayQoS(a)
+        for fn in (rate_moment_f, eff_rate_f):
+            try:
+                value = fn(p, q)
+            except ConvergenceError:
+                continue
+            assert math.isfinite(value) and value >= 0.0, (k, fn.__name__)
+
+
+def _rate_caches():
+    return (specfun._series_ratios, specfun._setup_2f1, capacity._ln_beta_ratio)
+
+
+def _fisher_sweep(m, ms, a):
+    q = DelayQoS(a)
+    return [eff_rate_f(FisherFParams(m, ms, 10.0 ** (db / 100.0)), q)
+            for db in range(-100, 301)]
+
+
+def test_fisher_rate_caches_cold_and_warm_agree():
+    for cache in _rate_caches():
+        cache.cache_clear()
+    for shape in ((1.112, 3.029, 1.004), (2.5, 10.1, 1.528)):
+        cold = _fisher_sweep(*shape)
+        assert _fisher_sweep(*shape) == cold
+
+
+def test_fisher_rate_caches_stay_bounded():
+    q = DelayQoS(1.3)
+    for i in range(10_000):
+        eff_rate_f(FisherFParams(1.0 + i * 1e-4, 3.0, 10.0), q)
+    for cache in _rate_caches():
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_fisher_rate_caches_filled_by_threads_agree():
+    shape = (1.7320508, 2.2360679, 1.4142136)  # a shape no other test uses
+    for cache in _rate_caches():
+        cache.cache_clear()
+    results = [None] * 8
+
+    def work(k):
+        results[k] = _fisher_sweep(*shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    warm = _fisher_sweep(*shape)
+    assert all(r == warm for r in results)

@@ -91,6 +91,21 @@ def test_effrate_sweep(tmp_path):
     assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
+@pytest.mark.parametrize("args,row", [
+    # mpmath 1.3.0 (mp.dps = 50) gives 52.15084952 and 13.33182903 bits/s/Hz;
+    # the first printed 5.288666154e+01, the second died with a ValueError
+    (["--m", "2", "--ms", "3", "--snr-db", "160", "--a", "1"],
+     ["1.600000000e+02", "5.215084952e+01"]),
+    (["--m", "100", "--ms", "3", "--snr-db", "90", "--a", "200"],
+     ["9.000000000e+01", "1.333182903e+01"]),
+])
+def test_effrate_fisher_high_snr(tmp_path, args, row):
+    code, out = _run(tmp_path, "rate.csv", ["effrate", "--channel", "fisher", *args])
+    assert code == 0
+    _, body = _rows(out)
+    assert body == [row]
+
+
 def test_pdf_table_consistency(tmp_path):
     code, out = _run(tmp_path, "pdf.csv",
                      ["pdf", "--channel", "kms", "--kappa", "0", "--mu", "2",

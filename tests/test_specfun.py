@@ -10,6 +10,7 @@ the hypergeometric series.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +282,21 @@ def test_gauss_2f1_route_consistency():
         assert math.isclose(lhs, rhs, rel_tol=1e-11)
 
 
+def test_gauss_2f1_large_negative_argument():
+    # z/(z-1) rounds to 1 from z of about -1e16 on; the Pfaff step now hands
+    # on 1/(1-z) as the new argument's complement.  2F1(1,1;2;z) was 3.6e-9
+    # off at -1e10 and 2.5e-5 off at -1e14, and raised DomainError at -1e16.
+    for z in (-1e6, -1e10, -1e14):
+        want = -math.log1p(-z) / z
+        assert math.isclose(gauss_2f1(1.0, 1.0, 2.0, z), want, rel_tol=1e-12), z
+    for z in [-10.0 ** k for k in range(16, 309, 4)] + [-sys.float_info.max]:
+        try:
+            got = gauss_2f1(1.0, 1.0, 2.0, z)
+        except ConvergenceError:
+            continue
+        assert math.isclose(got, -math.log1p(-z) / z, rel_tol=1e-12), z
+
+
 @pytest.mark.parametrize("m,ms,a", [(2.5, 10.0, 1.5), (4.0, 20.0, 3.02)])
 def test_gauss_2f1_euler_route_near_integer(m, ms, a):
     # the Fisher rate moment's 2F1(m+m_s, m; m+m_s+A; z), whose c-a-b = A-m
@@ -437,6 +453,16 @@ def test_non_finite_arguments_raise(fn, args, bad):
     for i in range(len(args)):
         with pytest.raises(DomainError):
             fn(*args[:i], bad, *args[i + 1:])
+
+
+def test_incomplete_gamma_at_huge_y():
+    # beyond y of about 1e16 the continued fraction's b += 2 stopped moving
+    # b and 20 of these 212 points raised "continued fraction stalled"
+    for z in (1.0, 2.0, 2.5, 3.0):
+        for k in range(100, 309, 4):
+            assert reg_upper_gamma(z, 10.0 ** k) == 0.0, (z, k)
+            assert reg_lower_gamma(z, 10.0 ** k) == 1.0, (z, k)
+    assert reg_upper_gamma(2.0, 1.125e299) == 0.0
 
 
 def test_determinism():
