@@ -119,7 +119,7 @@ def _ln_rate_moment_f(p: FisherFParams, a: float) -> float:
     omega^(A-m) at high SNR, is added in log space, so the moment may
     underflow while its logarithm stays finite.  At low SNR ln M is a
     difference of O(1) terms and keeps an absolute, not a relative, error of
-    about 1e-16 (2e-9 relative at -60 dB).
+    about 1e-16 (8e-10 relative at -60 dB for m = 2, m_s = 3, A = 1).
     """
     m, ms, omega = p.m, p.m_s, p.omega
     if not 0.0 < omega < math.inf:

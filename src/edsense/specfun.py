@@ -100,10 +100,10 @@ def _reg_lower_series(z: float, y: float) -> float:
 def _reg_upper_cf(z: float, y: float) -> float:
     """Regularized upper gamma Q(z, y) for y >= z + 1, by Lentz's method.
 
-    There the continued fraction is at most 1/(y + 1 - z) <= 1, so Q is at
-    most the weight y^z e^-y / Gamma(z), and where that lies below half the
-    least subnormal Q rounds to 0.0 at once; from y of about 1e16 on,
-    b += 2 no longer moves b and the fraction would never settle.
+    There the continued fraction is at most 1, so Q is at most the weight
+    y^z e^-y / Gamma(z); where that lies below half the least subnormal, Q
+    rounds to 0.0 and is returned at once.  (From y of about 1e16 on,
+    b += 2 no longer moves b and the fraction would never settle.)
     """
     ln_weight = _ln_gamma_weight(z, y)
     if ln_weight < -745.2:
@@ -508,10 +508,11 @@ def _setup_2f1(a: float, b: float, c: float):
     # t^(q-1) and (1-t)^(c-q-1) bounded, and among those the larger q: the
     # gentler power where the mass gathers as z -> 1 lets the rule settle at
     # fewer levels.
-    q = max((x for x in (a, b) if 0.0 < x < c), key=lambda x: (min(x, c - x, 1.0), x),
-            default=None)
-    euler = None if q is None else (a + b - q, q, math.lgamma(c) - math.lgamma(q)
-                                    - math.lgamma(c - q))
+    orderings = [(p, q) for p, q in ((a, b), (b, a)) if 0.0 < q < c]
+    euler = None
+    if orderings:
+        p, q = max(orderings, key=lambda pq: (min(pq[1], c - pq[1], 1.0), pq[1]))
+        euler = (p, q, math.lgamma(c) - math.lgamma(q) - math.lgamma(c - q))
     return connection, euler
 
 
