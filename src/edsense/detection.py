@@ -20,8 +20,8 @@ gives the missed-detection probability
 where pi is the channel's mixed-Poisson pmf (``_poisson_pmf``): a
 convolution of two negative binomial pmfs for shadowed kappa-mu fading, and
 for Fisher-Snedecor fading a negative binomial averaged over the shadowing
-V ~ Gamma(m_s, 1), one uniform trapezoid sum in sigma = ln V that serves
-every k at once; its step is halved until two levels agree.  (The
+V ~ Gamma(m_s, 1), one trapezoid sum in sigma = ln V on a closed-form grid
+for every k at once; its step is halved until two levels agree.  (The
 coefficient's closed form in the Tricomi U, one quadrature per term, now
 serves only as a reference in the tests.)  Every term is positive, and
 since P(u + k, lambda/2) falls with k and pi sums to at most one, the tail
@@ -61,6 +61,7 @@ from .errors import ConvergenceError, DomainError
 from .specfun import (
     _MAX_TERMS,
     _REL_TOL,
+    _binet,
     _ln_gamma_weight,
     _ln_poisson_tail,
     _poisson_terms,
@@ -297,135 +298,94 @@ def _poisson_pmf(channel: KappaMuShadowedParams | FisherFParams, n: int,
 # The Fisher pmf's trapezoid range ends where every row's log-integrand lies
 # this far below its peak (e^-45 < 3e-20).
 _TRAP_DROP = 45.0
-# Trapezoid levels 0..2 form the first block, evaluated in one node matrix;
-# each deeper level is a block of its own.  Most pmfs settle at level 2 or 3,
-# and a block reaching past the settling level evaluates its nodes for nothing.
+# Trapezoid levels 0..2 are strided slices of one grid of step h/4, and each
+# deeper level is a block of its own: most pmfs settle by level 3, and a
+# block past the settling level evaluates its nodes for nothing.
 _TRAP_MAX_LEVEL = 12
-_TRAP_LEVEL_BLOCKS = ((0, 1, 2),) + tuple((level,) for level in range(3, _TRAP_MAX_LEVEL + 1))
+_TRAP_FIRST_BLOCK = (np.s_[::4], np.s_[2::4], np.s_[1::2])
 # Largest (k, node) block evaluated at once.
 _TRAP_BLOCK = 1 << 15
 
 
-def _softplus(x: float) -> float:
-    """ln(1 + e^x) without overflow."""
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-
-def _fisher_log_weight(sigma: float, k: int, m: float, ms: float,
-                       ln_w: float) -> tuple[float, float, float]:
-    """(g, g', g'') at sigma of g = m_s sigma - e^sigma + m ln p + k ln(1-p),
-    p = w e^sigma / (1 + w e^sigma): the log-integrand of row k of the
-    Fisher pmf, strictly concave in sigma."""
-    t = sigma + ln_w
-    ln_p, ln_q = -_softplus(-t), -_softplus(t)
-    p, q, v = math.exp(ln_p), math.exp(ln_q), math.exp(sigma)
-    return (ms * sigma - v + m * ln_p + k * ln_q,
-            ms - v + m * q - k * p,
-            -v - (m + k) * p * q)
-
-
-def _fisher_peak(k: int, m: float, ms: float, ln_w: float) -> float:
-    """Maximum of row k's log-integrand, by Newton steps kept inside the
-    bracket [ln(m_s / (1 + k w)), ln(m_s + m)] on which g' changes sign.
-    A Newton step below 1e-9 ends it before the bracket test, which a
-    converged step landing on the bracket's end would fail."""
-    lo = math.log(ms) - math.log1p(k * math.exp(ln_w))
-    hi = math.log(ms + m)
-    sigma = hi
-    for _ in range(100):
-        _, slope, curve = _fisher_log_weight(sigma, k, m, ms, ln_w)
-        if slope > 0.0:
-            lo = sigma
-        else:
-            hi = sigma
-        nxt = sigma - slope / curve
-        if abs(nxt - sigma) <= 1e-9:
-            return nxt
-        sigma = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    raise ConvergenceError(f"Fisher pmf: no peak found for row {k}")
-
-
-def _fisher_edge(k: int, peak: float, side: float, m: float, ms: float,
-                 ln_w: float) -> float:
-    """A point on the given side of row k's peak where its log-integrand
-    has fallen at least _TRAP_DROP below the peak value.
-
-    Steps out by doubling, then takes Newton steps back toward the crossing;
-    by concavity each Newton step stays outside it.
+def _fisher_range(m: float, ms: float, w: float, n: int) -> tuple[float, float, float]:
+    """(lo, hi, h): the range in d = sigma - ln m_s and the first step of
+    ``_fisher_pmf``'s trapezoid sum.  Row k's log-integrand g is concave,
+    with g' = c - e^sigma - (m+k) p, c = m + m_s and 0 < p < w e^sigma:
+    - g' <= c - e^sigma puts every peak at or below ln c, and every row has
+      fallen at least c (e^x - 1 - x) >= 45 by ln c + x, x = 1 + log1p(45/c);
+    - g' >= c - A e^sigma, A = 1 + (m+n-1) w, puts the peak of every row
+      below n at or above ln(c/A), and each has fallen at least
+      c (x - 1 + e^-x) >= 45 by ln(c/A) - x, x = 1 + 45/c;
+    - at any peak -g'' = c - (m+k) p^2 <= c, so h = 2^floor(log2(2/sqrt(c)))
+      is at most about twice every row's width there.
     """
-    target = _fisher_log_weight(peak, k, m, ms, ln_w)[0] - _TRAP_DROP
-    step = 1.0
-    while _fisher_log_weight(sigma := peak + side * step, k, m, ms, ln_w)[0] > target:
-        step *= 2.0
-    for _ in range(3):
-        g, slope, _ = _fisher_log_weight(sigma, k, m, ms, ln_w)
-        sigma -= (g - target) / slope
-    return sigma
+    c = m + ms
+    right = math.log(c / ms)
+    left = right - float(np.logaddexp(0.0, math.log(m + n - 1) + math.log(w)))
+    return (left - 1.0 - _TRAP_DROP / c, right + 1.0 + math.log1p(_TRAP_DROP / c),
+            2.0 ** math.floor(math.log2(2.0 / math.sqrt(c))))
 
 
 def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray:
     """pi_0..pi_{n-1} for Fisher-Snedecor fading at w = omega / s.
 
     The SNR given V ~ Gamma(m_s, 1) is Gamma(m, rate omega V), so pi is a
-    negative binomial averaged over sigma = ln V:
+    negative binomial averaged over sigma = ln V.  Taken in d = sigma - ln m_s,
 
-        pi_k = Gamma(m+k) / (Gamma(m) k! Gamma(m_s))
-               * int exp(m_s sigma - e^sigma) p^m (1-p)^k dsigma,
+        pi_k = Gamma(m+k) / (Gamma(m) k!) * m_s^m_s e^-m_s / Gamma(m_s)
+               * int exp(m_s (d - expm1 d)) p^m (1-p)^k dd,
 
-    p = w e^sigma / (1 + w e^sigma).  The integrand is analytic and decays
-    exponentially at both ends, so the uniform trapezoid rule converges
-    exponentially in 1/h (Trefethen & Weideman, SIAM Review 2014), and one
-    node set serves every k as rows of one log-space matrix, each shifted
-    by its own maximum before exponentiating.  Each row's log-integrand is
-    concave, and its peak moves left as k grows; so the range runs from
-    where row n-1 has fallen _TRAP_DROP below its peak on the left to where
-    row 0 has on the right, and holds every row down to e^-_TRAP_DROP of its
-    peak.  The first step is about twice the width of row n-1 at its peak;
-    h is halved, reusing every node, until two levels agree to ``tol``
-    relative in every row (T_l = T_(l-1)/2 + h_l c_l, c_l the sums over the
-    new nodes), or raises ConvergenceError after level 12.  Levels 0..2
-    come from one node matrix and each deeper level from one more.
+    p = w e^sigma / (1 + w e^sigma): the terms of order m_s ln m_s cancel in
+    closed form, the factor in front being exp(ln(m_s / 2 pi)/2 - mu(m_s)),
+    mu Binet's function (``specfun._binet``).  The integrand is analytic and
+    decays exponentially at both ends, so the uniform trapezoid rule
+    converges exponentially in 1/h (Trefethen & Weideman, SIAM Review 2014),
+    and one node set serves every k as rows of one log-space matrix, each
+    shifted by its own maximum before exponentiating.  The range and first
+    step come from ``_fisher_range``; h is halved, reusing every node, until
+    two levels agree to ``tol`` relative in every row (T_l = T_(l-1)/2 +
+    h_l c_l, c_l the sums over the new nodes), or raises ConvergenceError
+    after level 12.
     """
-    ln_w, top = math.log(w), n - 1
-    peak = _fisher_peak(top, m, ms, ln_w)
-    lo = _fisher_edge(top, peak, -1.0, m, ms, ln_w)
-    hi = _fisher_edge(0, _fisher_peak(0, m, ms, ln_w), 1.0, m, ms, ln_w)
-    curve = _fisher_log_weight(peak, top, m, ms, ln_w)[2]
-    h = 2.0 ** math.floor(math.log2(2.0 / math.sqrt(-curve)))
+    lo, hi, h = _fisher_range(m, ms, w, n)
+    ln_wms = math.log(w) + math.log(ms)
     count = math.ceil((hi - lo) / h)
     k = np.arange(n, dtype=float)
     shift = np.empty(n)
 
-    def level_sums(levels: tuple[int, ...]) -> np.ndarray:
-        """Sum over each level's new nodes of exp(g_k - shift_k), one column
-        per level and one row per k, in blocks of rows; the block holding
-        level 0 sets each shift to the row maximum over the level-0 nodes."""
-        nodes = [lo + h * np.arange(count + 1) if level == 0 else
-                 lo + h / 2 ** level * np.arange(1, 2 ** level * count, 2) for level in levels]
-        starts = list(accumulate(map(len, nodes[:-1]), initial=0))
-        sigma = np.concatenate(nodes)
-        t = sigma + ln_w
-        a = ms * sigma - np.exp(sigma) - m * np.logaddexp(0.0, -t)
-        b = -np.logaddexp(0.0, t)
-        out = np.empty((n, len(levels)))
-        rows = max(1, _TRAP_BLOCK // len(sigma))
+    def node_sums(d: np.ndarray, slices: tuple, first: bool) -> np.ndarray:
+        """Per-slice row sums of exp(g_k - shift_k) over nodes d; the first sets shift."""
+        t = d + ln_wms
+        e = np.log1p(np.exp(-np.abs(t)))  # ln p = min(t, 0) - e, ln(1-p) = -max(t, 0) - e
+        a = ms * (d - np.expm1(d)) + m * (np.minimum(t, 0.0) - e)
+        b = -np.maximum(t, 0.0) - e
+        out = np.empty((len(slices), n))
+        rows = max(1, _TRAP_BLOCK // len(d))
         for r in range(0, n, rows):
             g = np.multiply.outer(k[r:r + rows], b)
             g += a
-            if levels[0] == 0:
-                shift[r:r + rows] = np.maximum.reduce(g[:, :count + 1], axis=1)
+            if first:
+                shift[r:r + rows] = np.maximum.reduce(g, axis=1)
             g -= shift[r:r + rows, None]
-            out[r:r + rows] = np.add.reduceat(np.exp(g, out=g), starts, axis=1)
+            np.exp(g, out=g)
+            for j, s in enumerate(slices):
+                out[j, r:r + rows] = np.add.reduce(g[:, s], axis=1)
         return out
 
+    def level_sums():
+        yield from node_sums(lo + h / 4 * np.arange(4 * count + 1), _TRAP_FIRST_BLOCK, True)
+        for level in range(3, _TRAP_MAX_LEVEL + 1):
+            yield from node_sums(lo + h / 2 ** level * np.arange(1, 2 ** level * count, 2),
+                                 (np.s_[:],), False)
+
     total = 0.0
-    for levels in _TRAP_LEVEL_BLOCKS:
-        for level, sums in zip(levels, level_sums(levels).T):
-            prev, total = total, 0.5 * total + h / 2 ** level * sums
-            if level and (np.abs(total - prev) <= tol * total).all():
-                ln_binom = np.zeros(n)
-                np.add.accumulate(np.log((m + k[:-1]) / (k[:-1] + 1.0)), out=ln_binom[1:])
-                return np.exp(ln_binom - math.lgamma(ms) + shift + np.log(total))
+    for level, sums in enumerate(level_sums()):
+        prev, total = total, 0.5 * total + h / 2 ** level * sums
+        if level and (np.abs(total - prev) <= tol * total).all():
+            ln_binom = np.zeros(n)
+            np.add.accumulate(np.log((m + k[:-1]) / (k[:-1] + 1.0)), out=ln_binom[1:])
+            ln_front = 0.5 * math.log(ms / (2.0 * math.pi)) - _binet(ms)
+            return np.exp(ln_binom + ln_front + shift + np.log(total))
     raise ConvergenceError(f"Fisher pmf trapezoid sum did not settle by h = {h / 2 ** level:g}")
 
 

@@ -61,13 +61,13 @@ def _ln_gamma_weight(z: float, y):
     """ln(y^z e^(-y) / Gamma(z)), the factor in front of both incomplete-gamma
     expansions.  y may be a numpy array, taken elementwise at the one order z.
 
-    For z >= 30 it is taken as -z (t - ln(1 + t)) + ln(z / 2 pi) / 2 - S(z),
-    t = y/z - 1, with S the Stirling remainder of ln Gamma(z) to the z^-7
-    term (truncation error below 1e-16).  The direct form subtracts two
-    numbers near z ln z, and its rounding error, about 1e-16 z ln z, reaches
-    2e-12 relative at z = 2400.  ln(1 + t) is log1p(t) from y = z/2 up and
-    ln(y/z) below, where t drops y's digits (y/z held at the least normal
-    float, so that an underflow gives a weight far below exp's range).
+    For z >= 30 it is taken as -z (t - ln(1 + t)) + ln(z / 2 pi) / 2 - mu(z),
+    t = y/z - 1, with mu Binet's function (``_binet``).  The direct form
+    subtracts two numbers near z ln z, and its rounding error, about 1e-16
+    z ln z, reaches 2e-12 relative at z = 2400.  ln(1 + t) is log1p(t) from
+    y = z/2 up and ln(y/z) below, where t drops y's digits (y/z held at the
+    least normal float, so that an underflow gives a weight far below exp's
+    range).
     """
     array = isinstance(y, np.ndarray)
     if z < 30.0:
@@ -78,9 +78,27 @@ def _ln_gamma_weight(z: float, y):
         np.log1p(t, out=ln_ratio, where=t >= -0.5)
     else:
         ln_ratio = math.log1p(t) if t >= -0.5 else math.log(max(y / z, sys.float_info.min))
+    return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - ln_ratio) - _binet(z)
+
+
+def _binet(z: float) -> float:
+    """Binet's function mu(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2,
+    the remainder of Stirling's formula, for z > 0.
+
+    From z = 10 up it is Stirling's series to the z^-15 term (truncation
+    error below 2e-18); below, the recurrence mu(z) = mu(z+1) + (z + 1/2)
+    log1p(1/z) - 1 carries it up there.  Each step adds one small term, so
+    mu(z) is good to about 2e-15 absolute, where ln Gamma(z) itself is
+    rounded at the scale of z ln z.
+    """
+    mu = 0.0
+    while z < 10.0:
+        mu += (z + 0.5) * math.log1p(1.0 / z) - 1.0
+        z += 1.0
     w = 1.0 / (z * z)
-    stirling = (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
-    return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - ln_ratio) - stirling
+    return mu + (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w * (
+        1.0 / 1680.0 - w * (1.0 / 1188.0 - w * (691.0 / 360360.0 - w * (
+            1.0 / 156.0 - w * 3617.0 / 122400.0))))))) / z
 
 
 def _reg_lower_series(z: float, y: float) -> float:
@@ -587,6 +605,21 @@ def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
         p, q, ln_front = euler
         return _euler_2f1(p, q, c, w, ln_front)
     s, bits = _series_phq(a, b, c, z, "gauss_2f1")
+    # At z > 0 a term ratio is negative only while a factor a+j, b+j or c+j
+    # is, so the terms from t_heads on share one sign, and sum |t| is the
+    # head's plus |sum t - head|, in units of 2^bits.  Each head term carries
+    # up to about heads rounding errors, so the sum is good to about
+    # heads eps sum |t|.
+    heads = min(_MAX_TERMS, max(0, math.floor(max(-a, -b, -c)) + 1)) + 1
+    head = size = 0.0
+    term = 1.0
+    for j in range(heads):
+        head += term
+        size += abs(term)
+        term *= z * (a + j) / (j + 1.0) * (b + j) / (c + j)
+    size = math.ldexp(size, -bits) + abs(s - math.ldexp(head, -bits))
+    if not heads * sys.float_info.epsilon * size <= _REL_TOL * abs(s):
+        raise ConvergenceError(f"gauss_2f1 series cancels beyond its tolerance at z={z}")
     return s, bits * _LN2
 
 
@@ -596,7 +629,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     Direct series for z in [0, 0.5]; for z in (0.5, 1) the z -> 1-z linear
     transformation, unless its parameters are near the integer degeneracy or
     its two terms cancel, in which case the Euler integral (or, where that
-    does not apply, the direct series); the Pfaff transformation maps z < 0
+    does not apply, the direct series, which raises ConvergenceError where
+    its terms cancel beyond 1e-12); the Pfaff transformation maps z < 0
     into [0, 1), handing on 1/(1-z) as the new argument's complement, so
     that z/(z-1) rounding to 1 loses nothing.  A non-finite argument raises
     DomainError; a value beyond the float range, or an Euler integral whose

@@ -1,9 +1,9 @@
 """Fisher-Snedecor detection through the mixed-Poisson pmf: the pmf itself
 against the Tricomi-U coefficient it replaced (also where the trapezoid
-settles past its first level block), its level budget and peak search,
-fixed cells in the heavy-shadowing and high-SNR regions, a property test
-against the scipy-only oracle, and a guard that no per-term quadrature
-comes back.
+settles past its first level block), its level budget, the certificate of
+its closed-form range and step, frozen mpmath values at large m_s, fixed
+cells in the heavy-shadowing and high-SNR regions, a property test against
+the scipy-only oracle, and a guard that no per-term quadrature comes back.
 
 The oracle averages scipy's noncentral chi-square survival function over
 the F density by QUADPACK; it shares no code with the series.
@@ -11,9 +11,11 @@ the F density by QUADPACK; it shares no code with the series.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from edsense import _quad, detection, specfun
 from edsense.channels import FisherFParams
@@ -56,8 +58,8 @@ def test_pmf_matches_tricomi_coefficient(m, ms, snr_db, scale):
 
 
 @pytest.mark.parametrize("m,ms,snr_db,n", [
-    (4.7, 30.0, -20.0, 30),  # settles at level 4
-    (4.7, 1.1, -20.0, 2),  # settles at level 5
+    (0.5, 0.3, -20.0, 30),  # settles at level 4
+    (0.5, 0.3, 20.0, 2),  # settles at level 4
 ])
 def test_pmf_that_settles_past_the_first_block(m, ms, snr_db, n, monkeypatch):
     p = _fisher(m, ms, snr_db)
@@ -66,8 +68,7 @@ def test_pmf_that_settles_past_the_first_block(m, ms, snr_db, n, monkeypatch):
         want = _tricomi_pmf(m, ms, p.omega, k)
         assert math.isclose(pmf[k], want, rel_tol=1e-11), (k, pmf[k], want)
     # it needs the deeper blocks: with levels 0..3 alone it does not settle
-    monkeypatch.setattr(detection, "_TRAP_LEVEL_BLOCKS",
-                        tuple(b for b in detection._TRAP_LEVEL_BLOCKS if max(b) <= 3))
+    monkeypatch.setattr(detection, "_TRAP_MAX_LEVEL", 3)
     with pytest.raises(ConvergenceError, match="did not settle"):
         detection._poisson_pmf(p, n, 1.0)
 
@@ -79,26 +80,64 @@ def test_pmf_unreachable_tol_raises():
         detection._fisher_pmf(p.m, p.m_s, p.omega, 30, 1e-20)
 
 
-@pytest.mark.parametrize("m,ms,snr_db,n,scale", [
-    (2.5, 10.0, 5.2, 30, 1.0),
-    (1.0, 3.0, -5.1, 30, 1.0),
-    (1.121, 3.073, 17.0, 2, 0.5),
+def _log_weights(sigma, k, m, ms, ln_w):
+    """(g, g', g'') of row k's log-integrand ms sigma - e^sigma + m ln p +
+    k ln(1-p), p = w e^sigma / (1 + w e^sigma), from its definition."""
+    t = sigma + ln_w
+    p = special.expit(t)
+    v = np.exp(sigma)
+    g = ms * sigma - v - m * np.logaddexp(0.0, -t) - k * np.logaddexp(0.0, t)
+    return g, ms + m - v - (m + k) * p, -v - (m + k) * p * (1.0 - p)
+
+
+@pytest.mark.parametrize("ms", [0.3, 1.1, 30.0, 1e3])
+@pytest.mark.parametrize("m", [0.5, 4.7, 100.0])
+def test_fisher_range_certifies_every_row(m, ms):
+    # every row's peak, by bisection on its slope over a bracket far wider
+    # than the range; the range must hold every row down to 45 below its
+    # peak at both ends, and c bound every row's -g'' there, so that the
+    # step is at most twice every row's width at its peak
+    c = m + ms
+    for snr_db in range(-40, 41, 10):
+        w = _fisher(m, ms, snr_db).omega
+        for n in (1, 4, 30, 400):
+            lo, hi, h = detection._fisher_range(m, ms, w, n)
+            k = np.arange(n, dtype=float)
+            left, right = np.full(n, -800.0), np.full(n, 50.0)
+            for _ in range(80):
+                mid = 0.5 * (left + right)
+                rising = _log_weights(mid, k, m, ms, math.log(w))[1] > 0.0
+                left, right = np.where(rising, mid, left), np.where(rising, right, mid)
+            peak, _, curve = _log_weights(left, k, m, ms, math.log(w))
+            for edge in (lo, hi):
+                g = _log_weights(edge + math.log(ms), k, m, ms, math.log(w))[0]
+                assert (g <= peak - detection._TRAP_DROP).all(), (snr_db, n, edge)
+            assert (-curve <= c * (1.0 + 1e-12)).all(), (snr_db, n)
+            assert (h * np.sqrt(-curve) <= 2.0).all(), (snr_db, n)
+
+
+# pi_0..pi_3 at FisherFParams(2, m_s, 10) and scale 0.5, from mpmath 1.3.0 at
+# mp.dps = 40 by quadrature of the defining integral in sigma = ln m_s +
+# x / sqrt(m_s), split at x = 0, +-3, +-8, +-20, +-60.  The sigma-form
+# pmf lost up to 4.3e-10 here to m_s sigma - e^sigma cancelling against
+# ln Gamma(m_s), and raised at m_s = 1e6.
+@pytest.mark.parametrize("ms,want", [
+    (1e3, (0.081640976804082105, 0.11659191350179613, 0.12488933881292439,
+           0.11892282137532529)),
+    (1e4, (0.081633485986281431, 0.11661545801783391, 0.12494207395115249,
+           0.11899050877898248)),
+    (1e5, (0.081632736359238067, 0.11661781400779799, 0.12494735187364831,
+           0.11899728369461488)),
+    (1e6, (0.081632661391080922, 0.11661804962219852, 0.12494787971003432,
+           0.11899796124799451)),
 ])
-def test_fisher_peak_stops_when_newton_converges(m, ms, snr_db, n, scale, monkeypatch):
-    # on each of these cells one converged Newton step lands on the
-    # bracket's end; bisecting the bracket shut from there took 31-34
-    # log-weight evaluations
-    calls = []
-    weight = detection._fisher_log_weight
-    monkeypatch.setattr(detection, "_fisher_log_weight",
-                        lambda *a: calls.append(a) or weight(*a))
-    ln_w = math.log(_fisher(m, ms, snr_db).omega / scale)
-    for row in (0, n - 1):
-        calls.clear()
-        peak = detection._fisher_peak(row, m, ms, ln_w)
-        assert len(calls) <= 8, (row, len(calls))
-        _, slope, curve = weight(peak, row, m, ms, ln_w)
-        assert abs(slope / curve) <= 1e-9
+def test_pmf_at_large_ms_against_mpmath(ms, want):
+    try:
+        pmf = detection._poisson_pmf(FisherFParams(2.0, ms, 10.0), 4, 0.5)
+    except ConvergenceError:
+        return
+    for got, ref in zip(pmf, want):
+        assert math.isclose(got, ref, rel_tol=1e-12), (got, ref)
 
 
 def _pd_reference(p, u, lam):

@@ -87,6 +87,21 @@ def test_reg_lower_gamma_far_below_large_order(z, y):
     assert math.isclose(reg_lower_gamma(z, y), special.gammainc(z, y), rel_tol=1e-12)
 
 
+# mu(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 from mpmath 1.3.0 at
+# mp.dps = 40
+@pytest.mark.parametrize("z,want", [
+    (1e-3, 2.5422704679670947),
+    (0.3, 0.2360649007482156),
+    (3.0, 0.02767792568499834),
+    (9.7, 0.008588030898606215),
+    (29.5, 0.002824750591511346),
+    (30.0, 0.0027776749297526936),
+    (1e3, 8.333333055555635e-05),
+])
+def test_binet_against_mpmath(z, want):
+    assert abs(specfun._binet(z) - want) <= 4e-15
+
+
 def test_gamma_weight_array_matches_scalar():
     for z in (12.5, 30.0, 60.0):
         y = np.array([1e-300, 1e-5, 0.3 * z, 0.5 * z, z, 2.0 * z, 1e4])
@@ -304,6 +319,19 @@ def test_gauss_2f1_euler_route_near_integer(m, ms, a):
     for z in (0.6, 0.75, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8):
         want = special.hyp2f1(m + ms, m, m + ms + a, z)
         assert math.isclose(gauss_2f1(m + ms, m, m + ms + a, z), want, rel_tol=1e-12), z
+
+
+def test_gauss_2f1_direct_series_raises_where_it_cancels():
+    # after the Pfaff step 2F1(a, c-b; c; 0.678), c-b = -8.99: the direct
+    # series' first terms cancel, and it returned a value 1.06e-10 off
+    # mpmath's -6.8842194480335637864e-6 (mpmath 1.3.0, mp.dps = 40)
+    want = -6.8842194480335637864e-6
+    try:
+        got = gauss_2f1(1.5931546116744544, 10.577354679591151, 1.5916641652460806,
+                        -2.110296913676124)
+    except ConvergenceError:
+        return
+    assert math.isclose(got, want, rel_tol=1e-12), got
 
 
 def test_tricomi_u_values():
