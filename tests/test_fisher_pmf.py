@@ -118,9 +118,9 @@ def test_fisher_range_certifies_every_row(m, ms):
 
 # pi_0..pi_3 at FisherFParams(2, m_s, 10) and scale 0.5, from mpmath 1.3.0 at
 # mp.dps = 40 by quadrature of the defining integral in sigma = ln m_s +
-# x / sqrt(m_s), split at x = 0, +-3, +-8, +-20, +-60.  The sigma-form
-# pmf lost up to 4.3e-10 here to m_s sigma - e^sigma cancelling against
-# ln Gamma(m_s), and raised at m_s = 1e6.
+# x / sqrt(m_s), split at x = 0, +-3, +-8, +-20, +-60.  Here m_s sigma -
+# e^sigma and ln Gamma(m_s) are each of order m_s ln m_s, so the pmf must
+# not be left to their difference.
 @pytest.mark.parametrize("ms,want", [
     (1e3, (0.081640976804082105, 0.11659191350179613, 0.12488933881292439,
            0.11892282137532529)),

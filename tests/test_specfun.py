@@ -94,6 +94,8 @@ def test_reg_lower_gamma_far_below_large_order(z, y):
     (0.3, 0.2360649007482156),
     (3.0, 0.02767792568499834),
     (9.7, 0.008588030898606215),
+    (9.999, 0.008331396020466343),
+    (10.0, 0.00833056343336287),
     (29.5, 0.002824750591511346),
     (30.0, 0.0027776749297526936),
     (1e3, 8.333333055555635e-05),
@@ -322,9 +324,9 @@ def test_gauss_2f1_euler_route_near_integer(m, ms, a):
 
 
 def test_gauss_2f1_direct_series_raises_where_it_cancels():
-    # after the Pfaff step 2F1(a, c-b; c; 0.678), c-b = -8.99: the direct
-    # series' first terms cancel, and it returned a value 1.06e-10 off
-    # mpmath's -6.8842194480335637864e-6 (mpmath 1.3.0, mp.dps = 40)
+    # after the Pfaff step 2F1(a, c-b; c; 0.678), c-b = -8.99, no Euler
+    # ordering applies and the direct series' first terms cancel; mpmath
+    # 1.3.0 (mp.dps = 40) gives -6.8842194480335637864e-6
     want = -6.8842194480335637864e-6
     try:
         got = gauss_2f1(1.5931546116744544, 10.577354679591151, 1.5916641652460806,
