@@ -12,13 +12,13 @@ rule ``adaptive_gk`` has no caller left; the benchmark's spans still name it.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from typing import Callable
 
 import numpy as np
 
+from ._memo import memo
 from .errors import ConvergenceError
 
 # Relative tolerance of the special functions (absolute for probabilities).
@@ -115,7 +115,7 @@ _TS_X_MAX = 6.0  # weights underflow well before this
 _TS_REACH = math.pi * math.sinh(_TS_X_MAX)
 
 
-@functools.cache
+@memo(None)
 def _ts_block(block: int):
     """Node table of one block: (t, 1 - t, ln t, ln(1 - t), w, starts).
 

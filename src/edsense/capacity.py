@@ -13,12 +13,12 @@ only shrinks the moment instead of underflowing it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import memo
 from ._quad import ln_peak_integral
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
@@ -101,7 +101,7 @@ def rate_moment_f(p: FisherFParams, q: DelayQoS) -> float:
     return math.exp(_guard_moment(_ln_rate_moment_f(p, q.a_exponent)))
 
 
-@functools.lru_cache(maxsize=_CACHED)
+@memo(_CACHED)
 def _ln_beta_ratio(m: float, ms: float, a: float) -> float:
     """ln B(m, m_s + A) - ln B(m, m_s), the SNR-free factor of the Fisher moment."""
     return ln_beta(m, ms + a) - ln_beta(m, ms)

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memo import memo
 from .errors import ConvergenceError, DomainError
-from .specfun import (_ln_poisson_tail, _poisson_tail_index, _poisson_terms, ln_beta,
-                      reg_inc_beta)
+from .specfun import (_CHUNK, _ln_poisson_tail, _poisson_tail_index, _poisson_terms,
+                      _ratio_blocks, _series_ratios, ln_beta, reg_inc_beta)
 
 __all__ = [
     "KappaMuShadowedParams",
@@ -45,13 +46,23 @@ __all__ = [
 # relative bound for the density, an absolute one for the distribution.
 _LN_TOL = 37.0
 _TOL = math.exp(-_LN_TOL)
-# The density's running terms are scaled down by this factor once they pass it.
+# The density's running terms are scaled down by this factor once a block of
+# five ends past it.  A block grows them by less than 1e58 while its term
+# ratios, at most q x, stay below 1e11; a walk runs to j ~ q x, so only one of
+# 1e11 terms could pass that.
 _RESCALE = 1e250
 _LN_RESCALE = math.log(_RESCALE)
+# The density takes its first _PDF_CHUNKS chunks of term ratios from the
+# series' cache, and builds later ones _PDF_RUN chunks at a time.
+_PDF_CHUNKS = 64
+_PDF_RUN = 20
 # exp(x) is 0.0 below about -745.13.
 _LN_UNDERFLOW = -746.0
 # The most mixture indices kms_cdf sums, each array of them about 8 MB.
 _MAX_INDEX = 1 << 20
+# The lengths of the negative binomial cdfs that kms_cdf caches per shape.
+_NB_MIN_LEN = 64
+_NB_CACHED_LEN = 1 << 14
 # Draws handled at a time: the samplers draw their second Gamma factor in
 # blocks of this size, and ``oracle.mc_average`` applies its metric to them
 # in such blocks, so that neither holds more than one full-length array plus
@@ -152,10 +163,15 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     t_(j+1)/t_j = q x (r+j) / ((j+1)(a+j)), which fall with j, so once a
     ratio is below 1 the rest of the sum is at most the last term times
     ratio / (1 - ratio); the sum stops when that bound is below e^-_LN_TOL of
-    the partial sum.  The terms are carried relative to the first one and
-    rescaled before they can overflow.  Their sum is 1F1(r; a; qx) <= e^qx
-    (r <= a), so where the log of the first term plus qx lies below exp's
-    underflow the density is 0.0 without a walk.
+    the partial sum.  The sum is 1F1(r; a; qx), and its z-free ratios
+    (r+j) / ((j+1)(a+j)) are the series' own (``specfun._series_ratios``,
+    five a block): the first _PDF_CHUNKS chunks come from that shared cache,
+    later ones, which only walks of thousands of terms reach, are built per
+    call in runs of _PDF_RUN chunks.  The stop rule is applied at the end of
+    each block.  The terms are carried relative to the first one and rescaled
+    once a block ends past _RESCALE.  As 1F1(r; a; qx) <= e^qx (r <= a),
+    where the log of the first term plus qx lies below exp's underflow the
+    density is 0.0 without a walk.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
@@ -170,22 +186,41 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
         return 0.0
     term = total = 1.0
     tol = _TOL
-    # r + j and (j+1)(a+j) at j = 0; both stay exact integers
-    rj, den, step = float(r), float(a), a + 2.0
+    k = 0
     while True:
-        ratio = qx * rj / den
-        term *= ratio
-        total += term
-        if ratio >= 1.0:
-            if term > _RESCALE:
-                ln_scale += _LN_RESCALE
-                term /= _RESCALE
-                total /= _RESCALE
-        elif term * ratio <= tol * (1.0 - ratio) * total:
-            return math.exp(ln_scale + math.log(total))
-        rj += 1.0
-        den += step
-        step += 2.0
+        if k < _PDF_CHUNKS:
+            blocks = _series_ratios(r, None, a, k)
+            k += 1
+        else:
+            blocks = _ratio_blocks(r, None, a, k * _CHUNK, (k + _PDF_RUN) * _CHUNK)
+            k += _PDF_RUN
+        for r0, r1, r2, r3, r4, _ in blocks:
+            t1 = term * (qx * r0)
+            t2 = t1 * (qx * r1)
+            t3 = t2 * (qx * r2)
+            t4 = t3 * (qx * r3)
+            term = t4 * (qx * r4)
+            total += t1 + t2 + t3 + t4 + term
+            ratio = qx * r4
+            if ratio >= 1.0:
+                if term > _RESCALE:
+                    ln_scale += _LN_RESCALE
+                    term /= _RESCALE
+                    total /= _RESCALE
+            elif term * ratio <= tol * (1.0 - ratio) * total:
+                return math.exp(ln_scale + math.log(total))
+
+
+@memo(64)
+def _nb_cdf(r: int, q: float, n: int) -> np.ndarray:
+    """P[N <= i] / P[N = 0] for i < n, N ~ NB(r, q), as a read-only array:
+    1 plus the cumulative sum of the pmf's cumulative products of term
+    ratios.  ``kms_cdf`` keeps the most recent 64, of lengths 2^k from
+    _NB_MIN_LEN to _NB_CACHED_LEN (at most 128 KB each)."""
+    out = np.ones(n)
+    out[1:] += (q * (r - 1) / np.arange(1.0, n) + q).cumprod().cumsum()
+    out.flags.writeable = False
+    return out
 
 
 def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
@@ -198,8 +233,10 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     on are dropped; each side carries at most e^-L of probability
     (L = _LN_TOL), which bounds the absolute error.
 
-    The negative binomial cdf runs over all indices from 0, so past x =
-    _MAX_INDEX the result is 1.0 where 1 - F is at most e^-L by the bound
+    The negative binomial cdf depends on the shape alone, so it comes from
+    ``_nb_cdf``'s cache for up to _NB_CACHED_LEN indices.  It runs over all
+    indices from 0, so past x = _MAX_INDEX the result is 1.0 where 1 - F is
+    at most e^-L by the bound
     Q(mu-m, theta1 gamma/2) + Q(m, theta2 gamma/2) (one of the two Gamma
     factors passes gamma/2), each Q(k, y) = P[Poisson(y) <= k-1] bounded
     by ``_ln_poisson_tail``, and ConvergenceError elsewhere.
@@ -222,10 +259,9 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     lo = max(0, math.floor(x - math.sqrt(2.0 * _LN_TOL * x)) - a)
     # Pois(x; a+i) for i = lo..n-1
     pois = _poisson_terms(a + lo, x, n - lo)
-    # P[N <= i] / P[N = 0] - 1 for i = 1..n-1
-    nb = (q * (r - 1) / np.arange(1.0, n) + q).cumprod().cumsum()
-    total = pois.sum() + (pois[1:].dot(nb) if lo == 0 else pois.dot(nb[lo - 1:]))
-    return min(1.0, math.exp(r * math.log1p(-q)) * float(total))
+    size = max(_NB_MIN_LEN, 1 << (n - 1).bit_length())
+    nb = _nb_cdf(r, q, size) if size <= _NB_CACHED_LEN else _nb_cdf.__wrapped__(r, q, n)
+    return min(1.0, math.exp(r * math.log1p(-q)) * float(pois.dot(nb[lo:n])))
 
 
 def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -47,7 +47,6 @@ pmf and one matrix-vector product.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -56,6 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._memo import memo
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
 from .specfun import (
@@ -152,7 +152,7 @@ def threshold_for_pf(u: int, pf_target: float) -> float:
     return float(_thresholds(int(u), np.array([float(pf_target)]))[0])
 
 
-@functools.cache
+@memo(None)
 def _tail_columns(u: int) -> tuple[np.ndarray, np.ndarray]:
     """u-1-j and u+j for the W columns j that ``_tails`` sums (read-only).
 
@@ -546,7 +546,7 @@ class _NotKept(Exception):
     """Carries (n, matrix) past _CROC_KEEP_BYTES out of the cache, which keeps no exception."""
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _croc_operator(u: int, grid: tuple[float, ...], tol: float) -> tuple[int, np.ndarray]:
     """The detector side of a CROC curve, which no channel enters: the term
     count n that the grid's largest threshold needs for a tail bound below

@@ -11,20 +11,21 @@ that cannot be met, never a silently truncated value.  The Poisson terms
 y^z e^(-y) / Gamma(z+1) that the Marcum-Q, the detection series and the
 kappa-mu distribution function sum come from one kernel, ``_poisson_terms``.
 Whatever the hypergeometric series and 2F1's routes need that does not
-depend on z (term ratios and their tail bounds, connection coefficients,
-the Euler integral's set-up) is built once per parameter set and kept in
-bounded LRU caches of immutable tuples, so a sweep over z pays for it once.
+depend on z (term ratios and their tail bounds, the ratios of a series'
+cancelling head, connection coefficients, the Euler integral's set-up) is
+built once per parameter set and kept in bounded LRU caches of immutable
+tuples, so a sweep over z pays for it once.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import sys
 
 import numpy as np
 
+from ._memo import memo
 from ._quad import _REL_TOL, _TS_REACH, ln_peak_integral, tanhsinh_01
 from .errors import ConvergenceError, DomainError
 
@@ -369,71 +370,122 @@ def marcum_q(u: int, a: float, b: float) -> float:
 _SCALE_BITS = 600
 _SCALE_LIMIT = 2.0 ** _SCALE_BITS
 _LN2 = math.log(2.0)
+# The series sum to the last bit: a relative stop of 2^-53.
+_SERIES_TOL = 2.0 ** -53
 
-# The series take their z-free term ratios from chunks of _CHUNK indices, and
-# 2F1 its z-free set-up per (a, b, c); both are built on first use and the
-# most recent _CACHED of each are kept.
+# The series take their z-free term ratios from chunks of _CHUNK indices, in
+# blocks of _BLOCK, and 2F1 its z-free set-up per (a, b, c); both are built on
+# first use and the most recent _CACHED of each are kept.
+_BLOCK = 5
 _CHUNK = 50
 _CACHED = 256
 
 
-@functools.lru_cache(maxsize=_CACHED)
+def _ratios(p0: float, p1, q0: float, j: np.ndarray) -> np.ndarray:
+    """The z-free term ratios rho_j = t_(j+1) / (z t_j) of 1F1(p0; q0; z)
+    (p1 None) or 2F1(p0, p1; q0; z) at the (float) indices j."""
+    if p1 is None:
+        return (p0 + j) / (j + 1.0) / (q0 + j)
+    return (p0 + j) / (j + 1.0) * (p1 + j) / (q0 + j)
+
+
+def _ratio_blocks(p0: float, p1, q0: float, start: int, stop: int) -> list:
+    """The term ratios (``_ratios``) for the indices start <= j < stop
+    (multiples of _BLOCK), as one list [rho_j, ..., rho_(j+4), bound] per
+    block: |z| bound bounds every term ratio after the block's last term
+    t_(j+5).  The bound takes 1/(l+1) at the next index l = j + 5 and each
+    (l+p)/(l+q), monotone in l beyond its pole with limit 1, as the larger of
+    1 and its value at l; it is inf while the pole l = -q0 lies ahead."""
+    blocks = np.empty(((stop - start) // _BLOCK, _BLOCK + 1))
+    blocks[:, :_BLOCK] = _ratios(p0, p1, q0, np.arange(float(start), float(stop))).reshape(
+        -1, _BLOCK)
+    l = np.arange(float(start + _BLOCK), float(stop + 1), float(_BLOCK))
+    if p1 is None:  # the ratio is z (l+p0)/(l+q0) / (l+1)
+        bound = np.maximum(np.abs((l + p0) / (l + q0)), 1.0) / (l + 1.0)
+    else:  # z (l+p0)/(l+1) (l+p1)/(l+q0)
+        bound = (np.maximum(np.abs((l + p0) / (l + 1.0)), 1.0)
+                 * np.maximum(np.abs((l + p1) / (l + q0)), 1.0))
+    bound[l + q0 <= 0.0] = math.inf
+    blocks[:, _BLOCK] = bound
+    return blocks.tolist()
+
+
+@memo(_CACHED)
 def _series_ratios(p0: float, p1, q0: float, k: int):
-    """Chunk k of the z-free term ratios of 1F1(p0; q0; z) (p1 None) or
-    2F1(p0, p1; q0; z), as (rho, bound) for the indices j of the chunk:
-    t_(j+1) = z rho_j t_j, and |z| bound_j bounds every term ratio after
-    t_(j+1).  The bound takes 1/(j+1) at the next index n = j + 1 and each
-    (j+p)/(j+q), monotone in j beyond its pole with limit 1, as the larger of
-    1 and its value at n; it is inf while the pole j = -q0 lies ahead."""
-    rho, bound = [], []
-    for l in map(float, range(k * _CHUNK, (k + 1) * _CHUNK)):
-        n = l + 1.0
-        if p1 is None:
-            rho.append((p0 + l) / n / (q0 + l))
-        else:
-            rho.append((p0 + l) / n * (p1 + l) / (q0 + l))
-        if n + q0 <= 0.0:
-            bound.append(math.inf)
-        elif p1 is None:  # the ratio is z (j+p0)/(j+q0) / (j+1)
-            bound.append(max(abs((n + p0) / (n + q0)), 1.0) / (n + 1.0))
-        else:  # z (j+p0)/(j+1) (j+p1)/(j+q0)
-            bound.append(max(abs((n + p0) / (n + 1.0)), 1.0)
-                         * max(abs((n + p1) / (n + q0)), 1.0))
-    return tuple(rho), tuple(bound)
+    """Chunk k of ``_ratio_blocks``, the indices from k _CHUNK to (k+1)
+    _CHUNK, as a tuple of tuples."""
+    return tuple(map(tuple, _ratio_blocks(p0, p1, q0, k * _CHUNK, (k + 1) * _CHUNK)))
+
+
+@memo(_CACHED)
+def _series_head(p0: float, p1, q0: float):
+    """The term ratios rho_0 .. rho_(J-1) (``_ratios``) of the series' head
+    t_0 .. t_J: at z > 0 a term ratio is negative only while a factor p0+j,
+    p1+j or q0+j is, so the terms from t_J on share one sign, J =
+    floor(max(-p0, -p1, -q0)) + 1 (at most _MAX_TERMS).  Empty where every
+    parameter is positive, so that such a series checks nothing."""
+    lead = max(-p0, -q0) if p1 is None else max(-p0, -p1, -q0)
+    heads = min(_MAX_TERMS, max(0, math.floor(lead) + 1))
+    return tuple(_ratios(p0, p1, q0, np.arange(float(heads))).tolist())
+
+
+def _head_cancels(head, z: float, s: float, bits: int) -> bool:
+    """Whether the sum s 2^bits of a series whose head has the ratios
+    ``head`` (``_series_head``) may be off by more than _REL_TOL.  The terms
+    after the head share one sign, so sum |t| is the head's plus |sum t -
+    head|; each head term carries up to about J + 1 rounding errors, so the
+    sum is good to about (J + 1) eps sum |t|."""
+    term = total = size = 1.0
+    for rho in head:
+        term *= z * rho
+        total += term
+        size += abs(term)
+    size = math.ldexp(size, -bits) + abs(s - math.ldexp(total, -bits))
+    return not (len(head) + 1) * sys.float_info.epsilon * size <= _REL_TOL * abs(s)
 
 
 def _series_phq(p0: float, p1, q0: float, z: float, what: str):
-    """The power series 1F1(p0; q0; z) (p1 None) or 2F1(p0, p1; q0; z) as
-    (s, bits), the sum being s 2^bits.
+    """The power series 1F1(p0; q0; z) (p1 None) or 2F1(p0, p1; q0; z), z > 0,
+    as (s, bits), the sum being s 2^bits.
 
-    The sum stops once three successive terms t are at most _REL_TOL of it
-    and |t| R / (1 - R) also is, which bounds the dropped tail, or at t = 0,
-    after which every term is 0; R = |z| bound from ``_series_ratios``.
-    Where R <= 1/2 the three small terms imply the bound.  The term and the
-    sum are scaled by 2^-_SCALE_BITS (exactly) whenever the term passes
-    2^_SCALE_BITS, so neither overflows.
+    The terms are taken _BLOCK at a time, and the stop rule is applied at
+    the end of each block: the sum stops once the block's last three terms t
+    are at most _SERIES_TOL (2^-53) of it and |t| R / (1 - R) also is at the
+    last, which bounds the dropped tail, or at a last t = 0, after which
+    every term is 0; R = |z| bound from ``_ratio_blocks``.  Where R <= 1/2
+    the small terms imply the bound.  The term and the sum are scaled by
+    2^-_SCALE_BITS (exactly) whenever a block's last term passes
+    2^_SCALE_BITS, so neither overflows.  Where a parameter is negative,
+    the first terms may cancel, and a sum they leave off by more than
+    _REL_TOL (``_head_cancels``) raises ConvergenceError.
     """
+    head = _series_head(p0, p1, q0)
     term = total = 1.0
-    scale = small = 0
+    scale = 0
     az = abs(z)
     for k in range(_MAX_TERMS // _CHUNK):
-        rhos, bounds = _series_ratios(p0, p1, q0, k)
-        for rho, r in zip(rhos, bounds):
-            term *= z * rho
-            total += term
+        for r0, r1, r2, r3, r4, r in _series_ratios(p0, p1, q0, k):
+            t1 = term * (z * r0)
+            t2 = t1 * (z * r1)
+            t3 = t2 * (z * r2)
+            t4 = t3 * (z * r3)
+            term = t4 * (z * r4)
+            total += t1 + t2 + t3 + t4 + term
             if term > _SCALE_LIMIT or term < -_SCALE_LIMIT:
                 term = math.ldexp(term, -_SCALE_BITS)
                 total = math.ldexp(total, -_SCALE_BITS)
                 scale += _SCALE_BITS
-            bound = _REL_TOL * total
-            if -bound <= term <= bound or bound <= term <= -bound:
-                small += 1
-                if small >= 3:
-                    r *= az
-                    if term == 0.0 or r < 1.0 and abs(term) * r <= abs(bound) * (1.0 - r):
-                        return total, scale
-            else:
-                small = 0
+                continue  # terms this large are no stop
+            bound = _SERIES_TOL * total
+            if bound < 0.0:
+                bound = -bound
+            if -bound <= term <= bound and -bound <= t4 <= bound and -bound <= t3 <= bound:
+                r *= az
+                if term == 0.0 or r < 1.0 and abs(term) * r <= bound * (1.0 - r):
+                    if head and _head_cancels(head, z, total, scale):
+                        raise ConvergenceError(
+                            f"{what} series cancels beyond its tolerance at z={z}")
+                    return total, scale
     raise ConvergenceError(f"{what} series exceeded {_MAX_TERMS} terms")
 
 
@@ -460,9 +512,10 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
 
     Direct power series for z >= 0; for z < 0 the Kummer transformation
     1F1(a;b;z) = e^z 1F1(b-a; b; -z) avoids the alternating-series
-    cancellation.  A value beyond the float range, or a series longer than
-    10,000 terms (from |z| of about 9,400 on), raises ConvergenceError; a
-    non-finite argument raises DomainError.
+    cancellation.  A value beyond the float range, a series longer than
+    10,000 terms (from |z| of about 9,400 on), or one whose first terms
+    cancel beyond 1e-12 (where b or b-a is negative), raises
+    ConvergenceError; a non-finite argument raises DomainError.
     """
     if not all(map(math.isfinite, (a, b, z))):
         raise DomainError(f"kummer_1f1 requires finite arguments, got a={a}, b={b}, z={z}")
@@ -488,15 +541,15 @@ def _gamma_sign_ln(x: float):
     return (1.0 if s > 0 else -1.0), ln
 
 
-# The 1-z connection formula's error stayed below 7e-14 times the
+# The 1-z connection formula's error stayed below 1.4e-14 times the
 # cancellation ratio sum |t| / |sum t| of its two terms (measured against
-# scipy's hyp2f1 over the Fisher rate cells); it is used only while that
-# ratio keeps the result within 1e-9.  Beyond it the Euler integral costs
-# about ten series evaluations.
+# mpmath's hyp2f1 over 1,303 Fisher rate cells); it is used only while that
+# ratio keeps the result within about 1.4e-10.  Beyond it the Euler integral
+# costs about ten series evaluations.
 _MAX_CANCELLATION = 1e4
 
 
-@functools.lru_cache(maxsize=_CACHED)
+@memo(_CACHED)
 def _setup_2f1(a: float, b: float, c: float):
     """What 2F1(a, b; c; z) needs on (1/2, 1) that does not depend on z, as
     (connection, euler).
@@ -567,6 +620,28 @@ def _euler_2f1(a: float, b: float, c: float, w: float, ln_front: float):
     return tanhsinh_01(integrand, rel_tol=1e-13), ln_front + shift
 
 
+def _connection_2f1(connection, w: float):
+    """The z -> 1-z formula at w = 1-z from its terms ``connection``
+    (``_setup_2f1``), as (s, ln_scale), the value being s e^ln_scale; None
+    where its two terms cancel beyond _MAX_CANCELLATION or the series of one
+    of them cancels in its head (ConvergenceError from ``_series_phq``)."""
+    ln_w = math.log(w)
+    pieces = []
+    for p0, p1, q0, sign, ln, shift in connection:
+        try:
+            s, bits = _series_phq(p0, p1, q0, w, "gauss_2f1")
+        except ConvergenceError:
+            return None
+        pieces.append((sign * s, ln + shift * ln_w + bits * _LN2))
+    top = max([ln for _, ln in pieces], default=0.0)
+    total = size = 0.0
+    for s, ln in pieces:
+        piece = s * math.exp(ln - top)
+        total += piece
+        size += abs(piece)
+    return (total, top) if size <= _MAX_CANCELLATION * abs(total) else None
+
+
 def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
     """2F1(a, b; c; z) for z < 1 as (s, ln_scale), the value being
     s e^ln_scale, with w = 1 - z given exactly by the caller.
@@ -588,38 +663,13 @@ def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
         return s, bits * _LN2
     connection, euler = _setup_2f1(a, b, c)
     if connection is not None:
-        ln_w = math.log(w)
-        pieces = []
-        for p0, p1, q0, sign, ln, shift in connection:
-            s, bits = _series_phq(p0, p1, q0, w, "gauss_2f1")
-            pieces.append((sign * s, ln + shift * ln_w + bits * _LN2))
-        top = max([ln for _, ln in pieces], default=0.0)
-        total = size = 0.0
-        for s, ln in pieces:
-            piece = s * math.exp(ln - top)
-            total += piece
-            size += abs(piece)
-        if size <= _MAX_CANCELLATION * abs(total):
-            return total, top
+        found = _connection_2f1(connection, w)
+        if found is not None:
+            return found
     if euler is not None:
         p, q, ln_front = euler
         return _euler_2f1(p, q, c, w, ln_front)
     s, bits = _series_phq(a, b, c, z, "gauss_2f1")
-    # At z > 0 a term ratio is negative only while a factor a+j, b+j or c+j
-    # is, so the terms from t_heads on share one sign, and sum |t| is the
-    # head's plus |sum t - head|, in units of 2^bits.  Each head term carries
-    # up to about heads rounding errors, so the sum is good to about
-    # heads eps sum |t|.
-    heads = min(_MAX_TERMS, max(0, math.floor(max(-a, -b, -c)) + 1)) + 1
-    head = size = 0.0
-    term = 1.0
-    for j in range(heads):
-        head += term
-        size += abs(term)
-        term *= z * (a + j) / (j + 1.0) * (b + j) / (c + j)
-    size = math.ldexp(size, -bits) + abs(s - math.ldexp(head, -bits))
-    if not heads * sys.float_info.epsilon * size <= _REL_TOL * abs(s):
-        raise ConvergenceError(f"gauss_2f1 series cancels beyond its tolerance at z={z}")
     return s, bits * _LN2
 
 
@@ -628,9 +678,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     Direct series for z in [0, 0.5]; for z in (0.5, 1) the z -> 1-z linear
     transformation, unless its parameters are near the integer degeneracy or
-    its two terms cancel, in which case the Euler integral (or, where that
-    does not apply, the direct series, which raises ConvergenceError where
-    its terms cancel beyond 1e-12); the Pfaff transformation maps z < 0
+    its two terms, or the first terms of one of its series, cancel, in which
+    case the Euler integral (or, where that does not apply, the direct
+    series); every series raises ConvergenceError where its first terms
+    cancel beyond 1e-12, which only a negative parameter allows.  The Pfaff
+    transformation maps z < 0
     into [0, 1), handing on 1/(1-z) as the new argument's complement, so
     that z/(z-1) rounding to 1 loses nothing.  A non-finite argument raises
     DomainError; a value beyond the float range, or an Euler integral whose

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from edsense import capacity, specfun
+from edsense import _memo, capacity, specfun
 from edsense.capacity import (
     DelayQoS,
     eff_rate_f,
@@ -201,7 +201,9 @@ def test_fisher_rate_over_the_whole_snr_range(shape):
 
 
 def _rate_caches():
-    return (specfun._series_ratios, specfun._setup_2f1, capacity._ln_beta_ratio)
+    # the caches that the Fisher rate fills: those of specfun and capacity
+    return [cache for cache in _memo.REGISTRY
+            if cache.__module__ in (specfun.__name__, capacity.__name__)]
 
 
 def _fisher_sweep(m, ms, a):

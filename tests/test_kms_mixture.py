@@ -16,12 +16,16 @@ noncentral chi-square over the channel density by QUADPACK.
 """
 
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from edsense import channels
 from edsense.capacity import DelayQoS, eff_rate_kms, rate_moment_kms
 from edsense.channels import KappaMuShadowedParams, kms_cdf, kms_pdf
 from edsense.detection import (
@@ -184,3 +188,62 @@ def test_kms_cdf_past_the_index_window():
     # a Gamma(2, 2e-300) factor: F(1e300) is about 0.6, not within e^-37 of 1
     with pytest.raises(ConvergenceError):
         kms_cdf(KappaMuShadowedParams(1e300, 3, 2, 1e300), 1e300)
+
+
+def _cdf_sweep(p):
+    return [kms_cdf(p, p.mean_snr * k / 40.0) for k in range(241)]
+
+
+def test_kms_cdf_cache_cold_and_warm_agree():
+    for shape in ((2.644, 4, 2, 1.6), (2.066, 60, 30, 10.8), (1e-5, 4, 2, 10.0)):
+        p = _kms(*shape)
+        cold = _cdf_sweep(p)
+        assert _cdf_sweep(p) == cold
+    # the cached cdfs of every length agree with one built past the cached
+    # lengths on their common indices
+    n = channels._NB_CACHED_LEN + 1
+    long = channels._nb_cdf.__wrapped__(2, 0.7, n)
+    for size in (channels._NB_MIN_LEN, 1024, channels._NB_CACHED_LEN):
+        assert np.array_equal(channels._nb_cdf(2, 0.7, size), long[:size])
+
+
+def test_kms_cdf_cache_stays_bounded():
+    for i in range(300):
+        _cdf_sweep(_kms(1.0 + i * 1e-3, 3, 2, 10.0))
+    info = channels._nb_cdf.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    # a cached cdf holds at most 1 MB; at x ~ 5e5 kms_cdf sums about 5e5
+    # indices (4 MB) and keeps none of them
+    assert channels._NB_CACHED_LEN * 8 <= 1 << 20
+    p = _kms(2.0, 4, 2, 10.0)
+    assert kms_cdf(p, 5e5 / p.theta1) == 1.0
+    assert channels._nb_cdf.cache_info() == info
+
+
+def test_kms_cdf_cache_filled_by_threads_agree():
+    p = _kms(1.7320508, 5, 3, 2.2360679)  # a shape no other test uses
+    results = [None] * 8
+
+    def work(k):
+        results[k] = _cdf_sweep(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    warm = _cdf_sweep(p)
+    assert all(r == warm for r in results)
+
+
+def test_kms_cdf_cached_arrays_are_read_only():
+    nb = channels._nb_cdf(3, 0.4, channels._NB_MIN_LEN)
+    assert not nb.flags.writeable
+    with pytest.raises(ValueError):
+        nb[1] = 0.0

@@ -336,6 +336,107 @@ def test_gauss_2f1_direct_series_raises_where_it_cancels():
     assert math.isclose(got, want, rel_tol=1e-12), got
 
 
+# Cells on which a series' first terms cancel; the parent of the head check
+# returned each silently off by the stated amount.  Values from mpmath 1.3.0
+# at mp.dps = 40.
+_HEAD_CANCELS = [
+    # the 1-z formula's piece cancels and no Euler ordering applies (5.4e-2)
+    (gauss_2f1, (28.409306083607266, 27.655792102298985, 1.2132623442542654,
+                 -1.0052986644325785), -9.372002063763754e-11),
+    # the z <= 0.5 series after the Pfaff step (1.8e-3)
+    (gauss_2f1, (14.204779133044612, 28.36759079071496, 4.80474024143418,
+                 -0.9952928381972148), 1.6449650477307302e-11),
+    # c < 0: the z <= 0.5 series (1.6e-9) and the 1-z formula (7.3e-7)
+    (gauss_2f1, (9.311365856069155, 9.235148120253495, -6.209914384852264,
+                 -0.8050403205295842), -0.03671203574598475),
+    (gauss_2f1, (10.723188829651317, 10.118361553684803, -11.330368514734277,
+                 -1.0052986644325785), -35.2905392677882),
+    # kummer_1f1 with a < 0 (7.5e-3) and, after the Kummer step, b-a < 0 (2.6e-5)
+    (kummer_1f1, (-18.917573710259187, 32.78400215393094, 40.1846749067754),
+     -4.386887738660071e-09),
+    (kummer_1f1, (27.553588175069308, 5.300323246040188, -41.414739422246555),
+     -2.697910045211043e-16),
+]
+
+
+@pytest.mark.parametrize("fn,args,want", _HEAD_CANCELS)
+def test_series_whose_head_cancels_is_right_or_raises(fn, args, want):
+    try:
+        got = fn(*args)
+    except ConvergenceError:
+        return
+    assert math.isclose(got, want, rel_tol=1e-12), got
+
+
+def test_one_minus_z_piece_whose_head_cancels_takes_the_euler_integral():
+    # the 1-z formula's first piece is 2F1(-19.6, 24.7; 1-d; 0.46), whose
+    # first terms cancel beyond the check; the Euler integral applies.
+    # mpmath 1.3.0 (mp.dps = 40) gives 0.0002945807607519658
+    a, b, c, z = -19.60141868904022, 24.67732332986363, 36.485947451890276, 0.5393994326025074
+    connection, euler = specfun._setup_2f1(a, b, c)
+    assert euler is not None
+    assert specfun._connection_2f1(connection, 1.0 - z) is None
+    assert math.isclose(gauss_2f1(a, b, c, z), 0.0002945807607519658, rel_tol=1e-13)
+
+
+def test_series_head_is_empty_without_a_negative_parameter():
+    # such a series makes no head check: its head's ratio tuple is empty
+    assert specfun._series_head(2.5, 1.5, 4.0) == ()
+    assert specfun._series_head(0.3, None, 1e-3) == ()
+    assert len(specfun._series_head(-3.0, 2.0, 5.0)) == 4
+    assert len(specfun._series_head(27.5, None, -0.2)) == 1
+
+
+def _chunks_used(monkeypatch, fn, *args):
+    """fn(*args) and the chunks of term ratios that the series asked for."""
+    seen = []
+    ratios = specfun._series_ratios
+
+    def record(p0, p1, q0, k):
+        seen.append(k)
+        return ratios(p0, p1, q0, k)
+
+    monkeypatch.setattr(specfun, "_series_ratios", record)
+    return fn(*args), sorted(set(seen))
+
+
+# 1F1(1; 2; z) = (e^z - 1)/z, whose terms z^j/(j+1)! stay below 2^-53 of the
+# sum from a last index of 49, 50 and 51 on at these z: the blocked loop
+# stops at the block ending at index 50, the last of chunk 0, or at 55, in
+# chunk 1.  Values from mpmath 1.3.0 at mp.dps = 40.
+@pytest.mark.parametrize("z,want,chunks", [
+    (10.52, 3521.684837643692, [0]),
+    (10.96, 5248.671810061284, [0]),
+    (11.4, 7835.15117200049, [0, 1]),
+])
+def test_series_stop_across_a_chunk_edge(monkeypatch, z, want, chunks):
+    got, used = _chunks_used(monkeypatch, kummer_1f1, 1.0, 2.0, z)
+    assert used == chunks
+    assert math.isclose(got, want, rel_tol=4e-16), got
+
+
+def test_series_stop_inside_the_first_block(monkeypatch):
+    # 1F1(1; 2; 1e-6) = expm1(z)/z: t_3 is 2.5e-19 of the sum; mpmath 1.3.0
+    # (mp.dps = 40) gives 1.0000005000001666667
+    got, used = _chunks_used(monkeypatch, kummer_1f1, 1.0, 2.0, 1e-6)
+    assert used == [0]
+    assert math.isclose(got, 1.0000005000001666667, rel_tol=2.3e-16)
+
+
+def test_series_rescale_inside_a_block():
+    # 1F1(1; 2; 700.3): the terms pass 2^600 at index 181, inside the block
+    # 181..185, and are rescaled at its end; mpmath 1.3.0 (mp.dps = 40) gives
+    # 1.9549765414963451817e301
+    assert math.isclose(kummer_1f1(1.0, 2.0, 700.3), 1.9549765414963451817e301,
+                        rel_tol=1e-13)
+
+
+def test_terminating_series():
+    # 2F1(-3, 2; 5; 0.3) has four nonzero terms, then t == 0 ends the sum;
+    # mpmath 1.3.0 (mp.dps = 40) gives 0.69091428571428572395
+    assert math.isclose(gauss_2f1(-3.0, 2.0, 5.0, 0.3), 0.69091428571428572395, rel_tol=2.3e-16)
+
+
 def test_tricomi_u_values():
     # U(1;1;z) = e^z E1(z)
     assert math.isclose(tricomi_u(1.0, 1.0, 1.0), 0.59634736232319407, rel_tol=1e-10)
