@@ -27,8 +27,8 @@ import numpy as np
 
 from ._memo import memo
 from .errors import ConvergenceError, DomainError
-from .specfun import (_CHUNK, _ln_poisson_tail, _poisson_tail_index, _poisson_terms,
-                      _ratio_blocks, _series_ratios, ln_beta, reg_inc_beta)
+from .specfun import (_CHUNK, _ln_gamma_weight, _ln_poisson_tail, _poisson_tail_index,
+                      _poisson_terms, _series_ratios, ln_beta, reg_inc_beta)
 
 __all__ = [
     "KappaMuShadowedParams",
@@ -46,16 +46,6 @@ __all__ = [
 # relative bound for the density, an absolute one for the distribution.
 _LN_TOL = 37.0
 _TOL = math.exp(-_LN_TOL)
-# The density's running terms are scaled down by this factor once a block of
-# five ends past it.  A block grows them by less than 1e58 while its term
-# ratios, at most q x, stay below 1e11; a walk runs to j ~ q x, so only one of
-# 1e11 terms could pass that.
-_RESCALE = 1e250
-_LN_RESCALE = math.log(_RESCALE)
-# The density takes its first _PDF_CHUNKS chunks of term ratios from the
-# series' cache, and builds later ones _PDF_RUN chunks at a time.
-_PDF_CHUNKS = 64
-_PDF_RUN = 20
 # exp(x) is 0.0 below about -745.13.
 _LN_UNDERFLOW = -746.0
 # The most mixture indices kms_cdf sums, each array of them about 8 MB.
@@ -159,19 +149,21 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """SNR density of the shadowed kappa-mu model at finite ``gamma`` >= 0.
 
     f(gamma) = rate sum_j P[N = j] Pois(x; a-1+j), x = rate gamma, over the
-    Gamma mixture of ``_gamma_mixture``.  The terms are positive with ratios
-    t_(j+1)/t_j = q x (r+j) / ((j+1)(a+j)), which fall with j, so once a
-    ratio is below 1 the rest of the sum is at most the last term times
-    ratio / (1 - ratio); the sum stops when that bound is below e^-_LN_TOL of
-    the partial sum.  The sum is 1F1(r; a; qx), and its z-free ratios
-    (r+j) / ((j+1)(a+j)) are the series' own (``specfun._series_ratios``,
-    five a block): the first _PDF_CHUNKS chunks come from that shared cache,
-    later ones, which only walks of thousands of terms reach, are built per
-    call in runs of _PDF_RUN chunks.  The stop rule is applied at the end of
-    each block.  The terms are carried relative to the first one and rescaled
-    once a block ends past _RESCALE.  As 1F1(r; a; qx) <= e^qx (r <= a),
-    where the log of the first term plus qx lies below exp's underflow the
-    density is 0.0 without a walk.
+    Gamma mixture of ``_gamma_mixture``: 1F1(r; a; qx) times a front factor.
+    The terms t_j have ratios q x (r+j) / ((j+1)(a+j)), falling with j, and
+    are summed from lo, the chunk start at or below j* - sqrt(2 L v) (j* the
+    mode, where q x (r+j) = (j+1)(a+j), v the inverse curvature of ln t_j
+    there, L = _LN_TOL; lo = 0 for q x <= 2 L + 50), to the end of the first
+    block of five whose last ratio is below 1 and whose tail, at most its last
+    term times ratio / (1 - ratio), is below e^-L of the sum.  The ratios
+    shrink going down, so the head is at most t_lo s / (1 - s), s =
+    t_(lo-1)/t_lo; where that is not below e^-L of a finite sum the call
+    raises ConvergenceError.  The terms, relative to t_lo, take the z-free
+    ratios of the 1F1 series' cache (``specfun._series_ratios``, chunks of
+    50); the scale is taken in log space (``specfun._ln_gamma_weight``) at the
+    chunk start below j* (above lo, as j* - lo > 2 L), where the rounding of
+    q x that all ratios share cancels.  Where ln t_0 + q x underflows exp, as
+    1F1(r; a; qx) <= e^qx (r <= a), the density is 0.0 without a walk.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
@@ -184,17 +176,22 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
                 - x - math.lgamma(a))
     if not ln_scale + qx >= _LN_UNDERFLOW:  # NaN where x overflows
         return 0.0
+    lo, k, top = 0, 0, -1  # the scale moves to t_lo at chunk top; none for lo = 0
+    if qx > 2.0 * _LN_TOL + _CHUNK:  # lo >= _CHUNK needs j* - _CHUNK >= sqrt(2 L v) > 2 L
+        half_b = 0.5 * (qx - a - 1.0)  # j* solves j^2 - 2 half_b j = qx r - a
+        mode = max(0.0, half_b + math.sqrt(max(0.0, half_b * half_b + qx * r - a)))
+        v = 1.0 / (1.0 / (mode + 1.0) + 1.0 / (a + mode) - 1.0 / (r + mode))
+        lo = max(0, int(mode - math.sqrt(2.0 * _LN_TOL * v)) // _CHUNK * _CHUNK)
+    if lo:  # q > 0, so mu > m: rate = theta1 and (1 - q) x = theta2 gamma
+        k, top = lo // _CHUNK, int(mode) // _CHUNK
+        ln_scale = (_ln_gamma_weight(a + top * _CHUNK, qx) - a * math.log(q)
+                    + math.log(math.comb(r + top * _CHUNK - 1, r - 1))
+                    + r * math.log(p.theta2 / p.theta1) - math.log(gamma) - p.theta2 * gamma)
     term = total = 1.0
-    tol = _TOL
-    k = 0
     while True:
-        if k < _PDF_CHUNKS:
-            blocks = _series_ratios(r, None, a, k)
-            k += 1
-        else:
-            blocks = _ratio_blocks(r, None, a, k * _CHUNK, (k + _PDF_RUN) * _CHUNK)
-            k += _PDF_RUN
-        for r0, r1, r2, r3, r4, _ in blocks:
+        if k == top:
+            ln_scale -= math.log(term)  # term = t_top / t_lo
+        for r0, r1, r2, r3, r4, _ in _series_ratios(r, None, a, k):
             t1 = term * (qx * r0)
             t2 = t1 * (qx * r1)
             t3 = t2 * (qx * r2)
@@ -202,13 +199,13 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
             term = t4 * (qx * r4)
             total += t1 + t2 + t3 + t4 + term
             ratio = qx * r4
-            if ratio >= 1.0:
-                if term > _RESCALE:
-                    ln_scale += _LN_RESCALE
-                    term /= _RESCALE
-                    total /= _RESCALE
-            elif term * ratio <= tol * (1.0 - ratio) * total:
+            if ratio < 1.0 and term * ratio <= _TOL * (1.0 - ratio) * total:
+                if lo:
+                    s = lo * (a + lo - 1.0) / (qx * (r + lo - 1.0))
+                    if not s <= _TOL * (1.0 - s) * total < math.inf:
+                        raise ConvergenceError(f"kms_pdf's window from {lo} is not certified")
                 return math.exp(ln_scale + math.log(total))
+        k += 1
 
 
 @memo(64)

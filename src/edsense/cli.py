@@ -88,10 +88,10 @@ def _parse_snr(text: str) -> list[float]:
         if len(parts) != 3:
             raise DomainError(f"SNR range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0.0 or stop < start:
-            raise DomainError(f"empty SNR sweep {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(count)]
+        count = (stop - start) / step + 1e-9 if step > 0.0 else math.nan
+        if not (stop >= start and all(map(math.isfinite, (start, step, count)))):
+            raise DomainError(f"SNR range must be finite and non-empty, got {text!r}")
+        return [start + k * step for k in range(int(count) + 1)]
     return [float(text)]
 
 

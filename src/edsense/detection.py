@@ -267,15 +267,20 @@ def prob_detect_instant(cfg: DetectorConfig, gamma: float) -> float:
     return marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(cfg.lam))
 
 
+def _ln_nb_binom(r: float, k: np.ndarray) -> np.ndarray:
+    """ln C(r+k-1, k) at k = arange(n), a running sum of ln((r+k) / (k+1))."""
+    out = np.zeros(len(k))
+    np.add.accumulate(np.log((r + k[:-1]) / (k[:-1] + 1.0)), out=out[1:])
+    return out
+
+
 def _nb_pmf(r: int, rate: float, n: int) -> np.ndarray:
     """pmf at 0..n-1 of Poisson(G), G ~ Gamma(r, rate): the negative binomial
     NB(r, rate/(1+rate)); r = 0 gives the point mass at zero."""
     if r == 0:
         return np.eye(1, n)[0]
     k = np.arange(n)
-    ln_binom = np.zeros(n)
-    np.add.accumulate(np.log((r + k[:-1]) / (k[:-1] + 1.0)), out=ln_binom[1:])
-    return np.exp(ln_binom + r * (math.log(rate) - math.log1p(rate))
+    return np.exp(_ln_nb_binom(r, k) + r * (math.log(rate) - math.log1p(rate))
                   - k * math.log1p(rate))
 
 
@@ -382,10 +387,8 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
     for level, sums in enumerate(level_sums()):
         prev, total = total, 0.5 * total + h / 2 ** level * sums
         if level and (np.abs(total - prev) <= tol * total).all():
-            ln_binom = np.zeros(n)
-            np.add.accumulate(np.log((m + k[:-1]) / (k[:-1] + 1.0)), out=ln_binom[1:])
             ln_front = 0.5 * math.log(ms / (2.0 * math.pi)) - _binet(ms)
-            return np.exp(ln_binom + ln_front + shift + np.log(total))
+            return np.exp(_ln_nb_binom(m, k) + ln_front + shift + np.log(total))
     raise ConvergenceError(f"Fisher pmf trapezoid sum did not settle by h = {h / 2 ** level:g}")
 
 

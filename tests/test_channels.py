@@ -3,17 +3,20 @@ independent references, and sampler statistics.
 
 Frozen [reference] values: the kappa-mu density value comes from mpmath
 quadrature of the Gamma-Gamma convolution integral (the inverse Laplace
-route), its CDF value from quadrature of that convolution density, and the
-Fisher-Snedecor values from the scaled central-F identity and quadrature of
-the density.
+route), the density far from the mean from mpmath's 1F1, its CDF value from
+quadrature of that convolution density, and the Fisher-Snedecor values from
+the scaled central-F identity and quadrature of the density.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import gammaln
 
+from edsense import channels
 from edsense.channels import (
     FisherFParams,
     KappaMuShadowedParams,
@@ -25,7 +28,7 @@ from edsense.channels import (
     kms_pdf,
     kms_sample,
 )
-from edsense.errors import DomainError
+from edsense.errors import ConvergenceError, DomainError
 
 
 def test_kms_params_invariants():
@@ -84,6 +87,90 @@ def test_kms_pdf_reference_value():
     # Laplace of the two-factor MGF) to 1e-13
     p = KappaMuShadowedParams(kappa=3.0, mu=4, m=2, mean_snr=10.0)
     assert math.isclose(kms_pdf(p, 2.5), 0.046986485169255488, rel_tol=1e-11)
+
+
+# [reference] mpmath 1.3.0, dps 40: theta1 (1-q)^m x^(mu-1) e^-x / Gamma(mu)
+# 1F1(m; mu; q x), x = theta1 gamma, with theta1 and q exact from the
+# parameters.  The walk from j = 0 was 1.4e-11, 1.5e-8 and 1.7e-6 off on the
+# last three cells (10x the mean, q x = 3.0e4; 1x and 8x, q x = 1.0e6, 8.0e6).
+@pytest.mark.parametrize("kappa,mu,m,mean,gamma,want", [
+    (50.0, 60, 30, 10.0, 10.0, 0.2200509626531220346),
+    (50.0, 60, 30, 10.0, 33.0, 1.597221534330764602e-16),
+    (50.0, 60, 30, 10.0, 100.0, 1.082192006772221205e-90),
+    (1e3, 1000, 1, 3.0, 3.0, 0.12274898418320016859),
+    (1e3, 1000, 1, 3.0, 24.0, 0.00011115257167529259766),
+])
+def test_kms_pdf_far_from_the_mean(kappa, mu, m, mean, gamma, want):
+    p = KappaMuShadowedParams(kappa=kappa, mu=mu, m=m, mean_snr=mean)
+    assert math.isclose(kms_pdf(p, gamma), want, rel_tol=1e-12)
+
+
+def test_kms_pdf_walks_only_its_window(monkeypatch):
+    # q theta1 gamma = 30,297 at 10x the mean: the walk from j = 0 took about
+    # 600 chunks' worth of terms, the window about 0.35 sqrt(q x) chunks
+    reads = []
+    ratios = channels._series_ratios
+
+    def counted(*args):
+        reads.append(args[3])
+        return ratios(*args)
+
+    monkeypatch.setattr(channels, "_series_ratios", counted)
+    kms_pdf(KappaMuShadowedParams(kappa=50.0, mu=60, m=30, mean_snr=10.0), 100.0)
+    assert len(set(reads)) == len(reads) <= 61
+    assert min(reads) * channels._CHUNK > 0.9 * 30_297
+
+
+@pytest.mark.parametrize("ln_tol,certified", [(37.0, True), (18.0, False)])
+def test_kms_pdf_head_certificate(monkeypatch, ln_tol, certified):
+    # kappa 10, mu 3, m 2 at 6x the mean (q theta1 gamma = 185.6): the window
+    # starts at lo = 50, whose head bound is e^-36 inside the e^-37 bound
+    # (_TOL); one chunk higher, at lo = 100, it is e^11 outside and must
+    # raise.  A start rule (_LN_TOL) narrowed to 18 begins there.
+    # [reference] mpmath 1.3.0, dps 40, as test_kms_pdf_far_from_the_mean
+    p = KappaMuShadowedParams(kappa=10.0, mu=3, m=2, mean_snr=10.0)
+    monkeypatch.setattr(channels, "_LN_TOL", ln_tol)
+    if certified:
+        assert math.isclose(kms_pdf(p, 60.0), 1.143477744972560777e-5, rel_tol=1e-12)
+    else:
+        with pytest.raises(ConvergenceError):
+            kms_pdf(p, 60.0)
+
+
+def _ln_kms_pdf(p, gamma):
+    """ln f(gamma) as a log-sum-exp of the mixture's terms, each from scipy's
+    gammaln (good to about 1e-8 at indices of 1e6), over the indices within
+    60 sqrt(J) of the largest term, J = q x + 60 sqrt(q x) + 100 bounding
+    the mode."""
+    a, rate, r, q = channels._gamma_mixture(p)
+    x = rate * gamma
+
+    def ln_terms(j):
+        ln_t = (gammaln(r + j) - gammaln(j + 1.0) - gammaln(r) + r * math.log1p(-q)
+                + (a - 1.0 + j) * math.log(x) - x - gammaln(a + j) + math.log(rate))
+        return ln_t + j * math.log(q) if q > 0.0 else np.where(j == 0, ln_t, -np.inf)
+
+    big = q * x + 60.0 * math.sqrt(q * x) + 100.0
+    step = max(1.0, math.floor(big / 1000.0))
+    grid = np.arange(0.0, big + step, step)
+    peak = grid[np.argmax(ln_terms(grid))]
+    width = 60.0 * math.sqrt(big) + step
+    ln_t = ln_terms(np.arange(max(0.0, math.floor(peak - width)), math.ceil(peak + width)))
+    return ln_t.max() + math.log(np.exp(ln_t - ln_t.max()).sum())
+
+
+@pytest.mark.parametrize("kappa", [1e-5, 1e-2, 1.0, 10.0, 100.0, 1e3])
+def test_kms_pdf_window_stays_in_range(kappa):
+    # with no rescaling, the terms relative to t_lo stay finite and every
+    # window's head is certified, from q x ~ 0 to q x = 8e6
+    for mu, m in ((1, 1), (2, 1), (4, 2), (12, 6), (60, 30), (100, 1), (1000, 1), (1000, 500)):
+        p = KappaMuShadowedParams(kappa=kappa, mu=mu, m=m, mean_snr=10.0)
+        for frac in (0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+            got, want = kms_pdf(p, 10.0 * frac), _ln_kms_pdf(p, 10.0 * frac)
+            if want < math.log(sys.float_info.min):  # subnormal or 0.0
+                assert got < sys.float_info.min
+            else:
+                assert abs(math.log(got) - want) <= 1e-7
 
 
 def test_kms_pdf_normalizes():

@@ -209,6 +209,11 @@ def test_usage_errors_exit_2(tmp_path):
     ["effrate", "--channel", "kms", "--kappa", "nan", "--mu", "3", "--m", "2",
      "--snr-db", "10"],
     ["auc", "--channel", "fisher", "--m", "2", "--ms", "3", "--snr-db", "nan"],
+    # exit 3 before ("cannot convert float infinity to integer")
+    ["auc", "--channel", "kms", "--kappa", "1", "--mu", "2", "--m", "1",
+     "--snr-db", "0:inf:1"],
+    ["auc", "--channel", "kms", "--kappa", "1", "--mu", "2", "--m", "1",
+     "--snr-db", "0:1e300:1e-300"],
 ])
 def test_non_finite_parameters_exit_2(tmp_path, capsys, args):
     # a non-finite channel parameter is a usage error, not a traceback (exit 1)
