@@ -3,10 +3,11 @@
 ``tanhsinh_01`` is a tanh-sinh rule on (0, 1) whose nodes never touch the
 endpoints, so integrable algebraic endpoint singularities converge at
 double-exponential rate (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005).
-Its integrand gets each node as t, 1 - t, ln t and ln(1 - t) with its weight,
-from tables built on first use and cached; levels 0..5 are evaluated in one
-integrand call and each deeper level in one more.  ``ln_peak_integral`` runs
-it over the real line, centred on a log-integrand's peak.  The Gauss-Kronrod
+Its integrand is called with a block index and reads the block's nodes and
+weights from ``_ts_block``, tables built on first use and cached; levels
+0..5 are block 0 and come in one integrand call, each deeper level in one
+more.  ``ln_peak_integral`` runs it over the real line, centred on a
+log-integrand's peak.  The Gauss-Kronrod
 rule ``adaptive_gk`` has no caller left; the benchmark's spans still name it.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -116,12 +118,15 @@ _TS_REACH = math.pi * math.sinh(_TS_X_MAX)
 
 
 @memo(None)
-def _ts_block(block: int):
-    """Node table of one block: (t, 1 - t, ln t, ln(1 - t), w, starts).
-
-    ``starts`` indexes the first node of each level in the block.  Tables
-    are built on first use and cached read-only, so importing the module
-    builds none.
+def _ts_block(block: int) -> SimpleNamespace:
+    """Node table of one block, built on first use and cached read-only, so
+    importing the module builds none: the nodes ``t`` and weights ``w``,
+    with what integrands take of them: ``omt`` = 1 - t (``t`` and ``omt``
+    each accurate near its own endpoint), their logarithms ``ln_t`` and
+    ``ln_omt``, the odds ``odds`` = t / (1 - t) and their logarithm
+    ``logit``, and ``ln_w_logit`` = ln w - ln t - ln(1 - t), the log-weight
+    of a rule in s = ln(t / (1 - t)).  ``starts`` indexes the first node of
+    each level in the block.
     """
     us, ws, starts = [], [], []
     size = 0
@@ -142,30 +147,31 @@ def _ts_block(block: int):
         ws += [w, w[first:]]
         size += 2 * u.size - first
     u = np.concatenate(us)
-    table = (1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u)),
-             -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u),
-             np.concatenate(ws), np.array(starts))
-    for arr in table:
+    ln_t, ln_omt = -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u)  # u = ln t - ln(1 - t)
+    w = np.concatenate(ws)
+    table = SimpleNamespace(t=1.0 / (1.0 + np.exp(-u)), omt=1.0 / (1.0 + np.exp(u)),
+                            ln_t=ln_t, ln_omt=ln_omt, w=w, odds=np.exp(u), logit=u,
+                            ln_w_logit=np.log(w) - ln_t - ln_omt, starts=np.array(starts))
+    for arr in vars(table).values():
         arr.flags.writeable = False
     return table
 
 
-def tanhsinh_01(f: Callable[..., np.ndarray], rel_tol: float = 1e-13) -> float:
-    """Tanh-sinh integral over (0, 1) of ``f(t, 1 - t, ln t, ln(1 - t), w)`` summed.
+def tanhsinh_01(f: Callable[[int], np.ndarray], rel_tol: float = 1e-13) -> float:
+    """Tanh-sinh integral over (0, 1), from ``f(block)``, the weighted
+    integrand values at the nodes of one block (``_ts_block(block)``).
 
-    ``f`` receives the node vectors ``t`` and ``1 - t`` (each accurate near
-    its own endpoint), their logarithms and the quadrature weights, and must
-    return the weighted integrand values; this keeps endpoint-singular
-    factors in log space on the caller's side.  Levels 0..5 come in one call
-    and each deeper level in one more; the level sums still enter
-    ``T_k = T_(k-1)/2 + c_k`` one at a time, and the rule stops at the first
-    level k >= 3 with ``|T_k - T_(k-1)| <= rel_tol |T_k|``, or raises
-    ConvergenceError after level 12.
+    ``f`` reads the block's node columns, or a table of its own per block,
+    so that endpoint-singular factors stay in log space on the caller's side
+    and whatever does not change between calls is built once.  Levels 0..5
+    (block 0) come in one call and each deeper level in one more; the level
+    sums still enter ``T_k = T_(k-1)/2 + c_k`` one at a time, and the rule
+    stops at the first level k >= 3 with ``|T_k - T_(k-1)| <= rel_tol |T_k|``,
+    or raises ConvergenceError after level 12.
     """
     total = prev = 0.0
     for block, levels in enumerate(_TS_BLOCKS):
-        t, omt, ln_t, ln_omt, w, starts = _ts_block(block)
-        sums = np.add.reduceat(f(t, omt, ln_t, ln_omt, w), starts).tolist()
+        sums = np.add.reduceat(f(block), _ts_block(block).starts).tolist()
         for level, contrib in zip(levels, sums):
             total = total / 2.0 + contrib if level > 0 else contrib
             if level >= 3 and abs(total - prev) <= rel_tol * abs(total):
@@ -178,14 +184,19 @@ def ln_peak_integral(ln_f: Callable[[np.ndarray], np.ndarray], s0: float) -> flo
     """ln of the integral over the real line of exp(ln_f(s)), to ``_REL_TOL``.
 
     The rule is tanh-sinh on s = s0 + ln(x / (1 - x)), s0 at or near the
-    peak of the vectorized ``ln_f``, with ln_f(s0) factored out.  The nodes
-    reach about 630 either side of s0, so a tail that falls more slowly
-    than e^(-|s - s0| / 20) is cut short.
+    peak of the vectorized ``ln_f``, with ln_f(s0) factored out; the offsets
+    ln(x / (1 - x)) and log-weights ln w - ln x - ln(1 - x) come from the
+    node tables.  The nodes reach about 630 either side of s0, so a tail
+    that falls more slowly than e^(-|s - s0| / 20) is cut short.
     """
     peak = float(ln_f(s0))
 
-    def integrand(x, omx, ln_x, ln_omx, w):
-        return w * np.exp(ln_f(s0 + ln_x - ln_omx) - peak - ln_x - ln_omx)
+    def integrand(block):
+        nodes = _ts_block(block)
+        x = ln_f(s0 + nodes.logit)
+        x += nodes.ln_w_logit
+        x -= peak
+        return np.exp(x, out=x)
 
     with np.errstate(over="ignore", under="ignore"):
         integral = tanhsinh_01(integrand, rel_tol=_REL_TOL)

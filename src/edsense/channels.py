@@ -27,8 +27,8 @@ import numpy as np
 
 from ._memo import memo
 from .errors import ConvergenceError, DomainError
-from .specfun import (_CHUNK, _ln_gamma_weight, _ln_poisson_tail, _poisson_tail_index,
-                      _poisson_terms, _series_ratios, ln_beta, reg_inc_beta)
+from .specfun import (_BLOCK, _CACHED, _CHUNK, _beta_cf, _ln_gamma_weight, _ln_poisson_tail,
+                      _ratios, ln_beta, reg_inc_beta)
 
 __all__ = [
     "KappaMuShadowedParams",
@@ -48,11 +48,10 @@ _LN_TOL = 37.0
 _TOL = math.exp(-_LN_TOL)
 # exp(x) is 0.0 below about -745.13.
 _LN_UNDERFLOW = -746.0
-# The most mixture indices kms_cdf sums, each array of them about 8 MB.
+# The most indices a mixture walk takes, and the largest x = rate gamma for
+# which kms_cdf sums its terms.
 _MAX_INDEX = 1 << 20
-# The lengths of the negative binomial cdfs that kms_cdf caches per shape.
-_NB_MIN_LEN = 64
-_NB_CACHED_LEN = 1 << 14
+_MAX_CHUNKS = _MAX_INDEX // _CHUNK
 # Draws handled at a time: the samplers draw their second Gamma factor in
 # blocks of this size, and ``oracle.mc_average`` applies its metric to them
 # in such blocks, so that neither holds more than one full-length array plus
@@ -145,25 +144,78 @@ def _gamma_mixture(p: KappaMuShadowedParams) -> tuple[int, float, int, float]:
     return p.mu, p.theta1, p.m, p.mu * p.kappa / (p.mu * p.kappa + p.m)
 
 
+def _blocks(rho: np.ndarray):
+    """The ratios of one chunk as a tuple of blocks of five."""
+    return tuple(map(tuple, rho.reshape(-1, _BLOCK).tolist()))
+
+
+@memo(_CACHED)
+def _pdf_ratios(shape: tuple[int, int], k: int):
+    """Chunk k of the density's z-free term ratios rho_j = (r+j) / ((j+1)(a+j))
+    (``specfun._ratios`` of 1F1(r; a; z)), for k _CHUNK <= j < (k+1) _CHUNK,
+    as a tuple of blocks of five.  The cache is the density's own, so that a
+    long walk does not evict the chunks of the hypergeometric series.
+    ``shape`` is (r, a)."""
+    r, a = shape
+    return _blocks(_ratios(r, None, a, np.arange(float(k * _CHUNK), float((k + 1) * _CHUNK))))
+
+
+def _mixture_sum(chunks, shape: tuple, z: float, lo: int, top: int, ln_scale: float,
+                 s: float) -> float:
+    """e^ln_scale times the sum of the log-concave terms t_i, i >= lo, whose
+    ratios t_(i+1)/t_i = z rho_i fall with i; rho_i comes from
+    ``chunks(shape, k)``, chunk k holding i from k _CHUNK to (k+1) _CHUNK in
+    blocks of five, and lo is a multiple of five.
+
+    The terms are carried relative to t_lo with no rescaling.  ln_scale is
+    ln t_(top _CHUNK), top _CHUNK >= lo, and drops ln(t_(top _CHUNK) / t_lo)
+    when the walk reaches chunk top.  The sum stops at the end of the first
+    block of five whose last ratio is below 1 and whose tail, at most its
+    last term times ratio / (1 - ratio), is below e^-L of the sum (L =
+    _LN_TOL).  The ratios shrink going down, so the dropped head is at most
+    t_lo s / (1 - s) for s >= t_(lo-1) / t_lo (0 for lo = 0); where that is not
+    below e^-L of a finite sum, or the walk passes _MAX_INDEX indices, the
+    call raises ConvergenceError.
+    """
+    k, b = divmod(lo, _CHUNK)
+    blocks = chunks(shape, k)[b // _BLOCK:]
+    stop = k + _MAX_CHUNKS
+    term = total = 1.0
+    while k < stop:
+        if k == top:
+            ln_scale -= math.log(term)  # term = t_top / t_lo
+        for r0, r1, r2, r3, r4 in blocks:
+            t1 = term * (z * r0)
+            t2 = t1 * (z * r1)
+            t3 = t2 * (z * r2)
+            t4 = t3 * (z * r3)
+            ratio = z * r4
+            term = t4 * ratio
+            total += t1 + t2 + t3 + t4 + term
+            if ratio < 1.0 and term * ratio <= _TOL * (1.0 - ratio) * total:
+                if not s <= _TOL * (1.0 - s) * total < math.inf:
+                    raise ConvergenceError(f"the mixture's window from {lo} is not certified")
+                return math.exp(ln_scale + math.log(total))
+        k += 1
+        blocks = chunks(shape, k)
+    raise ConvergenceError(f"the mixture's window from {lo} is longer than {_MAX_INDEX}")
+
+
 def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """SNR density of the shadowed kappa-mu model at finite ``gamma`` >= 0.
 
     f(gamma) = rate sum_j P[N = j] Pois(x; a-1+j), x = rate gamma, over the
     Gamma mixture of ``_gamma_mixture``: 1F1(r; a; qx) times a front factor.
     The terms t_j have ratios q x (r+j) / ((j+1)(a+j)), falling with j, and
-    are summed from lo, the chunk start at or below j* - sqrt(2 L v) (j* the
-    mode, where q x (r+j) = (j+1)(a+j), v the inverse curvature of ln t_j
-    there, L = _LN_TOL; lo = 0 for q x <= 2 L + 50), to the end of the first
-    block of five whose last ratio is below 1 and whose tail, at most its last
-    term times ratio / (1 - ratio), is below e^-L of the sum.  The ratios
-    shrink going down, so the head is at most t_lo s / (1 - s), s =
-    t_(lo-1)/t_lo; where that is not below e^-L of a finite sum the call
-    raises ConvergenceError.  The terms, relative to t_lo, take the z-free
-    ratios of the 1F1 series' cache (``specfun._series_ratios``, chunks of
-    50); the scale is taken in log space (``specfun._ln_gamma_weight``) at the
-    chunk start below j* (above lo, as j* - lo > 2 L), where the rounding of
-    q x that all ratios share cancels.  Where ln t_0 + q x underflows exp, as
-    1F1(r; a; qx) <= e^qx (r <= a), the density is 0.0 without a walk.
+    are summed by ``_mixture_sum`` from lo, the chunk start at or below
+    j* - sqrt(2 L v) (j* the mode, where q x (r+j) = (j+1)(a+j), v the
+    inverse curvature of ln t_j there, L = _LN_TOL; lo = 0 for q x <= 2 L +
+    50), with the head bound s = t_(lo-1)/t_lo.  The z-free ratios come from
+    the density's chunk cache (``_pdf_ratios``); the scale is taken in log
+    space (``specfun._ln_gamma_weight``) at the chunk start below j* (above
+    lo, as j* - lo > 2 L), where the rounding of q x that all ratios share
+    cancels.  Where ln t_0 + q x underflows exp, as 1F1(r; a; qx) <= e^qx
+    (r <= a), the density is 0.0 without a walk.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
@@ -176,67 +228,97 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
                 - x - math.lgamma(a))
     if not ln_scale + qx >= _LN_UNDERFLOW:  # NaN where x overflows
         return 0.0
-    lo, k, top = 0, 0, -1  # the scale moves to t_lo at chunk top; none for lo = 0
+    lo = top = s = 0
     if qx > 2.0 * _LN_TOL + _CHUNK:  # lo >= _CHUNK needs j* - _CHUNK >= sqrt(2 L v) > 2 L
         half_b = 0.5 * (qx - a - 1.0)  # j* solves j^2 - 2 half_b j = qx r - a
         mode = max(0.0, half_b + math.sqrt(max(0.0, half_b * half_b + qx * r - a)))
         v = 1.0 / (1.0 / (mode + 1.0) + 1.0 / (a + mode) - 1.0 / (r + mode))
         lo = max(0, int(mode - math.sqrt(2.0 * _LN_TOL * v)) // _CHUNK * _CHUNK)
     if lo:  # q > 0, so mu > m: rate = theta1 and (1 - q) x = theta2 gamma
-        k, top = lo // _CHUNK, int(mode) // _CHUNK
+        top = int(mode) // _CHUNK
         ln_scale = (_ln_gamma_weight(a + top * _CHUNK, qx) - a * math.log(q)
                     + math.log(math.comb(r + top * _CHUNK - 1, r - 1))
                     + r * math.log(p.theta2 / p.theta1) - math.log(gamma) - p.theta2 * gamma)
-    term = total = 1.0
-    while True:
-        if k == top:
-            ln_scale -= math.log(term)  # term = t_top / t_lo
-        for r0, r1, r2, r3, r4, _ in _series_ratios(r, None, a, k):
-            t1 = term * (qx * r0)
-            t2 = t1 * (qx * r1)
-            t3 = t2 * (qx * r2)
-            t4 = t3 * (qx * r3)
-            term = t4 * (qx * r4)
-            total += t1 + t2 + t3 + t4 + term
-            ratio = qx * r4
-            if ratio < 1.0 and term * ratio <= _TOL * (1.0 - ratio) * total:
-                if lo:
-                    s = lo * (a + lo - 1.0) / (qx * (r + lo - 1.0))
-                    if not s <= _TOL * (1.0 - s) * total < math.inf:
-                        raise ConvergenceError(f"kms_pdf's window from {lo} is not certified")
-                return math.exp(ln_scale + math.log(total))
-        k += 1
+        s = lo * (a + lo - 1.0) / (qx * (r + lo - 1.0))
+    return _mixture_sum(_pdf_ratios, (r, a), qx, lo, top, ln_scale, s)
 
 
-@memo(64)
-def _nb_cdf(r: int, q: float, n: int) -> np.ndarray:
-    """P[N <= i] / P[N = 0] for i < n, N ~ NB(r, q), as a read-only array:
-    1 plus the cumulative sum of the pmf's cumulative products of term
-    ratios.  ``kms_cdf`` keeps the most recent 64, of lengths 2^k from
-    _NB_MIN_LEN to _NB_CACHED_LEN (at most 128 KB each)."""
-    out = np.ones(n)
-    out[1:] += (q * (r - 1) / np.arange(1.0, n) + q).cumprod().cumsum()
-    out.flags.writeable = False
-    return out
+def _ln_nb_pmf(r: int, q: float, n: int) -> float:
+    """ln P[N = n], N ~ NB(r, q), n >= 1, 0 < q < 1, from Gamma weights
+    (``specfun._ln_gamma_weight``, accurate where ln Gamma is not): with
+    y = (r+n) q and 1-q's share r+n-y, P[N = n] (r+n) q is
+    W(n+1, y) W(r, r+n-y) / W(r+n+1, r+n), W(z, y) = y^z e^-y / Gamma(z)."""
+    y = (r + n) * q
+    return (_ln_gamma_weight(n + 1.0, y) + _ln_gamma_weight(float(r), (r + n) * (1.0 - q))
+            - _ln_gamma_weight(r + n + 1.0, float(r + n)) - math.log(y))
+
+
+@memo(_CACHED)
+def _nb_cdf_start(r: int, q: float, k: int) -> tuple[float, float]:
+    """(ln P[N <= n], P[N = n] / P[N <= n]) at n = k _CHUNK, N ~ NB(r, q).
+
+    P[N <= n] = I_(1-q)(r, n+1) = P[B >= r], B ~ Binomial(n+r, 1-q), with no
+    ln Gamma in either form below; ``reg_inc_beta``'s front factor carries
+    its rounding, about 1e-12 at n in the thousands.  Below the switch of
+    ``reg_inc_beta`` the continued fraction (``_beta_cf``) gives the cdf's
+    ratio to the pmf, as the front factor (1-q)^r q^(n+1) / B(r, n+1) is
+    P[N = n] q (n+r).  Above it, where the fraction takes q for x and loses
+    about eps / (1-q) (6.6e-12 at q = 0.99999), 1 - P[N <= n] = P[B <= r-1]
+    is a sum of r positive terms, from P[B = r-1] = P[N = n] (n+r) q /
+    ((n+1) (1-q)) down by the ratios j q / ((n+r-j+1) (1-q)).
+    """
+    n = k * _CHUNK
+    if n == 0:
+        return r * math.log1p(-q), 1.0
+    if q == 0.0:
+        return 0.0, 0.0
+    ln_pmf = _ln_nb_pmf(r, q, n)
+    p = 1.0 - q
+    if p < (r + 1.0) / (r + n + 3.0):
+        ratio = r / (q * (r + n) * _beta_cf(r, n + 1.0, p))
+        return ln_pmf - math.log(ratio), ratio
+    j = np.arange(r - 1.0, 0.0, -1.0)
+    terms = 1.0 + float((j * q / ((n + r + 1.0 - j) * p)).cumprod().sum())
+    pmf = math.exp(ln_pmf)
+    ln_cdf = math.log1p(-pmf * (n + r) * q / ((n + 1.0) * p) * terms)
+    return ln_cdf, pmf / math.exp(ln_cdf)
+
+
+@memo(_CACHED)
+def _cdf_ratios(shape: tuple[int, int, float], k: int):
+    """Chunk k of the distribution function's z-free term ratios rho_i =
+    P[N <= i+1] / (P[N <= i] (a+i+1)), k _CHUNK <= i < (k+1) _CHUNK, as a
+    tuple of blocks of five: the negative binomial cdf from its value at the
+    chunk start (``_nb_cdf_start``) on by the pmf's term ratios, so that no
+    chunk runs from index 0.  ``shape`` is (a, r, q)."""
+    a, r, q = shape
+    n = k * _CHUNK
+    i = np.arange(float(n), float(n + _CHUNK))
+    cdf = np.empty(_CHUNK + 1)  # P[N <= i] / P[N <= n] for n <= i <= n + _CHUNK
+    cdf[0] = 1.0
+    cdf[1:] = (q * (r + i) / (i + 1.0)).cumprod()
+    cdf[1:] *= _nb_cdf_start(r, q, k)[1]
+    np.cumsum(cdf, out=cdf)
+    return _blocks(cdf[1:] / cdf[:-1] / (a + i + 1.0))
 
 
 def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """SNR distribution function, F(gamma) = sum_j P[N = j] P(a+j, x).
 
-    Summed the other way round, F = sum_i Pois(x; a+i) P[N <= i]: positive
-    terms, Poisson weights from ``_poisson_terms``, the negative binomial pmf
-    by cumulative products of its term ratios, its cdf by a cumulative sum.
-    Poisson indices below x - sqrt(2 L x) and from ``_poisson_tail_index(x, L)``
-    on are dropped; each side carries at most e^-L of probability
-    (L = _LN_TOL), which bounds the absolute error.
+    Summed the other way round, F = sum_i Pois(x; a+i) P[N <= i]: positive,
+    log-concave terms whose ratios x rho_i, rho_i = P[N <= i+1] / (P[N <= i]
+    (a+i+1)), depend on x only through the factor x.  They are summed by
+    ``_mixture_sum`` from lo, the multiple of five at or below
+    x - a - sqrt(2 L x) (L = _LN_TOL), with the head bound s = (a+lo)/x, to
+    the same relative stop as the density, over chunks of rho cached per
+    shape (``_cdf_ratios``).  The scale is taken in log space at the chunk
+    start at or below the Poisson mode x - a, from ``_ln_gamma_weight`` and
+    the cached ``_nb_cdf_start``.
 
-    The negative binomial cdf depends on the shape alone, so it comes from
-    ``_nb_cdf``'s cache for up to _NB_CACHED_LEN indices.  It runs over all
-    indices from 0, so past x = _MAX_INDEX the result is 1.0 where 1 - F is
-    at most e^-L by the bound
-    Q(mu-m, theta1 gamma/2) + Q(m, theta2 gamma/2) (one of the two Gamma
-    factors passes gamma/2), each Q(k, y) = P[Poisson(y) <= k-1] bounded
-    by ``_ln_poisson_tail``, and ConvergenceError elsewhere.
+    Past x = _MAX_INDEX the result is 1.0 where 1 - F is at most e^-L by the
+    bound Q(mu-m, theta1 gamma/2) + Q(m, theta2 gamma/2) (one of the two
+    Gamma factors passes gamma/2), each Q(k, y) = P[Poisson(y) <= k-1]
+    bounded by ``_ln_poisson_tail``, and ConvergenceError elsewhere.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
@@ -250,15 +332,15 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
             return 1.0
         raise ConvergenceError(
             f"kms_cdf needs about {x:.3g} mixture indices, more than {_MAX_INDEX}")
-    n = _poisson_tail_index(x, _LN_TOL) - a
-    if gamma == 0.0 or n <= 0:
+    if gamma == 0.0:
         return 0.0
-    lo = max(0, math.floor(x - math.sqrt(2.0 * _LN_TOL * x)) - a)
-    # Pois(x; a+i) for i = lo..n-1
-    pois = _poisson_terms(a + lo, x, n - lo)
-    size = max(_NB_MIN_LEN, 1 << (n - 1).bit_length())
-    nb = _nb_cdf(r, q, size) if size <= _NB_CACHED_LEN else _nb_cdf.__wrapped__(r, q, n)
-    return min(1.0, math.exp(r * math.log1p(-q)) * float(pois.dot(nb[lo:n])))
+    lo = max(0, math.floor(x - math.sqrt(2.0 * _LN_TOL * x)) - a) // _BLOCK * _BLOCK
+    top = max(0, math.floor(x) - a) // _CHUNK  # top _CHUNK >= lo: lo > 0 needs x > 2 L
+
+    ln_scale = (_ln_gamma_weight(a + top * _CHUNK + 1.0, x) - math.log(x)
+                + _nb_cdf_start(r, q, top)[0])
+    return min(1.0, _mixture_sum(_cdf_ratios, (a, r, q), x, lo, top, ln_scale,
+                                 (a + lo) / x if lo else 0.0))
 
 
 def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -8,13 +8,13 @@ series and quadratures share one contract: 1e-12 relative (``_REL_TOL``), at
 most 10,000 terms for the hypergeometric and Marcum-Q series (``_MAX_TERMS``)
 and 20,000 for the incomplete gamma and beta loops, and ConvergenceError where
 that cannot be met, never a silently truncated value.  The Poisson terms
-y^z e^(-y) / Gamma(z+1) that the Marcum-Q, the detection series and the
-kappa-mu distribution function sum come from one kernel, ``_poisson_terms``.
-Whatever the hypergeometric series and 2F1's routes need that does not
-depend on z (term ratios and their tail bounds, the ratios of a series'
-cancelling head, connection coefficients, the Euler integral's set-up) is
-built once per parameter set and kept in bounded LRU caches of immutable
-tuples, so a sweep over z pays for it once.
+y^z e^(-y) / Gamma(z+1) that the Marcum-Q and the detection series sum come
+from one kernel, ``_poisson_terms``.  Whatever the hypergeometric series and
+2F1's routes need that does not depend on z (term ratios and their tail
+bounds, the ratios of a series' cancelling head, connection coefficients,
+the Euler integral's set-up and its exponent on the first tanh-sinh block)
+is built once per parameter set and kept in bounded LRU caches of immutable
+tuples or read-only arrays, so a sweep over z pays for it once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from ._memo import memo
-from ._quad import _REL_TOL, _TS_REACH, ln_peak_integral, tanhsinh_01
+from ._quad import _REL_TOL, _TS_REACH, _ts_block, ln_peak_integral, tanhsinh_01
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -587,11 +587,33 @@ def _setup_2f1(a: float, b: float, c: float):
     return connection, euler
 
 
+def _euler_base(a: float, b: float, c: float, block: int) -> np.ndarray:
+    """The z-free part of the Euler integrand's log on one tanh-sinh block:
+    (b-1) ln t + (c-b-1-a) ln(1-t) + ln w, taken as b ln t + (c-b-a) ln(1-t)
+    + (ln w - ln t - ln(1-t)) from the node table."""
+    nodes = _ts_block(block)
+    base = b * nodes.ln_t
+    base += (c - b - a) * nodes.ln_omt
+    base += nodes.ln_w_logit
+    return base
+
+
+@memo(_CACHED)
+def _euler_base0(a: float, b: float, c: float) -> np.ndarray:
+    """``_euler_base`` on block 0 (385 nodes), read-only: the block that
+    every Euler integral evaluates.  Deeper blocks are built per call."""
+    base = _euler_base(a, b, c, 0)
+    base.flags.writeable = False
+    return base
+
+
 def _euler_2f1(a: float, b: float, c: float, w: float, ln_front: float):
     """Euler integral for 2F1(a, b; c; 1-w) when c > b > 0, as (s, ln_scale),
     value s e^ln_scale: e^ln_front times the integral over (0, 1) of
     t^(b-1) (1-t)^(c-b-1) (1-t+tw)^-a, robust for 0.5 < 1-w < 1.
 
+    As 1-t+tw = (1-t)(1 + w t/(1-t)), the integrand's log is -a log1p(w t/(1-t))
+    plus a z-free part (``_euler_base``), cached per (a, b, c) for block 0.
     The integrand is scaled by w^-min(0, c-a-b), which keeps the integral of
     order one as w -> 0.  For a > 0 the factor (1-t+tw)^-a gathers mass at
     1-t of about w; where the part of it nearer t = 1 than the rule's nodes,
@@ -601,21 +623,15 @@ def _euler_2f1(a: float, b: float, c: float, w: float, ln_front: float):
     ln_w = math.log(w)
     if a > 0.0 and (c - b) * (_TS_REACH + ln_w) < 30.0:
         raise ConvergenceError(f"gauss_2f1 Euler integral out of the rule's reach at 1-z={w}")
-    bm1 = b - 1.0
-    cbm1 = c - b - 1.0
     shift = min(0.0, c - a - b) * ln_w
 
-    def integrand(t, omt, ln_t, ln_omt, wt):
-        x = t * w
-        x += omt
-        np.log(x, out=x)
+    def integrand(block):
+        x = _ts_block(block).odds * w
+        np.log1p(x, out=x)
         x *= -a
-        x += bm1 * ln_t
-        x += cbm1 * ln_omt
+        x += _euler_base0(a, b, c) if block == 0 else _euler_base(a, b, c, block)
         x -= shift
-        np.exp(x, out=x)
-        x *= wt
-        return x
+        return np.exp(x, out=x)
 
     return tanhsinh_01(integrand, rel_tol=1e-13), ln_front + shift
 

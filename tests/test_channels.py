@@ -10,13 +10,15 @@ the scaled central-F identity and quadrature of the density.
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.special import gammaln
 
-from edsense import channels
+from edsense import _memo, channels
+from edsense.capacity import DelayQoS, eff_rate_f
 from edsense.channels import (
     FisherFParams,
     KappaMuShadowedParams,
@@ -109,13 +111,13 @@ def test_kms_pdf_walks_only_its_window(monkeypatch):
     # q theta1 gamma = 30,297 at 10x the mean: the walk from j = 0 took about
     # 600 chunks' worth of terms, the window about 0.35 sqrt(q x) chunks
     reads = []
-    ratios = channels._series_ratios
+    ratios = channels._pdf_ratios
 
-    def counted(*args):
-        reads.append(args[3])
-        return ratios(*args)
+    def counted(shape, k):
+        reads.append(k)
+        return ratios(shape, k)
 
-    monkeypatch.setattr(channels, "_series_ratios", counted)
+    monkeypatch.setattr(channels, "_pdf_ratios", counted)
     kms_pdf(KappaMuShadowedParams(kappa=50.0, mu=60, m=30, mean_snr=10.0), 100.0)
     assert len(set(reads)) == len(reads) <= 61
     assert min(reads) * channels._CHUNK > 0.9 * 30_297
@@ -171,6 +173,77 @@ def test_kms_pdf_window_stays_in_range(kappa):
                 assert got < sys.float_info.min
             else:
                 assert abs(math.log(got) - want) <= 1e-7
+
+
+def test_kms_pdf_walk_is_capped():
+    # q theta1 gamma is about 1.5e14 and the window about 2e8 indices wide;
+    # the walk stops with ConvergenceError once it passes 2^20 indices
+    p = KappaMuShadowedParams(kappa=1e12, mu=3, m=2, mean_snr=1.0)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        kms_pdf(p, 50.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_kms_pdf_walk_keeps_the_series_chunks():
+    # a 955-chunk density walk (q theta1 gamma = 8e6) has a cache of its own,
+    # so a warm Fisher rate point, whose 2F1 series share the series chunk
+    # cache, still finds every chunk and set-up it needs
+    rate = (FisherFParams(m=2.5, m_s=10.1, mean_snr=10.0 ** -0.92), DelayQoS(1.528))
+    eff_rate_f(*rate)
+    kms_pdf(KappaMuShadowedParams(kappa=1e3, mu=1000, m=1, mean_snr=3.0), 24.0)
+    before = [cache.cache_info() for cache in _memo.REGISTRY]
+    eff_rate_f(*rate)
+    after = [cache.cache_info() for cache in _memo.REGISTRY]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert sum(info.hits for info in after) > sum(info.hits for info in before)
+
+
+# [reference] mpmath 1.3.0, dps 40: sum over i of Pois(x; a+i) P[N <= i],
+# x = theta1 gamma, both factors by recurrences from i = 0 until past x a
+# term is below 1e-45 of the sum, with theta1 and q exact from the
+# parameters.  The last two cells (mu = 1000, m = 500) were 1.0 and 0.494 in
+# the former sum, whose negative binomial cdf from index 0 overflowed.
+@pytest.mark.parametrize("kappa,mu,m,mean,gamma,want", [
+    (2.0, 4, 2, 10.0, 0.5, 0.00016284518115938347163),
+    (2.0, 4, 2, 10.0, 5.0, 0.19848111550331753047),
+    (2.0, 4, 2, 10.0, 20.0, 0.93184740718541776118),
+    (2.0, 4, 2, 10.0, 60.0, 0.99998702325546544539),
+    (2.0, 4, 2, 10.0, 150.0, 0.99999999999998677147),
+    (50.0, 60, 30, 10.0, 10.0, 0.52427947610361380535),
+    (50.0, 60, 30, 10.0, 33.0, 0.99999999999999992606),
+    (1e-5, 4, 2, 10.0, 1.0, 0.00077625137633857454016),
+    (1e-5, 4, 2, 10.0, 8.0, 0.39748027560726527575),
+    (1e-5, 4, 2, 10.0, 30.0, 0.99770820879072219964),
+    (10.0, 1000, 500, 10.0, 5.0, 2.8188484124088905668e-49),
+    (10.0, 1000, 500, 10.0, 10.0, 0.50592761598582457712),
+])
+def test_kms_cdf_against_mpmath(kappa, mu, m, mean, gamma, want):
+    p = KappaMuShadowedParams(kappa=kappa, mu=mu, m=m, mean_snr=mean)
+    got = kms_cdf(p, gamma)
+    assert abs(got - want) <= 2e-14
+    if want < 1e-3:
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_kms_cdf_walks_only_its_window(monkeypatch):
+    # theta1 gamma = 10,098 (kappa 50, mu 60, m 30 at 3.3x the mean): the
+    # window runs from about x - mu - sqrt(2 L x) to as far above the mode,
+    # about 36 chunks of the 203 from index 0, each read once
+    reads = []
+    ratios = channels._cdf_ratios
+
+    def counted(shape, k):
+        reads.append(k)
+        return ratios(shape, k)
+
+    monkeypatch.setattr(channels, "_cdf_ratios", counted)
+    p = KappaMuShadowedParams(kappa=50.0, mu=60, m=30, mean_snr=10.0)
+    x = p.theta1 * 33.0
+    kms_cdf(p, 33.0)
+    width = math.sqrt(2.0 * channels._LN_TOL * x)
+    assert len(set(reads)) == len(reads) <= 2.0 * width / channels._CHUNK + 3
+    assert min(reads) * channels._CHUNK >= x - p.mu - width - channels._CHUNK
 
 
 def test_kms_pdf_normalizes():

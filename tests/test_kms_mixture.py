@@ -19,7 +19,6 @@ import math
 import sys
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,30 +193,66 @@ def _cdf_sweep(p):
     return [kms_cdf(p, p.mean_snr * k / 40.0) for k in range(241)]
 
 
+def _nb_cdf_from_zero(r, q, n):
+    """P[N <= i], i < n, N ~ NB(r, q), by one running sum of the pmf from
+    index 0, each term from the last by the ratio q (r+i) / (i+1)."""
+    pmf = (1.0 - q) ** r
+    out = []
+    total = 0.0
+    for i in range(n):
+        total += pmf
+        out.append(total)
+        pmf *= q * (r + i) / (i + 1.0)
+    return out
+
+
 def test_kms_cdf_cache_cold_and_warm_agree():
     for shape in ((2.644, 4, 2, 1.6), (2.066, 60, 30, 10.8), (1e-5, 4, 2, 10.0)):
         p = _kms(*shape)
         cold = _cdf_sweep(p)
         assert _cdf_sweep(p) == cold
-    # the cached cdfs of every length agree with one built past the cached
-    # lengths on their common indices
-    n = channels._NB_CACHED_LEN + 1
-    long = channels._nb_cdf.__wrapped__(2, 0.7, n)
-    for size in (channels._NB_MIN_LEN, 1024, channels._NB_CACHED_LEN):
-        assert np.array_equal(channels._nb_cdf(2, 0.7, size), long[:size])
+    # every cached chunk of term ratios, each started from the negative
+    # binomial cdf at its first index, agrees with the ratios of one cdf
+    # summed from index 0: below the continued fraction's switch (q = 0.7
+    # from about index 10 on, q = 0.999 up to about 29,000) and above it
+    for a, r, q, chunks in ((4, 2, 0.7, range(20)), (60, 30, 0.999, range(500, 700, 7))):
+        cdf = _nb_cdf_from_zero(r, q, (chunks[-1] + 1) * channels._CHUNK + 1)
+        for k in chunks:
+            got = [rho for block in channels._cdf_ratios((a, r, q), k) for rho in block]
+            assert got == [rho for block in channels._cdf_ratios.__wrapped__((a, r, q), k)
+                           for rho in block]
+            for j, rho in enumerate(got):
+                i = k * channels._CHUNK + j
+                assert math.isclose(rho, cdf[i + 1] / cdf[i] / (a + i + 1.0), rel_tol=1e-13)
 
 
 def test_kms_cdf_cache_stays_bounded():
     for i in range(300):
         _cdf_sweep(_kms(1.0 + i * 1e-3, 3, 2, 10.0))
-    info = channels._nb_cdf.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    # a cached cdf holds at most 1 MB; at x ~ 5e5 kms_cdf sums about 5e5
-    # indices (4 MB) and keeps none of them
-    assert channels._NB_CACHED_LEN * 8 <= 1 << 20
+    for cache in (channels._cdf_ratios, channels._nb_cdf_start):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    # a cached chunk holds _CHUNK ratios; at x ~ 5e5 kms_cdf reads the
+    # chunks of its window, about 2 sqrt(2 L x) indices, and none from index
+    # 0, and the cache keeps at most maxsize of them
     p = _kms(2.0, 4, 2, 10.0)
-    assert kms_cdf(p, 5e5 / p.theta1) == 1.0
-    assert channels._nb_cdf.cache_info() == info
+    reads = []
+    ratios = channels._cdf_ratios
+
+    def counted(shape, k):
+        reads.append(k)
+        chunk = ratios(shape, k)
+        assert sum(map(len, chunk)) == channels._CHUNK
+        return chunk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channels, "_cdf_ratios", counted)
+        assert kms_cdf(p, 5e5 / p.theta1) == 1.0
+    width = math.sqrt(2.0 * channels._LN_TOL * 5e5)
+    assert min(reads) * channels._CHUNK >= 5e5 - width - channels._CHUNK
+    assert len(reads) <= 2.0 * width / channels._CHUNK + 3
+    info = ratios.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_kms_cdf_cache_filled_by_threads_agree():
@@ -242,8 +277,11 @@ def test_kms_cdf_cache_filled_by_threads_agree():
     assert all(r == warm for r in results)
 
 
-def test_kms_cdf_cached_arrays_are_read_only():
-    nb = channels._nb_cdf(3, 0.4, channels._NB_MIN_LEN)
-    assert not nb.flags.writeable
-    with pytest.raises(ValueError):
-        nb[1] = 0.0
+def test_kms_cdf_cached_chunks_are_read_only():
+    chunk = channels._cdf_ratios((4, 3, 0.4), 0)
+    assert isinstance(chunk, tuple) and all(isinstance(block, tuple) for block in chunk)
+    with pytest.raises(TypeError):
+        chunk[0] = ()
+    with pytest.raises(TypeError):
+        chunk[0][1] = 0.0
+    assert isinstance(channels._nb_cdf_start(3, 0.4, 1), tuple)
