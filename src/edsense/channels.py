@@ -27,8 +27,8 @@ import numpy as np
 
 from ._memo import memo
 from .errors import ConvergenceError, DomainError
-from .specfun import (_BLOCK, _CACHED, _CHUNK, _beta_cf, _ln_gamma_weight, _ln_poisson_tail,
-                      _ratios, ln_beta, reg_inc_beta)
+from .specfun import (_BLOCK, _CACHED, _CHUNK, _ln_beta_front, _ln_gamma_weight, _ln_inc_beta,
+                      _ln_poisson_tail, _ratios)
 
 __all__ = [
     "KappaMuShadowedParams",
@@ -130,18 +130,20 @@ def kms_mgf(p: KappaMuShadowedParams, s: float) -> float:
                     - p.m * math.log1p(-s / p.theta2))
 
 
-def _gamma_mixture(p: KappaMuShadowedParams) -> tuple[int, float, int, float]:
-    """(a, rate, r, q): the SNR is Gamma(a + N, rate) with N ~ NB(r, q),
-    P[N = j] = C(r+j-1, j) (1-q)^r q^j.
+def _gamma_mixture(p: KappaMuShadowedParams) -> tuple[int, float, int, float, float]:
+    """(a, rate, r, q, qc): the SNR is Gamma(a + N, rate) with N ~ NB(r, q),
+    P[N = j] = C(r+j-1, j) qc^r q^j, qc = 1 - q.
 
     A Gamma(m, theta2) variate is Gamma(m + N, theta1) with N ~ NB(m, q),
     q = 1 - theta2/theta1 = mu kappa / (mu kappa + m), so the sum of the two
     factors is a Gamma(mu + N, theta1) mixture.  For mu = m only the second
-    factor is present, and N = 0.
+    factor is present, and N = 0.  qc = m / (mu kappa + m) comes from the
+    parameters, not as 1 - q from a rounded q, which would cost it eps / qc.
     """
     if p.mu == p.m:
-        return p.m, p.theta2, p.m, 0.0
-    return p.mu, p.theta1, p.m, p.mu * p.kappa / (p.mu * p.kappa + p.m)
+        return p.m, p.theta2, p.m, 0.0, 1.0
+    d = p.mu * p.kappa + p.m
+    return p.mu, p.theta1, p.m, p.mu * p.kappa / d, p.m / d
 
 
 def _blocks(rho: np.ndarray):
@@ -219,12 +221,12 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
-    a, rate, r, q = _gamma_mixture(p)
+    a, rate, r, q, qc = _gamma_mixture(p)
     if gamma == 0.0:
         return rate if a == 1 else 0.0  # a = 1 only for mu = m = 1
     x = rate * gamma
     qx = q * x
-    ln_scale = (r * math.log1p(-q) + math.log(rate) + (a - 1) * math.log(x)
+    ln_scale = (r * math.log(qc) + math.log(rate) + (a - 1) * math.log(x)
                 - x - math.lgamma(a))
     if not ln_scale + qx >= _LN_UNDERFLOW:  # NaN where x overflows
         return 0.0
@@ -238,66 +240,37 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
         top = int(mode) // _CHUNK
         ln_scale = (_ln_gamma_weight(a + top * _CHUNK, qx) - a * math.log(q)
                     + math.log(math.comb(r + top * _CHUNK - 1, r - 1))
-                    + r * math.log(p.theta2 / p.theta1) - math.log(gamma) - p.theta2 * gamma)
+                    + r * math.log(qc) - math.log(gamma) - p.theta2 * gamma)
         s = lo * (a + lo - 1.0) / (qx * (r + lo - 1.0))
     return _mixture_sum(_pdf_ratios, (r, a), qx, lo, top, ln_scale, s)
 
 
-def _ln_nb_pmf(r: int, q: float, n: int) -> float:
-    """ln P[N = n], N ~ NB(r, q), n >= 1, 0 < q < 1, from Gamma weights
-    (``specfun._ln_gamma_weight``, accurate where ln Gamma is not): with
-    y = (r+n) q and 1-q's share r+n-y, P[N = n] (r+n) q is
-    W(n+1, y) W(r, r+n-y) / W(r+n+1, r+n), W(z, y) = y^z e^-y / Gamma(z)."""
-    y = (r + n) * q
-    return (_ln_gamma_weight(n + 1.0, y) + _ln_gamma_weight(float(r), (r + n) * (1.0 - q))
-            - _ln_gamma_weight(r + n + 1.0, float(r + n)) - math.log(y))
-
-
 @memo(_CACHED)
-def _nb_cdf_start(r: int, q: float, k: int) -> tuple[float, float]:
-    """(ln P[N <= n], P[N = n] / P[N <= n]) at n = k _CHUNK, N ~ NB(r, q).
-
-    P[N <= n] = I_(1-q)(r, n+1) = P[B >= r], B ~ Binomial(n+r, 1-q), with no
-    ln Gamma in either form below; ``reg_inc_beta``'s front factor carries
-    its rounding, about 1e-12 at n in the thousands.  Below the switch of
-    ``reg_inc_beta`` the continued fraction (``_beta_cf``) gives the cdf's
-    ratio to the pmf, as the front factor (1-q)^r q^(n+1) / B(r, n+1) is
-    P[N = n] q (n+r).  Above it, where the fraction takes q for x and loses
-    about eps / (1-q) (6.6e-12 at q = 0.99999), 1 - P[N <= n] = P[B <= r-1]
-    is a sum of r positive terms, from P[B = r-1] = P[N = n] (n+r) q /
-    ((n+1) (1-q)) down by the ratios j q / ((n+r-j+1) (1-q)).
-    """
+def _nb_cdf_start(r: int, q: float, qc: float, k: int) -> tuple[float, float]:
+    """(ln P[N <= n], P[N = n] / P[N <= n]) at n = k _CHUNK, N ~ NB(r, q),
+    qc = 1 - q: P[N <= n] = I_qc(r, n+1) (``specfun._ln_inc_beta``), whose
+    front factor qc^r q^(n+1) / B(r, n+1) is P[N = n] q (r+n)."""
     n = k * _CHUNK
-    if n == 0:
-        return r * math.log1p(-q), 1.0
-    if q == 0.0:
-        return 0.0, 0.0
-    ln_pmf = _ln_nb_pmf(r, q, n)
-    p = 1.0 - q
-    if p < (r + 1.0) / (r + n + 3.0):
-        ratio = r / (q * (r + n) * _beta_cf(r, n + 1.0, p))
-        return ln_pmf - math.log(ratio), ratio
-    j = np.arange(r - 1.0, 0.0, -1.0)
-    terms = 1.0 + float((j * q / ((n + r + 1.0 - j) * p)).cumprod().sum())
-    pmf = math.exp(ln_pmf)
-    ln_cdf = math.log1p(-pmf * (n + r) * q / ((n + 1.0) * p) * terms)
-    return ln_cdf, pmf / math.exp(ln_cdf)
+    if n == 0 or q == 0.0:  # P[N <= 0] = qc^r; q = 0 puts all the mass at 0
+        return r * math.log(qc), float(n == 0)
+    ln_cdf = _ln_inc_beta(r, n + 1.0, qc, q)
+    return ln_cdf, math.exp(_ln_beta_front(r, n + 1.0, qc, q) - ln_cdf) / (q * (r + n))
 
 
 @memo(_CACHED)
-def _cdf_ratios(shape: tuple[int, int, float], k: int):
+def _cdf_ratios(shape: tuple[int, int, float, float], k: int):
     """Chunk k of the distribution function's z-free term ratios rho_i =
     P[N <= i+1] / (P[N <= i] (a+i+1)), k _CHUNK <= i < (k+1) _CHUNK, as a
     tuple of blocks of five: the negative binomial cdf from its value at the
     chunk start (``_nb_cdf_start``) on by the pmf's term ratios, so that no
-    chunk runs from index 0.  ``shape`` is (a, r, q)."""
-    a, r, q = shape
+    chunk runs from index 0.  ``shape`` is (a, r, q, qc)."""
+    a, r, q, qc = shape
     n = k * _CHUNK
     i = np.arange(float(n), float(n + _CHUNK))
     cdf = np.empty(_CHUNK + 1)  # P[N <= i] / P[N <= n] for n <= i <= n + _CHUNK
     cdf[0] = 1.0
     cdf[1:] = (q * (r + i) / (i + 1.0)).cumprod()
-    cdf[1:] *= _nb_cdf_start(r, q, k)[1]
+    cdf[1:] *= _nb_cdf_start(r, q, qc, k)[1]
     np.cumsum(cdf, out=cdf)
     return _blocks(cdf[1:] / cdf[:-1] / (a + i + 1.0))
 
@@ -322,7 +295,7 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
-    a, rate, r, q = _gamma_mixture(p)
+    a, rate, r, q, qc = _gamma_mixture(p)
     x = rate * gamma
     if x > _MAX_INDEX:
         half = min(0.5 * gamma, sys.float_info.max / p.theta1)  # theta * half stays finite
@@ -338,8 +311,8 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     top = max(0, math.floor(x) - a) // _CHUNK  # top _CHUNK >= lo: lo > 0 needs x > 2 L
 
     ln_scale = (_ln_gamma_weight(a + top * _CHUNK + 1.0, x) - math.log(x)
-                + _nb_cdf_start(r, q, top)[0])
-    return min(1.0, _mixture_sum(_cdf_ratios, (a, r, q), x, lo, top, ln_scale,
+                + _nb_cdf_start(r, q, qc, top)[0])
+    return min(1.0, _mixture_sum(_cdf_ratios, (a, r, q, qc), x, lo, top, ln_scale,
                                  (a + lo) / x if lo else 0.0))
 
 
@@ -357,30 +330,32 @@ def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np
 
 
 def f_pdf(p: FisherFParams, gamma: float) -> float:
-    """Fisher-Snedecor SNR density at finite ``gamma`` >= 0.
+    """Fisher-Snedecor SNR density x^m y^m_s / (B(m, m_s) gamma) at finite
+    ``gamma`` >= 0, x = t/(1+t), y = 1/(1+t), t = omega gamma.
 
     gamma = 0 is only in the domain for m >= 1 (the density has an
     integrable singularity at the origin when m < 1).
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
-    ln_norm = p.m * math.log(p.omega) - ln_beta(p.m, p.m_s)
     if gamma == 0.0:
         if p.m < 1.0:
             raise DomainError("density is singular at gamma = 0 for m < 1")
-        return math.exp(ln_norm) if p.m == 1.0 else 0.0
-    return math.exp(ln_norm + (p.m - 1.0) * math.log(gamma)
-                    - (p.m + p.m_s) * math.log1p(p.omega * gamma))
+        return p.omega * p.m_s if p.m == 1.0 else 0.0  # 1/B(1, m_s) = m_s
+    t = p.omega * gamma
+    return math.exp(_ln_beta_front(p.m, p.m_s, t / (1.0 + t), 1.0 / (1.0 + t))
+                    - math.log(gamma))
 
 
 def f_cdf(p: FisherFParams, gamma: float) -> float:
-    """Fisher-Snedecor SNR distribution function (regularized incomplete beta)."""
+    """Fisher-Snedecor SNR distribution function I_x(m, m_s), x = t/(1+t) and
+    y = 1/(1+t), t = omega gamma (``specfun._ln_inc_beta``)."""
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if gamma == 0.0:
         return 0.0
-    x = p.omega * gamma / (1.0 + p.omega * gamma)
-    return reg_inc_beta(p.m, p.m_s, x)
+    t = p.omega * gamma
+    return math.exp(_ln_inc_beta(p.m, p.m_s, t / (1.0 + t), 1.0 / (1.0 + t)))
 
 
 def f_sample(p: FisherFParams, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -196,11 +196,29 @@ def ln_beta(c1: float, c2: float) -> float:
     return math.lgamma(c1) + math.lgamma(c2) - math.lgamma(c1 + c2)
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
+def _ln_beta_front(a: float, b: float, x: float, y: float) -> float:
+    """ln(x^a y^b / B(a, b)), y = 1 - x as the caller knows it, as W(a, s x)
+    + W(b, s y) - W(s, s), s = a + b, W = ``_ln_gamma_weight`` (DiDonato and
+    Morris, Algorithm 708, ACM TOMS 18 (1992) 360): no ln Gamma near s ln s is
+    rounded, and near x = a/s the rounding of x and y cancels to first order.
+    s x and s y must be normal floats, as subnormal ones have lost digits."""
+    s = a + b
+    sx, sy = s * x, s * y
+    if not (sx >= sys.float_info.min and sy >= sys.float_info.min):  # NaN too
+        raise DomainError(f"incomplete beta: (a+b) x, (a+b) (1-x) must be normal floats, x={x}")
+    return _ln_gamma_weight(a, sx) + _ln_gamma_weight(b, sy) - _ln_gamma_weight(s, s)
+
+
+def _beta_cf(a: float, b: float, x: float, y: float) -> float:
+    """The continued fraction cf of I_x(a, b) = x^a y^b cf / (a B(a, b)), by
+    Lentz's method, for 0 < x < (a+1)/(a+b+2), y = 1 - x as the caller knows
+    it.  Only its first denominator, 1 - (a+b) x/(a+1), needs 1 - x: formed as
+    ((a+1) y - (b-1) x)/(a+1), it loses nothing where y is small (at b = 1
+    the fraction is exactly 1/y)."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
+    d = (qap * y - (b - 1.0) * x) / qap
     if abs(d) < tiny:
         d = tiny
     d = 1.0 / d
@@ -231,20 +249,25 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise ConvergenceError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
 
 
+def _ln_inc_beta(a: float, b: float, x: float, y: float) -> float:
+    """ln I_x(a, b), y = 1 - x as the caller knows it (as ``_gauss_2f1`` takes
+    w): the front factor (``_ln_beta_front``) times the continued fraction in x
+    below x = (a+1)/(a+b+2), and one minus that of I_y(b, a) from there up."""
+    ln_front = _ln_beta_front(a, b, x, y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return ln_front + math.log(_beta_cf(a, b, x, y) / a)
+    return math.log1p(-math.exp(ln_front) * _beta_cf(b, a, y, x) / b)
+
+
 def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+    """Regularized incomplete beta I_x(a, b); (a+b) x must be a normal float."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"reg_inc_beta requires finite positive parameters, got ({a}, {b})")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(-ln_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    if x == 0.0 or x == 1.0:
+        return float(x)
+    return math.exp(_ln_inc_beta(a, b, x, 1.0 - x))
 
 
 def _poisson_terms(z0: float, y, n: int) -> np.ndarray:

@@ -8,9 +8,11 @@ quadrature of that convolution density, and the Fisher-Snedecor values from
 the scaled central-F identity and quadrature of the density.
 """
 
+import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,9 @@ def test_kms_pdf_reference_value():
     (50.0, 60, 30, 10.0, 100.0, 1.082192006772221205e-90),
     (1e3, 1000, 1, 3.0, 3.0, 0.12274898418320016859),
     (1e3, 1000, 1, 3.0, 24.0, 0.00011115257167529259766),
+    # qx = 100 near the origin: 5.4e-12 off when the front factor took
+    # (1-q)^m from 1 minus a rounded q = 1 - 1e-5
+    (1e3, 100, 1, 10.0, 0.01, 0.055760796038806893207),
 ])
 def test_kms_pdf_far_from_the_mean(kappa, mu, m, mean, gamma, want):
     p = KappaMuShadowedParams(kappa=kappa, mu=mu, m=m, mean_snr=mean)
@@ -144,7 +149,7 @@ def _ln_kms_pdf(p, gamma):
     gammaln (good to about 1e-8 at indices of 1e6), over the indices within
     60 sqrt(J) of the largest term, J = q x + 60 sqrt(q x) + 100 bounding
     the mode."""
-    a, rate, r, q = channels._gamma_mixture(p)
+    a, rate, r, q, _ = channels._gamma_mixture(p)
     x = rate * gamma
 
     def ln_terms(j):
@@ -217,6 +222,11 @@ def test_kms_pdf_walk_keeps_the_series_chunks():
     (1e-5, 4, 2, 10.0, 30.0, 0.99770820879072219964),
     (10.0, 1000, 500, 10.0, 5.0, 2.8188484124088905668e-49),
     (10.0, 1000, 500, 10.0, 10.0, 0.50592761598582457712),
+    # 1 - q = 1e-5 and 1e-8: 1.5e-12, 5.4e-12 (relative) and 3.9e-11 off
+    # when the negative binomial cdf took 1 - q from a rounded q
+    (1e3, 100, 1, 10.0, 20.0, 0.86479863038689852134),
+    (1e3, 100, 1, 10.0, 0.01, 4.5545850018478152799e-5),
+    (1e6, 100, 1, 10.0, 0.1, 0.0099491959025191730371),
 ])
 def test_kms_cdf_against_mpmath(kappa, mu, m, mean, gamma, want):
     p = KappaMuShadowedParams(kappa=kappa, mu=mu, m=m, mean_snr=mean)
@@ -414,6 +424,10 @@ def test_f_pdf_matches_scipy_over_the_parameter_box():
     (0.3, 0.3, 1.0, 1e-6, 2637.2570479188382),
     (0.3, 20.0, 1.0, 1e6, 2.4530682182211204e-90),
     (7.0, 20.0, 100.0, 5.6e7, 1.1744178105852134e-107),
+    # mpmath 1.3.0, dps 40, w the float m / (m_s mean): 2.3e-12 and 7.3e-13
+    # off when 1/B(m, m_s) came from lgamma values near m_s
+    (4.0, 3000.0, 10.0, 10.0, 0.078094677259436515152),
+    (7.11, 1720.0, 10.0, 10.0, 0.10492093630443716956),
 ])
 def test_f_pdf_corners_of_the_parameter_box(m, ms, mean, g, want):
     assert math.isclose(f_pdf(FisherFParams(m, ms, mean), g), want, rel_tol=1e-13)
@@ -423,6 +437,8 @@ def test_f_pdf_at_zero():
     # m = 1: omega / B(1, m_s) = omega m_s; m > 1: 0; m < 1: singular
     p = FisherFParams(m=1.0, m_s=2.5, mean_snr=4.0)
     assert math.isclose(f_pdf(p, 0.0), p.omega * 2.5, rel_tol=1e-13)
+    p = FisherFParams(m=1.0, m_s=2e4, mean_snr=4.0)
+    assert f_pdf(p, 0.0) == p.omega * 2e4  # 3.3e-12 off through ln_beta
     assert f_pdf(FisherFParams(m=1.5, m_s=2.5, mean_snr=4.0), 0.0) == 0.0
     with pytest.raises(DomainError, match="singular"):
         f_pdf(FisherFParams(m=0.8, m_s=2.5, mean_snr=4.0), 0.0)
@@ -453,6 +469,48 @@ def test_f_cdf():
     for g in (0.4, 2.0, 9.0):
         derivative = (f_cdf(p, g + h) - f_cdf(p, g - h)) / (2 * h)
         assert math.isclose(derivative, f_pdf(p, g), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("m,ms,mean,g,want", [
+    # mpmath 1.3.0, dps 40: I_x(m, m_s), x = w g / (1 + w g), w the float
+    # m / (m_s mean).  1.3e-12 and 4.0e-13 off when the incomplete beta's
+    # front factor came from lgamma values near m_s
+    (4.0, 3000.0, 10.0, 10.0, 0.56639972906402898854),
+    (7.11, 1720.0, 10.0, 10.0, 0.54959327076318877566),
+])
+def test_f_cdf_against_mpmath(m, ms, mean, g, want):
+    assert abs(f_cdf(FisherFParams(m, ms, mean), g) - want) <= 1e-13
+
+
+def test_f_cdf_and_pdf_on_random_cells():
+    # 240 cells drawn log-uniformly: m from 0.3 to 1000, m_s from 0.3 to
+    # 3000, mean from 0.1 to 1000, gamma = mean 10^U(-2, 2), each to 4
+    # significant digits.  Rows are (m, m_s, mean, gamma, F, f) from mpmath
+    # 1.3.0 at dps 40 (the same at dps 70), with w the float m / (m_s mean):
+    # F = betainc(m, m_s, 0, w g / (1 + w g), regularized=True) and f the
+    # density w^m g^(m-1) (1+w g)^-(m+m_s) / B(m, m_s).  With the front factor
+    # from lgamma the worst cells were 4.8e-13 (F, absolute), 1.8e-12 (F,
+    # relative) and 5.0e-12 (f) off.
+    rows = json.loads(Path(__file__).with_name("fisher_mpmath_cells.json").read_text())
+    assert len(rows) >= 200
+    for m, ms, mean, g, cdf, pdf in rows:
+        p = FisherFParams(m, ms, mean)
+        got = f_cdf(p, g)
+        assert abs(got - cdf) <= 1e-13
+        if cdf > 1e-300:
+            assert math.isclose(got, cdf, rel_tol=1e-12)
+        assert math.isclose(f_pdf(p, g), pdf, rel_tol=1e-12)
+
+
+def test_f_pdf_and_cdf_need_a_normal_omega_gamma():
+    # x = w g / (1 + w g) and its complement must be normal floats: below
+    # that range they keep only some of their digits, and w g = inf has no x
+    for p, g in ((FisherFParams(0.5, 1000.0, 1e6), 1e-310),
+                 (FisherFParams(3.0, 2.0, 1e-300), 1e300)):
+        with pytest.raises(DomainError, match="normal floats"):
+            f_pdf(p, g)
+        with pytest.raises(DomainError, match="normal floats"):
+            f_cdf(p, g)
 
 
 def test_f_cdf_median_monte_carlo():

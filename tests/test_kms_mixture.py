@@ -213,13 +213,14 @@ def test_kms_cdf_cache_cold_and_warm_agree():
         assert _cdf_sweep(p) == cold
     # every cached chunk of term ratios, each started from the negative
     # binomial cdf at its first index, agrees with the ratios of one cdf
-    # summed from index 0: below the continued fraction's switch (q = 0.7
-    # from about index 10 on, q = 0.999 up to about 29,000) and above it
+    # summed from index 0, on both sides of the incomplete beta's switch
+    # 1 - q = (r+1)/(r+n+3): q = 0.7 is above it from index 5 on, q = 0.999
+    # below it up to about 31,000 and above it from there
     for a, r, q, chunks in ((4, 2, 0.7, range(20)), (60, 30, 0.999, range(500, 700, 7))):
         cdf = _nb_cdf_from_zero(r, q, (chunks[-1] + 1) * channels._CHUNK + 1)
         for k in chunks:
-            got = [rho for block in channels._cdf_ratios((a, r, q), k) for rho in block]
-            assert got == [rho for block in channels._cdf_ratios.__wrapped__((a, r, q), k)
+            got = [rho for block in channels._cdf_ratios((a, r, q, 1.0 - q), k) for rho in block]
+            assert got == [rho for block in channels._cdf_ratios.__wrapped__((a, r, q, 1.0 - q), k)
                            for rho in block]
             for j, rho in enumerate(got):
                 i = k * channels._CHUNK + j
@@ -277,11 +278,23 @@ def test_kms_cdf_cache_filled_by_threads_agree():
     assert all(r == warm for r in results)
 
 
+def test_nb_cdf_start_closed_form():
+    # P[N <= n] = I_p(1, n+1) = 1 - q^(n+1) for r = 1, p = 1 - q: at
+    # p = 1/100001 and n = 200,000 the former chunk start, from 1 minus a
+    # rounded q, was 1.7e-12 off in ln P
+    p = 1.0 / 100001.0
+    ln_cdf, ratio = channels._nb_cdf_start(1, 1.0 - p, p, 4000)
+    want = -math.expm1(200001.0 * math.log1p(-p))
+    assert abs(ln_cdf - math.log(want)) <= 1e-15
+    # P[N = n] / P[N <= n] = p q^n / P[N <= n]
+    assert math.isclose(ratio, p * math.exp(200000.0 * math.log1p(-p)) / want, rel_tol=1e-13)
+
+
 def test_kms_cdf_cached_chunks_are_read_only():
-    chunk = channels._cdf_ratios((4, 3, 0.4), 0)
+    chunk = channels._cdf_ratios((4, 3, 0.4, 0.6), 0)
     assert isinstance(chunk, tuple) and all(isinstance(block, tuple) for block in chunk)
     with pytest.raises(TypeError):
         chunk[0] = ()
     with pytest.raises(TypeError):
         chunk[0][1] = 0.0
-    assert isinstance(channels._nb_cdf_start(3, 0.4, 1), tuple)
+    assert isinstance(channels._nb_cdf_start(3, 0.4, 0.6, 1), tuple)

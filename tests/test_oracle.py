@@ -109,8 +109,8 @@ def test_reference_independent_of_closed_forms(monkeypatch):
     def stub(*args, **kwargs):
         raise AssertionError("the reference called a function it checks")
 
-    names = ("reg_upper_gamma", "reg_lower_gamma", "reg_inc_beta", "marcum_q",
-             "kms_cdf", "f_cdf")
+    names = ("reg_upper_gamma", "reg_lower_gamma", "reg_inc_beta", "_ln_inc_beta",
+             "marcum_q", "kms_cdf", "f_cdf")
     for module in (edsense, edsense.specfun, edsense.channels, edsense.detection,
                    edsense.capacity, edsense.oracle, edsense.verify):
         for name in names:

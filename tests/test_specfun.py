@@ -139,6 +139,25 @@ def test_reg_inc_beta_basics():
                         1.0, rel_tol=1e-12)
 
 
+# I_x(a, b) from mpmath 1.3.0 at mp.dps = 40.  The front factor from lgamma
+# values near 3000 and 1e5 left the first 4.3e-12 and the second 3.4e-10 off.
+@pytest.mark.parametrize("a,b,x,want", [
+    (30.0, 2951.0, 30.0 / 3030.0, 0.48825989261070189194),
+    (1e-3, 1e5, 1e-7, 0.9959693981573928612),
+])
+def test_reg_inc_beta_against_mpmath(a, b, x, want):
+    assert math.isclose(reg_inc_beta(a, b, x), want, rel_tol=1e-13)
+
+
+def test_reg_inc_beta_below_the_normal_range():
+    # (a+b) x must be a normal float; below it the front factor's Gamma
+    # weight would take a subnormal (a+b) x that has lost its digits
+    assert math.isclose(reg_inc_beta(0.3, 2.0, 1e-300), 1.3e-90, rel_tol=1e-13)
+    for x in (1e-310, 5e-324):
+        with pytest.raises(DomainError, match="normal floats"):
+            reg_inc_beta(0.3, 2.0, x)
+
+
 def test_marcum_q_values():
     assert marcum_q(2, 1.3, 0.0) == 1.0
     assert math.isclose(marcum_q(1, 0.0, 2.0), math.exp(-2.0), rel_tol=1e-12)
