@@ -6,13 +6,18 @@ double-exponential rate (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005).
 Its integrand is called with a block index and reads the block's nodes and
 weights from ``_ts_block``, tables built on first use and cached; levels
 0..5 are block 0 and come in one integrand call, each deeper level in one
-more.  ``ln_peak_integral`` runs it over the real line, centred on a
-log-integrand's peak.  The Gauss-Kronrod
+more.  A caller that bounds its integrand's density in u = ln(t/(1-t)) in
+closed form passes a reach in u and a bound on what the nodes beyond it
+add: the rule then sums only the nodes within the reach (``_ts_trim``),
+checks that bound against the sum, and sums again on the full table where
+that check fails.  ``ln_peak_integral`` runs it over the real
+line, centred on a log-integrand's peak.  The Gauss-Kronrod
 rule ``adaptive_gk`` has no caller left; the benchmark's spans still name it.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from types import SimpleNamespace
@@ -157,7 +162,56 @@ def _ts_block(block: int) -> SimpleNamespace:
     return table
 
 
-def tanhsinh_01(f: Callable[[int], np.ndarray], rel_tol: float = 1e-13) -> float:
+# A reach keeps, on each side of u = 0, the nodes whose x = asinh(|u| / pi)
+# lies within a whole number of quarters: at least 2, so that every level
+# keeps a node, and _TS_QUARTERS, every node, where it reaches the last one.
+# _TS_CUTS holds u = pi sinh(x) at each quarter.
+_TS_QUARTERS = round(4 * _TS_X_MAX)
+_TS_CUTS = tuple(math.pi * math.sinh(k / 4.0) for k in range(_TS_QUARTERS + 1))
+# Trimmed node tables kept by _ts_trim.
+_TS_TRIMS = 256
+
+
+@memo(_TS_TRIMS)
+def _ts_trim(block: int, lo: int, hi: int) -> SimpleNamespace:
+    """``_ts_block(block)`` cut to the nodes with x = asinh(|u| / pi) at
+    most lo / 4 left of u = 0 and hi / 4 right of it, with the same columns
+    and ``starts``, read-only; the full table itself where neither side
+    cuts.  Each level keeps a prefix of each side's nodes."""
+    table = _ts_block(block)
+    if lo >= _TS_QUARTERS and hi >= _TS_QUARTERS:
+        return table
+    # every node sits at a multiple of 2^-12 in x: none but those on a cut
+    # lies within the margin
+    edge = np.where(table.logit < 0.0, _TS_CUTS[lo], _TS_CUTS[hi])
+    keep = np.abs(table.logit) <= edge * (1.0 + 1e-9)
+    counts = np.add.reduceat(keep, table.starts, dtype=np.intp)
+    trimmed = SimpleNamespace(**{name: arr[keep] for name, arr in vars(table).items()
+                                 if name != "starts"})
+    trimmed.starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    for arr in vars(trimmed).values():
+        arr.flags.writeable = False
+    return trimmed
+
+
+def _ts_sum(f: Callable[..., np.ndarray], rel_tol: float, cut: tuple = ()) -> float:
+    """The level-by-level sums of ``tanhsinh_01``, from ``f(block, *cut)``
+    on the node tables ``_ts_trim(block, *cut)``, or ``_ts_block(block)``
+    where there is no cut."""
+    total = prev = 0.0
+    for block, levels in enumerate(_TS_BLOCKS):
+        starts = (_ts_trim(block, *cut) if cut else _ts_block(block)).starts
+        sums = np.add.reduceat(f(block, *cut), starts).tolist()
+        for level, contrib in zip(levels, sums):
+            total = total / 2.0 + contrib if level > 0 else contrib
+            if level >= 3 and abs(total - prev) <= rel_tol * abs(total):
+                return total
+            prev = total
+    raise ConvergenceError("tanh-sinh rule did not settle within level budget")
+
+
+def tanhsinh_01(f: Callable[..., np.ndarray], rel_tol: float = 1e-13,
+                reach: tuple | None = None) -> float:
     """Tanh-sinh integral over (0, 1), from ``f(block)``, the weighted
     integrand values at the nodes of one block (``_ts_block(block)``).
 
@@ -168,16 +222,32 @@ def tanhsinh_01(f: Callable[[int], np.ndarray], rel_tol: float = 1e-13) -> float
     sums still enter ``T_k = T_(k-1)/2 + c_k`` one at a time, and the rule
     stops at the first level k >= 3 with ``|T_k - T_(k-1)| <= rel_tol |T_k|``,
     or raises ConvergenceError after level 12.
+
+    A ``reach`` (left, right, dropped) comes from closed-form bounds on the
+    integrand's density in u = ln(t/(1-t)), g(u) = f(t) t (1-t): the rule
+    keeps the nodes with -left <= u <= right, each end snapped out to a whole
+    quarter of x = asinh(|u| / pi) (at least half a unit, so that every level
+    keeps a node), and calls ``f(block, lo, hi)`` for the table
+    ``_ts_trim(block, lo, hi)`` of those nodes, lo and hi in quarters: the
+    same levels and stopping rule on fewer nodes.  ``dropped`` must bound
+    what the nodes beyond the reach add to the sum at any level from 3 on.
+    After the sum the rule checks ``dropped <= rel_tol |S|``; where that
+    fails, or the trimmed sum does not settle, it sums again on the full
+    table with ``f(block)``.  Without a reach, or where both ends reach past
+    the last node, it sums the full table.
     """
-    total = prev = 0.0
-    for block, levels in enumerate(_TS_BLOCKS):
-        sums = np.add.reduceat(f(block), _ts_block(block).starts).tolist()
-        for level, contrib in zip(levels, sums):
-            total = total / 2.0 + contrib if level > 0 else contrib
-            if level >= 3 and abs(total - prev) <= rel_tol * abs(total):
+    if reach is not None:
+        left, right, dropped = reach
+        cut = (bisect.bisect_left(_TS_CUTS, left, 2, _TS_QUARTERS),
+               bisect.bisect_left(_TS_CUTS, right, 2, _TS_QUARTERS))
+        if cut != (_TS_QUARTERS, _TS_QUARTERS):
+            try:
+                total = _ts_sum(f, rel_tol, cut)
+            except ConvergenceError:
+                total = math.nan
+            if dropped <= rel_tol * abs(total):  # NaN fails
                 return total
-            prev = total
-    raise ConvergenceError("tanh-sinh rule did not settle within level budget")
+    return _ts_sum(f, rel_tol)
 
 
 def ln_peak_integral(ln_f: Callable[[np.ndarray], np.ndarray], s0: float) -> float:

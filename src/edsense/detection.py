@@ -59,6 +59,7 @@ from ._memo import memo
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
 from .specfun import (
+    _CACHED,
     _MAX_TERMS,
     _REL_TOL,
     _binet,
@@ -267,10 +268,15 @@ def prob_detect_instant(cfg: DetectorConfig, gamma: float) -> float:
     return marcum_q(cfg.u, math.sqrt(2.0 * gamma), math.sqrt(cfg.lam))
 
 
-def _ln_nb_binom(r: float, k: np.ndarray) -> np.ndarray:
-    """ln C(r+k-1, k) at k = arange(n), a running sum of ln((r+k) / (k+1))."""
-    out = np.zeros(len(k))
-    np.add.accumulate(np.log((r + k[:-1]) / (k[:-1] + 1.0)), out=out[1:])
+@memo(_CACHED)
+def _ln_nb_binom(r: float, n: int) -> np.ndarray:
+    """ln C(r+k-1, k) for k < n, a running sum of ln((r+k) / (k+1)); fixed by
+    the shape parameter r and the term count n alone, so built once per
+    (r, n) and kept, read-only, for the _CACHED most recent."""
+    k = np.arange(n - 1.0)
+    out = np.zeros(n)
+    np.add.accumulate(np.log((r + k) / (k + 1.0)), out=out[1:])
+    out.flags.writeable = False
     return out
 
 
@@ -279,9 +285,8 @@ def _nb_pmf(r: int, rate: float, n: int) -> np.ndarray:
     NB(r, rate/(1+rate)); r = 0 gives the point mass at zero."""
     if r == 0:
         return np.eye(1, n)[0]
-    k = np.arange(n)
-    return np.exp(_ln_nb_binom(r, k) + r * (math.log(rate) - math.log1p(rate))
-                  - k * math.log1p(rate))
+    return np.exp(_ln_nb_binom(r, n) + r * (math.log(rate) - math.log1p(rate))
+                  - np.arange(n) * math.log1p(rate))
 
 
 def _poisson_pmf(channel: KappaMuShadowedParams | FisherFParams, n: int,
@@ -388,7 +393,7 @@ def _fisher_pmf(m: float, ms: float, w: float, n: int, tol: float) -> np.ndarray
         prev, total = total, 0.5 * total + h / 2 ** level * sums
         if level and (np.abs(total - prev) <= tol * total).all():
             ln_front = 0.5 * math.log(ms / (2.0 * math.pi)) - _binet(ms)
-            return np.exp(_ln_nb_binom(m, k) + ln_front + shift + np.log(total))
+            return np.exp(_ln_nb_binom(m, n) + ln_front + shift + np.log(total))
     raise ConvergenceError(f"Fisher pmf trapezoid sum did not settle by h = {h / 2 ** level:g}")
 
 
@@ -496,17 +501,19 @@ def avg_pd_f(p: FisherFParams, cfg: DetectorConfig,
     return _avg_pd(p, cfg, tol)
 
 
-def _roc_weights(u: int) -> list[float]:
+@memo(_CACHED)
+def _roc_weights(u: int) -> tuple[float, ...]:
     """w_i = P[Bin(2u-1, 1/2) >= u+i] for i < u, in O(u) work with no
     factorial to overflow: up to a constant the pmf from u up is a running
     product of the ratios (2u-1-k)/(k+1), and w its reverse running sum,
-    scaled so that w_0 is exactly 1/2 (the binomial is symmetric)."""
+    scaled so that w_0 is exactly 1/2 (the binomial is symmetric).  Fixed
+    by u, so built once per u and kept as a tuple."""
     pmf, b = [1.0], 1.0
     for k in range(u, 2 * u - 1):
         b *= (2 * u - 1 - k) / (k + 1)
         pmf.append(b)
     tails = list(accumulate(reversed(pmf)))[::-1]
-    return [t / (2.0 * tails[0]) for t in tails]
+    return tuple(t / (2.0 * tails[0]) for t in tails)
 
 
 def _roc_miss(pmf: np.ndarray, u: int) -> float:

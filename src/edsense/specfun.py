@@ -26,7 +26,8 @@ import sys
 import numpy as np
 
 from ._memo import memo
-from ._quad import _REL_TOL, _TS_REACH, _ts_block, ln_peak_integral, tanhsinh_01
+from ._quad import (_REL_TOL, _TS_QUARTERS, _TS_REACH, _ts_trim, ln_peak_integral,
+                    tanhsinh_01)
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -197,15 +198,21 @@ def ln_beta(c1: float, c2: float) -> float:
 
 
 def _ln_beta_front(a: float, b: float, x: float, y: float) -> float:
-    """ln(x^a y^b / B(a, b)), y = 1 - x as the caller knows it, as W(a, s x)
-    + W(b, s y) - W(s, s), s = a + b, W = ``_ln_gamma_weight`` (DiDonato and
-    Morris, Algorithm 708, ACM TOMS 18 (1992) 360): no ln Gamma near s ln s is
-    rounded, and near x = a/s the rounding of x and y cancels to first order.
+    """ln(x^a y^b / B(a, b)), y = 1 - x as the caller knows it.  Where s =
+    a + b >= 30 it is W(a, s x) + W(b, s y) - W(s, s), W = ``_ln_gamma_weight``
+    (DiDonato and Morris, Algorithm 708, ACM TOMS 18 (1992) 360): no ln Gamma
+    near s ln s is rounded, and near x = a/s the rounding of x and y cancels
+    to first order.  Below s = 30, where all three weights would take their
+    direct branch, it is a ln x + b ln y - ln B(a, b) from three lgamma
+    values, the same sum less s (1 - x - y), which is only y's rounding.
     s x and s y must be normal floats, as subnormal ones have lost digits."""
     s = a + b
     sx, sy = s * x, s * y
     if not (sx >= sys.float_info.min and sy >= sys.float_info.min):  # NaN too
         raise DomainError(f"incomplete beta: (a+b) x, (a+b) (1-x) must be normal floats, x={x}")
+    if s < 30.0:
+        return (a * math.log(x) + b * math.log(y)
+                - math.lgamma(a) - math.lgamma(b) + math.lgamma(s))
     return _ln_gamma_weight(a, sx) + _ln_gamma_weight(b, sy) - _ln_gamma_weight(s, s)
 
 
@@ -610,11 +617,10 @@ def _setup_2f1(a: float, b: float, c: float):
     return connection, euler
 
 
-def _euler_base(a: float, b: float, c: float, block: int) -> np.ndarray:
-    """The z-free part of the Euler integrand's log on one tanh-sinh block:
+def _euler_base(a: float, b: float, c: float, nodes) -> np.ndarray:
+    """The z-free part of the Euler integrand's log on one node table:
     (b-1) ln t + (c-b-1-a) ln(1-t) + ln w, taken as b ln t + (c-b-a) ln(1-t)
-    + (ln w - ln t - ln(1-t)) from the node table."""
-    nodes = _ts_block(block)
+    + (ln w - ln t - ln(1-t)) from the table."""
     base = b * nodes.ln_t
     base += (c - b - a) * nodes.ln_omt
     base += nodes.ln_w_logit
@@ -622,12 +628,65 @@ def _euler_base(a: float, b: float, c: float, block: int) -> np.ndarray:
 
 
 @memo(_CACHED)
-def _euler_base0(a: float, b: float, c: float) -> np.ndarray:
-    """``_euler_base`` on block 0 (385 nodes), read-only: the block that
-    every Euler integral evaluates.  Deeper blocks are built per call."""
-    base = _euler_base(a, b, c, 0)
+def _euler_base0(a: float, b: float, c: float, lo: int, hi: int) -> np.ndarray:
+    """``_euler_base`` on block 0 cut to its reach (``_ts_trim(0, lo, hi)``;
+    all 385 nodes at lo = hi = 24), read-only: the block that every Euler
+    integral evaluates.  Deeper blocks are built per call."""
+    base = _euler_base(a, b, c, _ts_trim(0, lo, hi))
     base.flags.writeable = False
     return base
+
+
+# The Euler integral's reach leaves out at most e^-_EULER_TRIM (4e-18) of a
+# lower bound on the integral on each side.
+_EULER_TRIM = 40.0
+
+
+@memo(_CACHED)
+def _euler_bounds(a: float, b: float, c: float) -> tuple:
+    """The w-free constants of ``_euler_reach``: (k0, k1, k2) with ln g(u*)
+    = k0 - k1 log1p(k2 w) at the point u* taken there, ln(1/L+ + 1/L-),
+    max(0, -d) ln 2, and for each side ln r and 1/r of its rate r (left
+    r = b, right r = e)."""
+    d, e = c - a - b, c - b
+    if d < 0.0:  # w e^u* = -d/e, and e^-u* = k2 w
+        k0, k1, k2 = -d * math.log(-d / e) - a * math.log(a / e), b + d, e / -d
+    elif d > 0.0:  # t* = b/(b+d), and w e^u* = k2 w
+        k0, k1, k2 = b * math.log(b / (b + d)) + d * math.log(d / (b + d)), a, b / d
+    else:  # u* = 0
+        k0, k1, k2 = -b * _LN2, a, 1.0
+    slopes = 1.0 / (b + max(0.0, -d) + max(0.0, -a)) + 1.0 / (max(0.0, d) + max(0.0, a))
+    return (k0, k1, k2, math.log(slopes), max(0.0, -d) * _LN2,
+            math.log(b), 1.0 / b, math.log(e), 1.0 / e)
+
+
+def _euler_reach(a: float, b: float, c: float, w: float, ln_w: float, shift: float) -> tuple:
+    """The reach (left, right, dropped) of the Euler integrand for
+    ``tanhsinh_01``.  In u = ln(t/(1-t)) its log-density is ln g = b ln t +
+    d ln(1-t) - a ln(1 + w e^u) - shift, d = c-a-b, e = c-b.  As ln t <=
+    min(u, 0), ln(1-t) lies in [-max(u, 0) - ln 2, -max(u, 0)] and
+    ln(1 + w e^u) in [max(0, u + ln w), ln(1 + w) + max(u, 0)]:
+    - left of u = 0, ln g <= C_L + b u, C_L = max(0, -d) ln 2
+      + max(0, -a) ln(1 + w) - shift;
+    - right of it, ln g <= C_R - e u, C_R = max(0, -d) ln 2 - a ln w - shift
+      (- a ln 2 in place of - a ln w for a < 0).
+    On a side with rate r and reach U >= 1/r the nodes beyond U add at most
+    the integral of pi cosh x e^(C - r pi sinh x) beyond it, e^(C - r U) / r,
+    as that summand falls from U on.  The integral is at least e^ln_size =
+    g(u*) (1/L+ + 1/L-) at any u*, since d ln g/du = b(1-t) - d t - a w e^u
+    / (1 + w e^u) lies in [-L-, L+], L+ = b + max(0, -d) + max(0, -a), L- =
+    max(0, d) + max(0, a) (``_euler_bounds``).  u* is where the factors other
+    than t^b peak, at w e^u = -d/e, where d < 0, else the peak of t^b
+    (1-t)^d, or 0 at d = 0.  Each reach is where e^(C - r U) / r falls to
+    e^-_EULER_TRIM of e^ln_size, so dropped = 2 e^(ln_size - _EULER_TRIM)."""
+    k0, k1, k2, slopes, rise, ln_rl, inv_rl, ln_rr, inv_rr = _euler_bounds(a, b, c)
+    target = k0 - k1 * math.log1p(k2 * w) + slopes - _EULER_TRIM
+    rise -= shift
+    ln_left = rise - a * math.log1p(w) if a < 0.0 else rise
+    ln_right = rise - a * (ln_w if a >= 0.0 else _LN2)
+    return (max((ln_left - target - ln_rl) * inv_rl, inv_rl),
+            max((ln_right - target - ln_rr) * inv_rr, inv_rr),
+            2.0 * math.exp(target) if target < 700.0 else math.inf)
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float, ln_front: float):
@@ -636,27 +695,37 @@ def _euler_2f1(a: float, b: float, c: float, w: float, ln_front: float):
     t^(b-1) (1-t)^(c-b-1) (1-t+tw)^-a, robust for 0.5 < 1-w < 1.
 
     As 1-t+tw = (1-t)(1 + w t/(1-t)), the integrand's log is -a log1p(w t/(1-t))
-    plus a z-free part (``_euler_base``), cached per (a, b, c) for block 0.
-    The integrand is scaled by w^-min(0, c-a-b), which keeps the integral of
-    order one as w -> 0.  For a > 0 the factor (1-t+tw)^-a gathers mass at
-    1-t of about w; where the part of it nearer t = 1 than the rule's nodes,
-    about (e^-_TS_REACH / w)^(c-b), could pass e^-30 (1e-13), the rule cannot
-    reach it: ConvergenceError.
+    plus a z-free part (``_euler_base``), cached per (a, b, c) and reach for
+    block 0.  The integrand is scaled by w^-min(0, c-a-b), which keeps the
+    integral of order one as w -> 0.  The rule takes a reach
+    (``_euler_reach``): in u = ln(t/(1-t)) the log-density lies below b u +
+    C_L left of u = 0 and below -(c-b) u + C_R right of it, C_R holding
+    -a ln w, and the integral above g(u*) (1/L+ + 1/L-), so ``tanhsinh_01``
+    sums only the nodes where those bounds leave more than e^-40 of the
+    integral's lower bound outside, checks its bound on the dropped nodes
+    against 1e-13 of the sum, and sums again on the full table where that
+    check fails.  For
+    a > 0 the factor (1-t+tw)^-a gathers mass at 1-t of about w; where the
+    part of it nearer t = 1 than the rule's nodes, about (e^-_TS_REACH /
+    w)^(c-b), could pass e^-30 (1e-13), the rule cannot reach it:
+    ConvergenceError.
     """
     ln_w = math.log(w)
     if a > 0.0 and (c - b) * (_TS_REACH + ln_w) < 30.0:
         raise ConvergenceError(f"gauss_2f1 Euler integral out of the rule's reach at 1-z={w}")
     shift = min(0.0, c - a - b) * ln_w
 
-    def integrand(block):
-        x = _ts_block(block).odds * w
+    def integrand(block, lo=_TS_QUARTERS, hi=_TS_QUARTERS):
+        nodes = _ts_trim(block, lo, hi)
+        x = nodes.odds * w
         np.log1p(x, out=x)
         x *= -a
-        x += _euler_base0(a, b, c) if block == 0 else _euler_base(a, b, c, block)
+        x += _euler_base0(a, b, c, lo, hi) if block == 0 else _euler_base(a, b, c, nodes)
         x -= shift
         return np.exp(x, out=x)
 
-    return tanhsinh_01(integrand, rel_tol=1e-13), ln_front + shift
+    return (tanhsinh_01(integrand, 1e-13, _euler_reach(a, b, c, w, ln_w, shift)),
+            ln_front + shift)
 
 
 def _connection_2f1(connection, w: float):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from edsense import detection, specfun
+from edsense import _memo, detection, specfun
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_pdf, kms_pdf
 from edsense.detection import (
     DetectorConfig,
@@ -670,3 +670,44 @@ def test_tol_outside_open_interval_raises(tol):
     assert detection._croc_operator.cache_info().misses == 0
     with pytest.raises(DomainError):
         avg_pd_f(CROC_CHANNELS[1], DetectorConfig(u=2, lam=9.0), tol=tol)
+
+
+_MEMO_CHANNELS = [KappaMuShadowedParams(1.7, 12, 3, 10.0), KappaMuShadowedParams(2.0, 4, 4, 3.0),
+                  FisherFParams(2.5, 10.0, 10.0), FisherFParams(1.2, 3.0, 0.3)]
+
+
+@pytest.mark.parametrize("channel", _MEMO_CHANNELS)
+def test_shape_memos_cold_and_warm_agree_bitwise(channel):
+    # the negative binomial log-coefficients and the ROC weights are kept
+    # per shape and u: warm calls read them, and return what cold ones did
+    kms = isinstance(channel, KappaMuShadowedParams)
+    auc, pd = (avg_auc_kms, avg_pd_kms) if kms else (avg_auc_f, avg_pd_f)
+    calls = [(lambda: auc(channel, DetectorConfig(4, 0.0)), 1),
+             (lambda: auc(channel, DetectorConfig(1, 0.0)), 1),
+             (lambda: pd(channel, DetectorConfig(2, LAM_PF10_U2)), 0),
+             (lambda: croc_curve(channel, 2, np.geomspace(1e-3, 0.999, 20)), 0)]
+    for call, roc_hits in calls:
+        for cache in _memo.REGISTRY:
+            cache.cache_clear()
+        cold = call()
+        warm = call()
+        assert detection._ln_nb_binom.cache_info().hits >= 1
+        assert detection._roc_weights.cache_info().hits == roc_hits
+        assert cold == warm
+
+
+def test_shape_memos_are_read_only_and_exact():
+    coef = detection._ln_nb_binom(3, 12)
+    assert not coef.flags.writeable
+    with pytest.raises(ValueError):
+        coef[0] = 1.0
+    # ln C(r+k-1, k) for integer r, and the same key for r = 3 and 3.0
+    want = [math.log(math.comb(3 + k - 1, k)) for k in range(12)]
+    assert np.allclose(coef, want, rtol=1e-14, atol=0.0)
+    assert detection._ln_nb_binom(3.0, 12) is coef
+    weights = detection._roc_weights(5)
+    assert isinstance(weights, tuple) and weights[0] == 0.5
+    want = [sum(math.comb(9, j) for j in range(5 + i, 10)) / 2 ** 9 for i in range(5)]
+    assert np.allclose(weights, want, rtol=1e-15, atol=0.0)
+    for cache in (detection._ln_nb_binom, detection._roc_weights):
+        assert cache in _memo.REGISTRY and cache.cache_info().maxsize is not None
