@@ -11,7 +11,9 @@ closed form passes a reach in u and a bound on what the nodes beyond it
 add: the rule then sums only the nodes within the reach (``_ts_trim``),
 checks that bound against the sum, and sums again on the full table where
 that check fails.  ``ln_peak_integral`` runs it over the real
-line, centred on a log-integrand's peak.  The Gauss-Kronrod
+line, centred on a log-integrand's peak, with a reach that its caller
+works out from the peak's value where it bounds the integrand (the
+kappa-mu rate moment does; Tricomi U does not).  The Gauss-Kronrod
 rule ``adaptive_gk`` has no caller left; the benchmark's spans still name it.
 """
 
@@ -250,24 +252,29 @@ def tanhsinh_01(f: Callable[..., np.ndarray], rel_tol: float = 1e-13,
     return _ts_sum(f, rel_tol)
 
 
-def ln_peak_integral(ln_f: Callable[[np.ndarray], np.ndarray], s0: float) -> float:
+def ln_peak_integral(ln_f: Callable[[np.ndarray], np.ndarray], s0: float,
+                     reach: Callable[[float], tuple] | None = None) -> float:
     """ln of the integral over the real line of exp(ln_f(s)), to ``_REL_TOL``.
 
     The rule is tanh-sinh on s = s0 + ln(x / (1 - x)), s0 at or near the
     peak of the vectorized ``ln_f``, with ln_f(s0) factored out; the offsets
     ln(x / (1 - x)) and log-weights ln w - ln x - ln(1 - x) come from the
     node tables.  The nodes reach about 630 either side of s0, so a tail
-    that falls more slowly than e^(-|s - s0| / 20) is cut short.
+    that falls more slowly than e^(-|s - s0| / 20) is cut short.  A caller
+    that bounds ln_f in closed form passes ``reach``, called with the peak
+    value ln_f(s0) and returning ``tanhsinh_01``'s reach (left, right,
+    dropped) in u = s - s0 for the density exp(ln_f(s0 + u) - ln_f(s0)); the
+    integrand then reads the trimmed tables ``_ts_trim(block, lo, hi)``.
     """
     peak = float(ln_f(s0))
 
-    def integrand(block):
-        nodes = _ts_block(block)
+    def integrand(block, lo=_TS_QUARTERS, hi=_TS_QUARTERS):
+        nodes = _ts_trim(block, lo, hi)
         x = ln_f(s0 + nodes.logit)
         x += nodes.ln_w_logit
         x -= peak
         return np.exp(x, out=x)
 
     with np.errstate(over="ignore", under="ignore"):
-        integral = tanhsinh_01(integrand, rel_tol=_REL_TOL)
+        integral = tanhsinh_01(integrand, _REL_TOL, None if reach is None else reach(peak))
     return peak + math.log(integral)

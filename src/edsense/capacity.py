@@ -4,7 +4,9 @@ The rate is R = -(1/A) log2 E[(1 + gamma)^-A] with A the dimensionless
 delay-QoS exponent.  For the shadowed kappa-mu channel the expectation (the
 "rate moment" below) is one positive integral of the channel's MGF (cf. Di
 Renzo, Graziosi & Santucci, IEEE TVT 2010), evaluated by tanh-sinh
-quadrature in log space; for the Fisher-Snedecor channel it is a single
+quadrature in log space on only the nodes that closed-form bounds on the
+integrand leave within reach (``_ln_rate_moment_mgf``); for the
+Fisher-Snedecor channel it is a single
 Gauss hypergeometric value, taken with its argument's complement omega
 exactly and its SNR-free set-up cached per shape (``_ln_rate_moment_f``).
 Both paths work with the logarithm of the moment, so large A or a high SNR
@@ -22,7 +24,7 @@ from ._memo import memo
 from ._quad import ln_peak_integral
 from .channels import FisherFParams, KappaMuShadowedParams
 from .errors import ConvergenceError, DomainError
-from .specfun import _CACHED, _gauss_2f1, ln_beta
+from .specfun import _CACHED, _EULER_TRIM, _gauss_2f1, ln_beta
 
 __all__ = [
     "DelayQoS",
@@ -57,11 +59,24 @@ def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float) -> float:
         E[(1 + gamma)^-A] = Gamma(A+1)^-1 int t^A phi(t) psi(t) dt,
 
     whose integrand is positive and, unlike t^(A-1) phi(t), bounded at t = 0
-    for every A > 0.  The integral runs in s = ln t, centred on the peak of
-    the log-integrand (``ln_peak_integral``).
+    for every A > 0.  The integral runs in s = ln t, centred on the peak s0
+    of the log-integrand ln f (``ln_peak_integral``), and passes a reach
+    from two bounds, with a1 = A+1, psi0 = psi(0) and peak = ln f(s0).  As
+    e^-t and each (1 + t/theta)^-n are at most 1 and psi falls in t, and
+    with the Euler integral's margin e^-40 (``_EULER_TRIM``):
+    - ln f(s) <= a1 s + ln psi0, so the left end goes where the tail bound
+      e^(C_L - a1 U) / a1, C_L = a1 s0 + ln psi0 - peak, is e^-40;
+    - ln f(s) <= a1 s - e^s + ln psi0, which is concave and so lies below
+      its tangent at s_R, falling at rate e^(s_R) - a1 beyond it; the right
+      end goes to s_R = ln T with T >= a1 ln T + ln psi0 - peak + 40, from
+      a few fixed-point steps down from a T that satisfies it.
+    ``dropped`` is the sum of the two tail bounds, at most e^-40 (1 + 1/40)
+    of the peak's value (T - a1 >= 40); ``tanhsinh_01`` checks it against
+    the sum and sums the full table where the check fails.
     """
     n1, th1, n2, th2 = p.mu - p.m, p.theta1, p.m, p.theta2
     a1 = a + 1.0
+    ln_psi0 = math.log1p(n1 / th1 + n2 / th2)
 
     def ln_integrand(s):
         t = np.exp(s)
@@ -71,7 +86,7 @@ def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float) -> float:
     # The log-integrand's slope in s lies within 1 of A + 1/2 - t
     # - sum n t / (theta + t), whose root lies in [(A + 1/2)/(1 + E gamma), A + 1/2].
     target = a + 0.5
-    lo = math.log(target) - math.log1p(n1 / th1 + n2 / th2)
+    lo = math.log(target) - ln_psi0
     hi = math.log(target)
     for _ in range(8):
         s0 = 0.5 * (lo + hi)
@@ -80,7 +95,21 @@ def _ln_rate_moment_mgf(p: KappaMuShadowedParams, a: float) -> float:
             lo = s0
         else:
             hi = s0
-    return ln_peak_integral(ln_integrand, 0.5 * (lo + hi)) - math.lgamma(a1)
+    s0 = 0.5 * (lo + hi)
+
+    def reach(peak):
+        left = (a1 * s0 + ln_psi0 - peak - math.log(a1) + _EULER_TRIM) / a1
+        # T0 meets T - a1 ln T >= k (as ln T <= ln 2a1 + T/2a1 - 1), and each
+        # step T <- a1 ln T + k keeps that while moving T down to the root
+        k = ln_psi0 - peak + _EULER_TRIM
+        t_right = 2.0 * (k + a1 * (math.log(2.0 * a1) - 1.0))
+        for _ in range(3):
+            t_right = a1 * math.log(t_right) + k
+        s_right = math.log(t_right)
+        return (left, s_right - s0, math.exp(-_EULER_TRIM)
+                + math.exp(a1 * s_right - t_right + k - _EULER_TRIM) / (t_right - a1))
+
+    return ln_peak_integral(ln_integrand, s0, reach) - math.lgamma(a1)
 
 
 def _guard_moment(ln_moment: float) -> float:

@@ -12,9 +12,11 @@ y^z e^(-y) / Gamma(z+1) that the Marcum-Q and the detection series sum come
 from one kernel, ``_poisson_terms``.  Whatever the hypergeometric series and
 2F1's routes need that does not depend on z (term ratios and their tail
 bounds, the ratios of a series' cancelling head, connection coefficients,
-the Euler integral's set-up and its exponent on the first tanh-sinh block)
-is built once per parameter set and kept in bounded LRU caches of immutable
-tuples or read-only arrays, so a sweep over z pays for it once.
+the Euler integral's set-up and its exponent on the first tanh-sinh block),
+and the incomplete beta's continued fraction that does not depend on x (its
+partial numerators over x), is built once per parameter set and kept in
+bounded LRU caches of immutable tuples or read-only arrays, so a sweep over
+z or x pays for it once.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ __all__ = [
 # The most terms a series may take before it raises ConvergenceError.
 _MAX_TERMS = 10_000
 _MAX_INNER_ITER = 20000
+# The series take their z-free term ratios, and the incomplete beta's
+# continued fraction its x-free partial numerators, from chunks of _CHUNK
+# indices (the series in blocks of _BLOCK), and 2F1 its z-free set-up per
+# (a, b, c); all are built on first use and the most recent _CACHED of each
+# are kept.
+_BLOCK = 5
+_CHUNK = 50
+_CACHED = 256
 
 
 def ln_gamma(x: float) -> float:
@@ -216,43 +226,56 @@ def _ln_beta_front(a: float, b: float, x: float, y: float) -> float:
     return _ln_gamma_weight(a, sx) + _ln_gamma_weight(b, sy) - _ln_gamma_weight(s, s)
 
 
+@memo(_CACHED)
+def _beta_cf_steps(a: float, b: float, k: int) -> tuple:
+    """Chunk k of ``_beta_cf``'s x-free partial numerators, for i from
+    k _CHUNK + 1 to (k+1) _CHUNK, as a tuple of pairs (i (b-i) / ((a-1+2i)
+    (a+2i)), -(a+i) (a+b+i) / ((a+2i) (a+1+2i)))."""
+    i = np.arange(k * _CHUNK + 1.0, (k + 1) * _CHUNK + 1.0)
+    odd = i * (b - i) / ((a - 1.0 + 2.0 * i) * (a + 2.0 * i))
+    even = -(a + i) * (a + b + i) / ((a + 2.0 * i) * (a + 1.0 + 2.0 * i))
+    return tuple(zip(odd.tolist(), even.tolist()))
+
+
 def _beta_cf(a: float, b: float, x: float, y: float) -> float:
     """The continued fraction cf of I_x(a, b) = x^a y^b cf / (a B(a, b)), by
     Lentz's method, for 0 < x < (a+1)/(a+b+2), y = 1 - x as the caller knows
     it.  Only its first denominator, 1 - (a+b) x/(a+1), needs 1 - x: formed as
     ((a+1) y - (b-1) x)/(a+1), it loses nothing where y is small (at b = 1
-    the fraction is exactly 1/y)."""
+    the fraction is exactly 1/y).  The partial numerators are x times
+    x-free coefficients, read from chunks cached per (a, b)
+    (``_beta_cf_steps``), so a sweep over x builds them once."""
     tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    qap = a + 1.0
     c = 1.0
     d = (qap * y - (b - 1.0) * x) / qap
     if abs(d) < tiny:
         d = tiny
     d = 1.0 / d
     h = d
-    for i in map(float, range(1, _MAX_INNER_ITER)):  # float + float is the fast addition
-        m2 = 2.0 * i
-        aa = i * (b - i) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + i) * (qab + i) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
+    for k in range(_MAX_INNER_ITER // _CHUNK):
+        for odd, even in _beta_cf_steps(a, b, k):
+            aa = odd * x
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            h *= d * c
+            aa = even * x
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < 1e-16:
+                return h
     raise ConvergenceError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
 
 
@@ -402,13 +425,6 @@ _SCALE_LIMIT = 2.0 ** _SCALE_BITS
 _LN2 = math.log(2.0)
 # The series sum to the last bit: a relative stop of 2^-53.
 _SERIES_TOL = 2.0 ** -53
-
-# The series take their z-free term ratios from chunks of _CHUNK indices, in
-# blocks of _BLOCK, and 2F1 its z-free set-up per (a, b, c); both are built on
-# first use and the most recent _CACHED of each are kept.
-_BLOCK = 5
-_CHUNK = 50
-_CACHED = 256
 
 
 def _ratios(p0: float, p1, q0: float, j: np.ndarray) -> np.ndarray:
@@ -732,22 +748,23 @@ def _connection_2f1(connection, w: float):
     """The z -> 1-z formula at w = 1-z from its terms ``connection``
     (``_setup_2f1``), as (s, ln_scale), the value being s e^ln_scale; None
     where its two terms cancel beyond _MAX_CANCELLATION or the series of one
-    of them cancels in its head (ConvergenceError from ``_series_phq``)."""
+    of them cancels in its head (ConvergenceError from ``_series_phq``).
+    The terms are scaled to the larger of their log scales and summed in
+    order; a term left out counts as 0 e^-inf."""
     ln_w = math.log(w)
-    pieces = []
+    s1 = s2 = 0.0
+    ln1 = ln2 = -math.inf
     for p0, p1, q0, sign, ln, shift in connection:
         try:
             s, bits = _series_phq(p0, p1, q0, w, "gauss_2f1")
         except ConvergenceError:
             return None
-        pieces.append((sign * s, ln + shift * ln_w + bits * _LN2))
-    top = max([ln for _, ln in pieces], default=0.0)
-    total = size = 0.0
-    for s, ln in pieces:
-        piece = s * math.exp(ln - top)
-        total += piece
-        size += abs(piece)
-    return (total, top) if size <= _MAX_CANCELLATION * abs(total) else None
+        s1, ln1, s2, ln2 = s2, ln2, sign * s, ln + shift * ln_w + bits * _LN2
+    top = max(ln1, ln2)
+    piece1 = s1 * math.exp(ln1 - top)
+    piece2 = s2 * math.exp(ln2 - top)
+    total = piece1 + piece2
+    return (total, top) if abs(piece1) + abs(piece2) <= _MAX_CANCELLATION * abs(total) else None
 
 
 def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
@@ -756,29 +773,33 @@ def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
 
     Every route that needs 1 - z takes w, never 1 - z rounded: the Pfaff step
     maps z < 0 to z/(z-1), whose complement is 1/w, and the 1-z formula and
-    the Euler integral work in w.  The route and the z-free set-up come from
-    ``_setup_2f1``.  Arguments are not checked.
+    the Euler integral work in w.  The Pfaff step is taken in place, its
+    front w^-a (or w^-b) added to the log scale that the route for z/(z-1)
+    returns.  The route and the z-free set-up come from ``_setup_2f1``.
+    Arguments are not checked.
     """
+    ln_front = 0.0
     if z < 0.0:
         # Pfaff: w^-a 2F1(a, c-b; c; z/(z-1)), or the same with a and b swapped
         if abs(a) <= abs(b):
-            s, ln_scale = _gauss_2f1(a, c - b, c, -z / w, 1.0 / w)
-            return s, ln_scale - a * math.log(w)
-        s, ln_scale = _gauss_2f1(c - a, b, c, -z / w, 1.0 / w)
-        return s, ln_scale - b * math.log(w)
+            ln_front, b = -a * math.log(w), c - b
+        else:
+            ln_front, a = -b * math.log(w), c - a
+        z, w = -z / w, 1.0 / w
     if z <= 0.5:
         s, bits = _series_phq(a, b, c, z, "gauss_2f1")
-        return s, bits * _LN2
+        return s, bits * _LN2 + ln_front
     connection, euler = _setup_2f1(a, b, c)
     if connection is not None:
         found = _connection_2f1(connection, w)
         if found is not None:
-            return found
+            return found[0], found[1] + ln_front
     if euler is not None:
-        p, q, ln_front = euler
-        return _euler_2f1(p, q, c, w, ln_front)
+        p, q, ln_euler = euler
+        s, ln_scale = _euler_2f1(p, q, c, w, ln_euler)
+        return s, ln_scale + ln_front
     s, bits = _series_phq(a, b, c, z, "gauss_2f1")
-    return s, bits * _LN2
+    return s, bits * _LN2 + ln_front
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:

@@ -119,8 +119,10 @@ def test_euler_integrand_matches_reference(monkeypatch, z, settles_after_level_5
     assert math.isclose(_quad.tanhsinh_01(f, rel_tol, reach), want, rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("kappa,mu,m,snr,a", [
-    (2.0, 4, 2, 10.0, 1.0), (0.05, 12, 6, 0.1, 0.5), (4.0, 60, 30, 1000.0, 2.0)])
+_MGF_CELLS = [(2.0, 4, 2, 10.0, 1.0), (0.05, 12, 6, 0.1, 0.5), (4.0, 60, 30, 1000.0, 2.0)]
+
+
+@pytest.mark.parametrize("kappa,mu,m,snr,a", _MGF_CELLS)
 def test_mgf_integrand_matches_reference(monkeypatch, kappa, mu, m, snr, a):
     # the kernel's integrand reads the cached offsets and log-weights; the
     # reference maps each node to s = s0 + ln t - ln(1 - t) itself
@@ -129,8 +131,8 @@ def test_mgf_integrand_matches_reference(monkeypatch, kappa, mu, m, snr, a):
     seen = _captured(monkeypatch, _quad, "tanhsinh_01")
     rate_moment_kms(p, DelayQoS(a))
     assert len(peaks) == 1 and len(seen) == 1
-    ln_f, s0 = peaks[0]
-    f, rel_tol = seen[0]
+    ln_f, s0, _ = peaks[0]
+    f, rel_tol, reach = seen[0]
     peak = float(ln_f(s0))
 
     def shifted(t, omt, ln_t, ln_omt, w):
@@ -138,7 +140,7 @@ def test_mgf_integrand_matches_reference(monkeypatch, kappa, mu, m, snr, a):
 
     with np.errstate(over="ignore", under="ignore"):
         want, _ = _level_by_level(shifted, rel_tol)
-        got = _quad.tanhsinh_01(f, rel_tol)
+        got = _quad.tanhsinh_01(f, rel_tol, reach)
     assert math.isclose(got, want, rel_tol=1e-14)
 
 
@@ -170,12 +172,13 @@ def test_divergent_integral_raises_after_level_12():
 def test_import_builds_no_node_table():
     # neither the node tables nor any table derived from them (the trimmed
     # tables, the Euler integrand's exponents and its peak constants), nor the
-    # detection memos, nor any other cache, is filled by the import
+    # incomplete beta's fraction numerators, nor the detection memos, nor any
+    # other cache, is filled by the import
     env = dict(os.environ)
     src = str(Path(edsense.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     caches = ("_quad._ts_block", "_quad._ts_trim", "specfun._euler_base0", "specfun._euler_bounds",
-              "detection._ln_nb_binom", "detection._roc_weights")
+              "specfun._beta_cf_steps", "detection._ln_nb_binom", "detection._roc_weights")
     probe = ("import edsense; print(" + ", ".join(
         f"edsense.{name}.cache_info().currsize" for name in caches)
         + ", sum(c.cache_info().currsize for c in edsense._memo.REGISTRY))")
@@ -199,10 +202,13 @@ def _level_sums(f, rel_tol, cut=()):
     raise ConvergenceError("did not settle")
 
 
-def _euler_runs(monkeypatch, call):
-    """Each Euler integral that ``call()`` evaluates, as (f, rel_tol, reach,
-    cut), cut being the (lo, hi) that the rule passed to f."""
-    seen = _captured(monkeypatch, specfun, "tanhsinh_01")
+def _reach_runs(monkeypatch, call, module=specfun):
+    """Each integral that ``call()`` evaluates through ``module``'s
+    ``tanhsinh_01`` (specfun: the Euler integrals; _quad: the peak
+    integrals), as (f, rel_tol, reach, cut), cut being the (lo, hi) that the
+    rule passed to f."""
+    rule = _quad.tanhsinh_01
+    seen = _captured(monkeypatch, module, "tanhsinh_01")
     call()
     runs = []
     for f, rel_tol, reach in seen:
@@ -212,7 +218,7 @@ def _euler_runs(monkeypatch, call):
             cuts.append(cut)
             return f(block, *cut)
 
-        _quad.tanhsinh_01(recording, rel_tol, reach)
+        rule(recording, rel_tol, reach)
         runs.append((f, rel_tol, reach, cuts[0]))
     return runs
 
@@ -254,13 +260,13 @@ def test_euler_reach_on_the_fisher_rate_sweeps(monkeypatch, shape):
                 capacity.eff_rate_f(FisherFParams(m, ms, 10.0 ** (-1.0 + k / 100.0)),
                                     DelayQoS(a))
 
-    runs = _euler_runs(monkeypatch, sweep)
+    runs = _reach_runs(monkeypatch, sweep)
     assert _trimmed_against_full(runs) >= 0.99 * len(runs) - 1
 
 
 @pytest.mark.parametrize("z", [0.9, 1.0 - 1e-8])
 def test_euler_reach_on_the_reference_cells(monkeypatch, z):
-    runs = _euler_runs(monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, z))
+    runs = _reach_runs(monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, z))
     assert len(runs) == 1 and _trimmed_against_full(runs) == 1
 
 
@@ -289,14 +295,14 @@ def test_euler_reach_on_edge_cells(monkeypatch, a, b, c):
             except ConvergenceError:  # past the rule's reach: raises either way
                 continue
 
-    runs = _euler_runs(monkeypatch, cells)
+    runs = _reach_runs(monkeypatch, cells)
     assert len(runs) >= 6
     assert _trimmed_against_full(runs) >= len([r for r in runs if r[3]]) - 1
 
 
 def test_euler_reach_trims_most_of_block_0(monkeypatch):
     # 2F1(12.5, 2.5; 14; 0.9) settles in block 0 on at most 160 of its 385 nodes
-    ((f, rel_tol, reach, _),) = _euler_runs(
+    ((f, rel_tol, reach, _),) = _reach_runs(
         monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, 0.9))
     g, sizes = _counted(f)
     _quad.tanhsinh_01(g, rel_tol, reach)
@@ -359,7 +365,7 @@ def test_trimmed_tables(block, lo, hi):
 
 def test_euler_memos_are_read_only(monkeypatch):
     # the Euler exponents of block 0 are kept per (a, b, c) and cut
-    ((_, _, _, cut),) = _euler_runs(monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, 0.9))
+    ((_, _, _, cut),) = _reach_runs(monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, 0.9))
     p, q, _ = specfun._setup_2f1(12.5, 2.5, 14.0)[1]
     hits = specfun._euler_base0.cache_info().hits
     base = specfun._euler_base0(p, q, 14.0, *cut)
@@ -369,3 +375,120 @@ def test_euler_memos_are_read_only(monkeypatch):
         base[0] = 0.0
     assert base.size == _quad._ts_trim(0, *cut).t.size < 385
     assert isinstance(specfun._euler_bounds(p, q, 14.0), tuple)
+
+
+def _rate_moments(cells):
+    """A call that evaluates the kappa-mu rate moment at each (kappa, mu, m,
+    mean SNR in dB, A) of ``cells``."""
+    def call():
+        for kappa, mu, m, db, a in cells:
+            rate_moment_kms(KappaMuShadowedParams(kappa, mu, m, 10.0 ** (db / 10.0)), DelayQoS(a))
+
+    return call
+
+
+def _peak_trimmed_against_full(runs):
+    """Check every rate-moment run: the drop check passes; the trimmed sum
+    within 1e-14 relative of the full table's where the stop level is the
+    same; the full table's nodes beyond the reach within the reach's bound on
+    them at every level from 3.  Returns the count compared."""
+    compared = 0
+    with np.errstate(over="ignore", under="ignore"):
+        for f, rel_tol, (left, right, dropped), cut in runs:
+            full, full_level = _level_sums(f, rel_tol)
+            if cut == ():  # both ends past the last node: the full table
+                continue
+            trimmed, level = _level_sums(f, rel_tol, cut)
+            assert dropped <= rel_tol * trimmed[-1]
+            assert _quad.tanhsinh_01(f, rel_tol, (left, right, dropped)) == trimmed[-1]
+            for t_full, t_trim in zip(full[3:], trimmed[3:]):
+                assert -1e-14 * t_full <= t_full - t_trim <= dropped + 1e-14 * t_full
+            if level == full_level:
+                assert math.isclose(trimmed[-1], full[-1], rel_tol=1e-14, abs_tol=0.0)
+                compared += 1
+    return compared
+
+
+# The benchmark's kappa-mu rate sweeps, -10 to 30 dB in 2.5 dB steps, on
+# each stored (kappa, A) of each (mu, m) slot
+_RATE_KMS_SLOTS = {
+    "mu2-m1": (2, 1, [(1.123, 2.468), (0.767, 1.289), (1.326, 1.305), (3.832, 0.6525)]),
+    "mu4-m2": (4, 2, [(1.182, 1.797), (3.006, 0.7618), (1.711, 1.326), (0.9494, 0.5226)]),
+    "mu12-m6": (12, 6, [(1.77, 1.079), (1.968, 1.197), (1.55, 1.154), (1.895, 0.9124)]),
+    "mu60-m30": (60, 30, [(3.935, 2.082), (3.841, 2.06), (3.708, 1.855), (3.776, 2.038)]),
+    "k1e-5-mu4-m2-A5": (4, 2, [(1e-5, 5.0)]),
+    "k0.05-mu12-m6-A2": (12, 6, [(0.05, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("slot", list(_RATE_KMS_SLOTS))
+def test_peak_reach_on_the_kappa_mu_rate_sweeps(monkeypatch, slot):
+    mu, m, variants = _RATE_KMS_SLOTS[slot]
+    cells = [(kappa, mu, m, -10.0 + 2.5 * k, a) for kappa, a in variants for k in range(17)]
+    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    assert len(runs) == len(cells) == _peak_trimmed_against_full(runs)
+
+
+@pytest.mark.parametrize("kappa,mu,m,snr,a", _MGF_CELLS)
+def test_peak_reach_on_the_reference_cells(monkeypatch, kappa, mu, m, snr, a):
+    cells = [(kappa, mu, m, 10.0 * math.log10(snr), a)]
+    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    assert len(runs) == 1 and _peak_trimmed_against_full(runs) == 1
+
+
+@pytest.mark.parametrize("kappa,mu,m", [(0.0, 4, 2), (0.0, 3, 3), (1.0, 1, 1), (50.0, 60, 30),
+                                        (1e-5, 200, 1)])
+def test_peak_reach_on_edge_cells(monkeypatch, kappa, mu, m):
+    # kappa = 0 and mu = m drop a factor of the MGF; A from 0.05 to 200
+    # spans the rate's peak widths; -80 to 200 dB spans theta
+    cells = [(kappa, mu, m, db, a) for a in (0.05, 1.0, 200.0)
+             for db in (-80.0, -10.0, 10.0, 60.0, 200.0)]
+    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    assert len(runs) == len(cells)
+    assert _peak_trimmed_against_full(runs) >= len([r for r in runs if r[3]]) - 1
+
+
+def test_peak_reach_trims_most_of_block_0(monkeypatch):
+    # the benchmark's mu = 4, m = 2 rate sweep at 10 dB, on each stored
+    # (kappa, A): block 0 keeps at most 160 of its 385 nodes
+    mu, m, variants = _RATE_KMS_SLOTS["mu4-m2"]
+    cells = [(kappa, mu, m, 10.0, a) for kappa, a in variants]
+    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    assert len(runs) == 4
+    for f, rel_tol, reach, _ in runs:
+        g, sizes = _counted(f)
+        with np.errstate(over="ignore", under="ignore"):
+            _quad.tanhsinh_01(g, rel_tol, reach)
+        assert sizes[0] <= 160
+
+
+def test_failed_peak_drop_check_takes_the_full_table(monkeypatch):
+    # with no margin the reach's bound on the dropped nodes is about 1,
+    # which fails the check against 1e-12 of the integral: the rule sums
+    # the full table, and the moment is the full table's, bit for bit
+    p, a = KappaMuShadowedParams(2.0, 4, 2, 10.0), 1.0
+    peaks = _captured(monkeypatch, capacity, "ln_peak_integral")
+    kept = capacity._ln_rate_moment_mgf(p, a)
+    ((ln_f, s0, reach),) = peaks
+    full = _quad.ln_peak_integral(ln_f, s0) - math.lgamma(a + 1.0)
+    assert math.isclose(kept, full, rel_tol=1e-14)
+    monkeypatch.setattr(capacity, "_EULER_TRIM", 0.0)
+    seen = _captured(monkeypatch, _quad, "tanhsinh_01")
+    assert capacity._ln_rate_moment_mgf(p, a) == full
+    ((f, rel_tol, cut_reach),) = seen
+    assert cut_reach[2] > 0.5
+    g, sizes = _counted(f)
+    with np.errstate(over="ignore", under="ignore"):
+        _quad.tanhsinh_01(g, rel_tol, cut_reach)
+    assert sizes[0] < 385 and sizes[-1] == 385
+
+
+def test_tricomi_u_sums_the_full_table(monkeypatch):
+    seen = _captured(monkeypatch, _quad, "tanhsinh_01")
+    specfun.ln_tricomi_u(2.5, 1.5, 3.0)
+    ((f, rel_tol, reach),) = seen
+    assert reach is None
+    g, sizes = _counted(f)
+    with np.errstate(over="ignore", under="ignore"):
+        _quad.tanhsinh_01(g, rel_tol, reach)
+    assert sizes[0] == 385

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from edsense import specfun
-from edsense.channels import KappaMuShadowedParams, kms_mgf
+from edsense.channels import FisherFParams, KappaMuShadowedParams, f_cdf, kms_mgf
 from edsense.detection import DetectorConfig, auc_instant, prob_detect_instant
 from edsense.errors import ConvergenceError, DomainError
 from edsense.specfun import (
@@ -173,6 +173,81 @@ def test_reg_inc_beta_below_the_normal_range():
     for x in (1e-310, 5e-324):
         with pytest.raises(DomainError, match="normal floats"):
             reg_inc_beta(0.3, 2.0, x)
+
+
+# Lentz's fraction takes many steps near the branch switch at large
+# parameters; both cells are pinned at the accuracy they had when the
+# numerators were formed per step (2.2e-14 and 6.7e-14 absolute).
+# I_x(8.623, 2589) at x = t/(1+t), t = omega gamma as f_cdf forms it at
+# (m, m_s, mean) = (8.623, 2589, 32.94), gamma = 45.42, from mpmath 1.3.0 at
+# mp.dps = 40: 0.86534948603865547729; I_0.5(1e5, 1e5) = 1/2 exactly.
+def test_beta_cf_near_the_branch_switch():
+    got = f_cdf(FisherFParams(8.623, 2589.0, 32.94), 45.42)
+    assert abs(got - 0.86534948603865547729) <= 2.2e-14
+    assert abs(reg_inc_beta(1e5, 1e5, 0.5) - 0.5) <= 6.8e-14
+
+
+def test_beta_cf_past_one_chunk():
+    # I_0.499(1e4, 1e4) runs its fraction into a third chunk of numerators.
+    # mpmath 1.3.0 at mp.dps = 40, as x^a y^b / (a B(a, b)) 2F1(a+b, 1; a+1; x)
+    want = 0.38864995214253754957
+    got = reg_inc_beta(1e4, 1e4, 0.499)
+    assert specfun._beta_cf_steps.cache_info().misses == 3
+    assert math.isclose(got, want, rel_tol=1e-13)
+
+
+def _beta_cf_per_step(a, b, x, y):
+    """Lentz's fraction of ``specfun._beta_cf`` with each partial numerator
+    formed from i and x at its own step."""
+    tiny = 1e-300
+    c, d = 1.0, ((a + 1.0) * y - (b - 1.0) * x) / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for i in map(float, range(1, 20_000)):
+        for aa in (i * (b - i) * x / ((a - 1.0 + 2.0 * i) * (a + 2.0 * i)),
+                   -(a + i) * (a + b + i) * x / ((a + 2.0 * i) * (a + 1.0 + 2.0 * i))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) >= tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise ConvergenceError("reference fraction did not settle")
+
+
+@pytest.mark.parametrize("a,b", [(3.057, 18.83), (3.621, 9.451), (1.384, 2.855), (1.44, 2.148)])
+def test_beta_cf_against_per_step_numerators(a, b):
+    # the fractions of the benchmark's Fisher-Snedecor CDF tables, both
+    # branches; the numerators differ only in where x is multiplied in
+    compared = 0
+    for x in np.linspace(0.002, 0.998, 200).tolist():
+        y = 1.0 - x
+        if x < (a + 1.0) / (a + b + 2.0):
+            got, want = specfun._beta_cf(a, b, x, y), _beta_cf_per_step(a, b, x, y)
+        else:
+            got, want = specfun._beta_cf(b, a, y, x), _beta_cf_per_step(b, a, y, x)
+        assert math.isclose(got, want, rel_tol=2e-15)
+        compared += 1
+    assert compared == 200
+
+
+def test_beta_cf_chunks_are_immutable_and_cold_equals_warm():
+    p = FisherFParams(8.623, 2589.0, 32.94)
+    gammas = [45.42 * 1.05 ** k for k in range(-40, 41)]
+    cold = [f_cdf(p, g) for g in gammas] + [reg_inc_beta(1e4, 1e4, 0.499)]
+    info = specfun._beta_cf_steps.cache_info()
+    assert info.hits > 0 and info.misses >= 3
+    warm = [f_cdf(p, g) for g in gammas] + [reg_inc_beta(1e4, 1e4, 0.499)]
+    assert warm == cold
+    assert specfun._beta_cf_steps.cache_info().misses == info.misses
+    chunk = specfun._beta_cf_steps(1e4, 1e4, 1)
+    assert isinstance(chunk, tuple) and len(chunk) == specfun._CHUNK
+    assert all(isinstance(pair, tuple) and len(pair) == 2 for pair in chunk)
+    # numerators i (b-i) / ((a-1+2i) (a+2i)) and -(a+i) (a+b+i) / ((a+2i) (a+1+2i))
+    a, b, i = 1e4, 1e4, specfun._CHUNK + 1.0
+    assert chunk[0] == (i * (b - i) / ((a - 1.0 + 2.0 * i) * (a + 2.0 * i)),
+                        -(a + i) * (a + b + i) / ((a + 2.0 * i) * (a + 1.0 + 2.0 * i)))
 
 
 def test_marcum_q_values():
@@ -333,6 +408,62 @@ def test_gauss_2f1_route_consistency():
         lhs = gauss_2f1(a, b, c, z)
         rhs = (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, z / (z - 1.0))
         assert math.isclose(lhs, rhs, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("a,b,c,z,route", [
+    (1.5, 2.5, 4.0, -0.5, "series"),
+    (5.525, 4.057, 6.644, -9.0, "connection"),  # a Fisher rate cell at low SNR
+    (1.5, 4.3, 5.7, -9.0, "connection"),
+    (12.5, 2.5, 14.0, -9.0, "euler"),
+    (2.5, 12.5, 14.0, -1e8, "euler"),
+    (-3.5, 2.0, 4.25, -0.2, "series"),
+])
+def test_gauss_2f1_pfaff_step_is_the_z_positive_core(monkeypatch, a, b, c, z, route):
+    # at z < 0 the core returns w^-a 2F1(a, c-b; c; z/(z-1)) (w^-b and
+    # c-a for |a| > |b|) from its own z > 0 route, bit for bit
+    w = 1.0 - z
+    routes = {}
+    for name in ("connection", "euler"):
+        real, routes[name] = getattr(specfun, f"_{name}_2f1"), []
+        monkeypatch.setattr(specfun, f"_{name}_2f1",
+                            lambda *args, real=real, seen=routes[name]: seen.append(1) or real(*args))
+    got = specfun._gauss_2f1(a, b, c, z, w)
+    taken = [name for name, seen in routes.items() if seen] or ["series"]
+    assert taken[-1] == route
+    if abs(a) <= abs(b):
+        s, ln_scale = specfun._gauss_2f1(a, c - b, c, -z / w, 1.0 / w)
+        assert got == (s, ln_scale - a * math.log(w))
+    else:
+        s, ln_scale = specfun._gauss_2f1(c - a, b, c, -z / w, 1.0 / w)
+        assert got == (s, ln_scale - b * math.log(w))
+
+
+def _connection_in_lists(connection, w):
+    """The 1-z formula's terms combined as lists: the largest log scale,
+    then each term scaled to it and summed in order."""
+    pieces = []
+    for p0, p1, q0, sign, ln, shift in connection:
+        s, bits = specfun._series_phq(p0, p1, q0, w, "gauss_2f1")
+        pieces.append((sign * s, ln + shift * math.log(w) + bits * math.log(2.0)))
+    top = max(ln for _, ln in pieces)
+    total = size = 0.0
+    for s, ln in pieces:
+        total += s * math.exp(ln - top)
+        size += abs(s * math.exp(ln - top))
+    return (total, top) if size <= specfun._MAX_CANCELLATION * abs(total) else None
+
+
+@pytest.mark.parametrize("a,b,c", [
+    (5.525, 4.057, 6.644),  # the Fisher rate's (m+m_s, m; m+m_s+A), two terms
+    (4.2, 1.1, 6.1),
+    (3.5, 1.2, 1.5),        # c-a = -2: the first term's 1/Gamma kills it
+])
+def test_connection_2f1_combines_its_terms_as_before(a, b, c):
+    connection = specfun._setup_2f1(a, b, c)[0]
+    assert len(connection) == (1 if c - a == round(c - a) else 2)
+    for w in np.geomspace(1e-12, 0.5, 60).tolist():
+        got = specfun._connection_2f1(connection, w)
+        assert got is not None and got == _connection_in_lists(connection, w)
 
 
 def test_gauss_2f1_large_negative_argument():
