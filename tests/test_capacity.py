@@ -6,9 +6,11 @@ Frozen [reference] values: scipy adaptive quadrature of
 noted where they are used.
 """
 
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,35 @@ def test_rate_moment_f_against_mpmath_up_to_200_db(shape, want):
     for db, ref in zip(_RATE_F_DB, want):
         got = rate_moment_f(FisherFParams(m, ms, 10.0 ** (db / 10.0)), DelayQoS(a))
         assert math.isclose(got, ref, rel_tol=1e-12), db
+
+
+# eff_rate_f at the benchmark's rate-f-m2.5-ms10 cells at -9.2 dB (variants
+# 3 and 1), where the two-term 1-z formula, taken while its terms cancelled
+# by up to a factor 1e4, was 1.75e-10 and 4.5e-11 off.  Rows (m, m_s,
+# mean_snr, A, rate) from mpmath 1.3.0 at mp.dps = 40, with rate = -ln M /
+# (A ln 2) and M = omega^m B(m, m_s+A) / B(m, m_s) 2F1(m+m_s, m; m+m_s+A;
+# 1-omega), omega the float m / (m_s mean_snr).
+_RATE_F_CANCELLING = [
+    (2.5, 9.129, 0.12022644346174131, 1.498, 0.16988466192535126),
+    (2.5, 9.208, 0.12022644346174131, 1.481, 0.1698384922908301),
+]
+
+
+@pytest.mark.parametrize("m,ms,mean,a,want", _RATE_F_CANCELLING)
+def test_eff_rate_f_where_the_two_term_formula_cancelled(m, ms, mean, a, want):
+    assert math.isclose(eff_rate_f(FisherFParams(m, ms, mean), DelayQoS(a)), want, rel_tol=1e-12)
+
+
+def test_eff_rate_f_on_the_benchmark_cells():
+    # every 24th SNR point of the four stored variants of the benchmark's
+    # three Fisher rate sweeps, and the 20 cells the two-term 1-z formula
+    # had furthest off (1.75e-10 to 9.2e-12); rows (m, m_s, mean_snr, A,
+    # rate) as in _RATE_F_CANCELLING, mpmath 1.3.0 at mp.dps = 40
+    rows = json.loads(Path(__file__).with_name("fisher_rate_mpmath_cells.json").read_text())
+    assert len(rows) == 223
+    for m, ms, mean, a, want in rows:
+        got = eff_rate_f(FisherFParams(m, ms, mean), DelayQoS(a))
+        assert math.isclose(got, want, rel_tol=1e-12), (m, ms, mean, a)
 
 
 def test_eff_rate_f_when_the_moment_underflows():

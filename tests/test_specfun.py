@@ -503,6 +503,15 @@ def test_gauss_2f1_direct_series_raises_where_it_cancels():
     assert math.isclose(got, want, rel_tol=1e-12), got
 
 
+def test_gauss_2f1_where_the_two_term_formula_cancelled():
+    # after the Pfaff step the two-term 1-z formula took this cell with its
+    # terms cancelling by a factor of about 450, 1.8e-11 off; mpmath 1.3.0
+    # (mp.dps = 40) gives 0.003157955010017805
+    got = gauss_2f1(7.025671249655048, 4.974404803987756, 8.861845687192357,
+                    -2.9844423202155688)
+    assert math.isclose(got, 0.003157955010017805, rel_tol=1e-12)
+
+
 # Cells on which a series' first terms cancel; the parent of the head check
 # returned each silently off by the stated amount.  Values from mpmath 1.3.0
 # at mp.dps = 40.
