@@ -8,7 +8,10 @@ quadrature in log space on only the nodes that closed-form bounds on the
 integrand leave within reach (``_ln_rate_moment_mgf``); for the
 Fisher-Snedecor channel it is a single
 Gauss hypergeometric value, taken with its argument's complement omega
-exactly and its SNR-free set-up cached per shape (``_ln_rate_moment_f``).
+exactly and its SNR-free set-up cached per shape (``_ln_rate_moment_f``):
+where the argument exceeds 1/2 (after the Pfaff step at low SNR), one
+power series in its complement that holds at every A - m (the 1-z series),
+and where that cancels, the Euler integral.
 Both paths work with the logarithm of the moment, so large A or a high SNR
 only shrinks the moment instead of underflowing it.
 """
@@ -144,7 +147,7 @@ def _ln_rate_moment_f(p: FisherFParams, a: float) -> float:
 
     omega goes to the 2F1 core as the argument's complement, so no digit of
     it is lost to 1 - (1 - omega) at high SNR; the core's scale factor, which
-    carries the Pfaff front omega^-m at low SNR and the 1-z formula's
+    carries the Pfaff front omega^-m at low SNR and the 1-z series'
     omega^(A-m) at high SNR, is added in log space, so the moment may
     underflow while its logarithm stays finite.  At low SNR ln M is a
     difference of O(1) terms and keeps an absolute, not a relative, error of

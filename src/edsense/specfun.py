@@ -11,8 +11,9 @@ that cannot be met, never a silently truncated value.  The Poisson terms
 y^z e^(-y) / Gamma(z+1) that the Marcum-Q and the detection series sum come
 from one kernel, ``_poisson_terms``.  Whatever the hypergeometric series and
 2F1's routes need that does not depend on z (term ratios and their tail
-bounds, the ratios of a series' cancelling head, connection coefficients,
-the Euler integral's set-up and its exponent on the first tanh-sinh block),
+bounds, the ratios of a series' cancelling head, the 1-z series'
+coefficients, their rounding sizes and tail bounds, and its reach, the Euler
+integral's set-up and its exponent on the first tanh-sinh block),
 and the incomplete beta's continued fraction that does not depend on x (its
 partial numerators over x), is built once per parameter set and kept in
 bounded LRU caches of immutable tuples or read-only arrays, so a sweep over
@@ -577,49 +578,179 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
 
 
 def _gamma_sign_ln(x: float):
-    """(sign, ln|Gamma(x)|) for real non-pole x; None at a pole."""
+    """(sign, ln|Gamma(x)|) for real non-pole x; None at a pole.  Below 0 it
+    is the reflection formula, with sin(pi x) taken as (-1)^k sin(pi (x-k)),
+    k = round(x), whose argument is exact: pi x rounded would cost about
+    |x| 1e-16 / |sin(pi x)| near a pole."""
     if x > 0.0:
         return 1.0, math.lgamma(x)
-    if x == round(x):
+    k = round(x)
+    if x == k:
         return None
-    s = math.sin(math.pi * x)
+    s = math.sin(math.pi * (x - k))
+    if k % 2:
+        s = -s
     ln = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
     return (1.0 if s > 0 else -1.0), ln
 
 
-# The 1-z connection formula's error stayed below 1.4e-14 times the
-# cancellation ratio sum |t| / |sum t| of its two terms (measured against
-# mpmath's hyp2f1 over 1,303 Fisher rate cells); it is used only while that
-# ratio keeps the result within about 1.4e-10.  Beyond it the Euler integral
-# costs about ten series evaluations.
-_MAX_CANCELLATION = 1e4
+# The 1-z series' error against mpmath 1.3.0 (mp.dps = 40) stayed below
+# 8.4e-16 times its cancellation ratio, its terms' rounding size over the
+# value (``_one_minus_z_2f1``), on about 3,300 random cells (a, b in [-30,
+# 30], c in [-15, 40], z in (-3, 1), after the Pfaff step) and below 3.5e-16
+# times it on the benchmark's Fisher rate shapes; besides that, e^ln_scale
+# carries up to about 7e-14 where its exponent is in the hundreds.  It is
+# used only while the ratio is at most 500, which keeps it within about
+# 4.2e-13.  The worst eff_rate_f on the benchmark's 4,812 Fisher rate cells
+# is then 1.5e-13 off.
+_MAX_CANCELLATION = 500.0
+
+
+def _ln_gamma_quotient(x: float, eps: float):
+    """(sign, g): the sign of Gamma(x+eps) / Gamma(x) and g = (ln|Gamma(x+eps)|
+    - ln|Gamma(x)|) / eps, psi(x) at eps = 0; None where x or x+eps is a
+    pole.
+
+    Below x = 10 it shifts x up one step at a time, each step taking off
+    ln|1 + eps/x| / eps (log1p(u)/u / x, u = eps/x, unless a pole lies
+    between x and x+eps); from there on it is the difference quotient of
+    Stirling's formula, (x - 1/2) log1p(u)/eps + ln(x+eps) - 1 plus that of
+    Binet's series (``_binet``), each power x^-m as x^-(m+1) expm1(-m
+    log1p(u)) / u, so that no 1/eps is left to cancel."""
+    sign, g = 1.0, 0.0
+    while x < 10.0:
+        if x == 0.0 or x + eps == 0.0:
+            return None
+        u = eps / x
+        if u > -1.0:
+            g -= _log1p_quotient(u) / x
+        else:
+            sign, g = -sign, g - math.log(-1.0 - u) / eps
+        x += 1.0
+    u = eps / x
+    ln1p = math.log1p(u)
+    g += (x - 0.5) * _log1p_quotient(u) / x + math.log(x + eps) - 1.0
+    inv = 1.0 / x
+    power = inv * inv
+    for m, coef in _BINET_TERMS:
+        g += coef * power * (math.expm1(-m * ln1p) / u if u else -m)
+        power *= inv * inv
+    return sign, g
+
+
+def _log1p_quotient(u: float) -> float:
+    """log1p(u) / u, 1 at u = 0."""
+    return math.log1p(u) / u if u else 1.0
+
+
+# Binet's series mu(x) = sum coef x^-m, the terms of ``_binet``
+_BINET_TERMS = ((1, 1.0 / 12.0), (3, -1.0 / 360.0), (5, 1.0 / 1260.0), (7, -1.0 / 1680.0),
+                (9, 1.0 / 1188.0), (11, -691.0 / 360360.0), (13, 1.0 / 156.0),
+                (15, -3617.0 / 122400.0))
+
+
+def _one_minus_z_start(a: float, b: float, n: int, eps: float):
+    """(E_0, B_0) of ``_one_minus_z_chunk`` times Gamma(n+1+eps), or None
+    where a+n, b+n or one of their shifts by eps is a Gamma pole.
+
+    B_0 = -Gamma(1+eps) Gamma(1-eps) / Gamma(n+1+eps) and E_0 = -B_0 (r - 1)
+    / eps, r = Gamma(n+1+eps) Gamma(a+n) Gamma(b+n) / (Gamma(1-eps) n!
+    Gamma(a+n+eps) Gamma(b+n+eps)) = +-e^lam, lam / eps = g(n+1, eps) +
+    g(1, -eps) - g(a+n, eps) - g(b+n, eps) (``_ln_gamma_quotient``): where
+    r > 0, E_0 = -B_0 expm1(lam) / eps, with no 1/eps to cancel.  The factor
+    Gamma(n+1+eps), which keeps them in range at large n, goes into K
+    (``_setup_2f1``)."""
+    quotients = (_ln_gamma_quotient(a + n, eps), _ln_gamma_quotient(b + n, eps))
+    if None in quotients:
+        return None
+    (sign_a, g_a), (sign_b, g_b) = quotients
+    b0 = -math.exp(math.lgamma(1.0 + eps) + math.lgamma(1.0 - eps))
+    slope = _ln_gamma_quotient(n + 1.0, eps)[1] + _ln_gamma_quotient(1.0, -eps)[1] - g_a - g_b
+    lam = eps * slope
+    if sign_a == sign_b:
+        return -b0 * slope * (math.expm1(lam) / lam if lam else 1.0), b0
+    return b0 * (math.exp(lam) + 1.0) / eps, b0
+
+
+@memo(_CACHED)
+def _one_minus_z_chunk(a: float, b: float, n: int, eps: float, k: int) -> tuple:
+    """Chunk k (the indices from k _CHUNK to (k+1) _CHUNK) of the 1-z
+    series' coefficients (``_one_minus_z_2f1``), one block of _BLOCK indices
+    j .. j+4 per entry: (E_j .. E_(j+4), B_j .. B_(j+4), |E|'s .., |B|'s ..,
+    r, D).
+
+    B_(j+1) = rho_b B_j and E_(j+1) = rho_a E_j + B_j (rho_b - rho_a) / eps,
+    with rho_a = (a+n+j) (b+n+j) / ((n+j+1) (j+1-eps)) and rho_b =
+    (a+n+eps+j) (b+n+eps+j) / ((j+1) (n+1+eps+j)); (rho_b - rho_a) / eps is
+    taken in a form free of 1/eps.  |E|_j and |B|_j bound the sizes that
+    each coefficient's rounding scales with: |B|_(j+1) = |rho_b| |B|_j +
+    |B_(j+1)|, about (j+1) |B_j|, and |E|_(j+1) = |rho_a| |E|_j +
+    |rho_a E_j| + |B_j (rho_b - rho_a) / eps|, which also counts what
+    cancels between the two parts of E.  For every i from the block's last
+    index l on, r bounds |rho_a| and |rho_b| and D bounds |(rho_b - rho_a) /
+    eps|: each factor (i+p)/(i+q) has q > -1 and is bounded by the larger of
+    1 and its value at l, and each reciprocal falls.
+    """
+    if k == 0:
+        e, bj = _one_minus_z_start(a, b, n, eps)
+        size_e, size_b = abs(e), abs(bj)
+    else:
+        last = _one_minus_z_chunk(a, b, n, eps, k - 1)[-1]
+        e, bj, size_e, size_b = _one_minus_z_step(
+            a, b, n, eps, k * _CHUNK - 1.0, *last[_BLOCK - 1:4 * _BLOCK:_BLOCK])
+    rows = []
+    for j in range(k * _CHUNK, (k + 1) * _CHUNK):
+        rows.append((e, bj, size_e, size_b))
+        e, bj, size_e, size_b = _one_minus_z_step(a, b, n, eps, float(j), e, bj, size_e, size_b)
+    blocks = []
+    for i in range(0, _CHUNK, _BLOCK):
+        l = k * _CHUNK + i + _BLOCK - 1.0
+        big, bn, nl = l + 1.0, b + n + l, n + l + 1.0
+        r = max(max(1.0, abs((a + n + l) / nl)) * max(1.0, abs(bn / (big - eps))),
+                max(1.0, abs((a + n + eps + l) / big)) * max(1.0, abs((bn + eps) / (nl + eps))))
+        d = ((max(1.0, abs((a + n + l) / big)) * abs(1.0 - b - n)
+              + max(1.0, abs(bn / nl)) * abs(1.0 - a)
+              + abs(eps) * max(1.0, abs((1.0 - a - b - 2.0 * n - l) / big)) + eps * eps / big)
+             / ((nl + eps) * (big - eps)))
+        blocks.append((*(x for column in zip(*rows[i:i + _BLOCK]) for x in column), r, d))
+    return tuple(blocks)
+
+
+def _one_minus_z_step(a: float, b: float, n: int, eps: float, j: float, e: float, bj: float,
+                      size_e: float, size_b: float) -> tuple:
+    """(E, B, |E|, |B|) at index j+1 from those at j (``_one_minus_z_chunk``)."""
+    big, nj = j + 1.0, n + j + 1.0
+    aj, bq = a + n + j, b + n + j
+    num = (aj * nj * (1.0 - b - n) + bq * big * (1.0 - a)
+           + eps * nj * (1.0 - a - b - 2.0 * n - j) - eps * eps * nj)
+    step = bj * num / (big * nj * (nj + eps) * (big - eps))
+    rho_a = aj * bq / (nj * (big - eps))
+    rho_b = (aj + eps) * (bq + eps) / (big * (nj + eps))
+    grow = rho_a * e
+    bj *= rho_b
+    return (grow + step, bj, abs(rho_a) * size_e + abs(grow) + abs(step),
+            abs(rho_b) * size_b + abs(bj))
 
 
 @memo(_CACHED)
 def _setup_2f1(a: float, b: float, c: float):
     """What 2F1(a, b; c; z) needs on (1/2, 1) that does not depend on z, as
-    (connection, euler).
+    (series, euler).
 
-    ``connection`` holds the terms of the z -> 1-z formula (DLMF 15.8.4), each
-    (p0, p1, q0, sign, ln, shift) for sign e^ln w^shift 2F1(p0, p1; q0; w),
-    w = 1-z, with a term whose 1/Gamma has a pole left out; it is None where
-    c-a-b is within 0.05 of an integer.  ``euler`` is (p, q, ln of
+    ``series`` is the 1-z series' set-up (a, b, n, eps, shift, ln_scale,
+    factor, alphas, reach) for ``_one_minus_z_2f1``, or None where it meets
+    a Gamma pole.  Where d = c-a-b < -1/2, Euler's transformation 2F1(a, b;
+    c; z) = w^d 2F1(c-a, c-b; c; z) is taken first (shift = d); then d = n
+    + eps with n = round(d) >= 0 and |eps| <= 1/2.  K = (-1)^n Gamma(c) /
+    (Gamma(a) Gamma(b)) and alpha_k = Gamma(c) Gamma(d) (a)_k (b)_k /
+    (Gamma(c-a) Gamma(c-b) (1-d)_k k!), k < n, are kept as factor = K
+    e^-ln_scale / Gamma(n+1+eps) (``_one_minus_z_start``) and alphas, each
+    alpha_k e^-ln_scale, with ln_scale the larger of the two logs.  reach is
+    the largest w at which the series is tried (``_one_minus_z_reach``; 1
+    where no Euler integral could take over).  ``euler`` is (p, q, ln of
     Gamma(c) / (Gamma(q) Gamma(c-q))) for the Euler integral, or None where
     neither ordering (p, q) of (a, b) has c > q > 0.
     """
-    connection = None
-    d = c - a - b
-    if abs(d - round(d)) > 0.05:
-        gc = _gamma_sign_ln(c)
-        connection = []
-        for (p0, p1, q0, coef_args, shift) in ((a, b, 1.0 - d, (d, c - a, c - b), 0.0),
-                                               (c - a, c - b, 1.0 + d, (-d, a, b), d)):
-            gn, g1, g2 = map(_gamma_sign_ln, coef_args)
-            if g1 is None or g2 is None:
-                continue  # 1/Gamma(pole) kills the term
-            connection.append((p0, p1, q0, gc[0] * gn[0] * g1[0] * g2[0],
-                               gc[1] + gn[1] - g1[1] - g2[1], shift))
-        connection = tuple(connection)
     # Of the orderings (p, q) of (a, b) with c > q > 0, take one with q and
     # c - q at least 1 where there is one, which keeps the endpoint powers
     # t^(q-1) and (1-t)^(c-q-1) bounded, and among those the larger q: the
@@ -630,7 +761,29 @@ def _setup_2f1(a: float, b: float, c: float):
     if orderings:
         p, q = max(orderings, key=lambda pq: (min(pq[1], c - pq[1], 1.0), pq[1]))
         euler = (p, q, math.lgamma(c) - math.lgamma(q) - math.lgamma(c - q))
-    return connection, euler
+    shift = 0.0
+    if c - a - b < -0.5:
+        a, b, shift = c - a, c - b, c - a - b
+    d = c - a - b
+    n = round(d)
+    eps = d - n
+    gammas = [_gamma_sign_ln(x) for x in (c, a, b, c - a, c - b)]
+    if None in gammas or _one_minus_z_start(a, b, n, eps) is None:
+        return None, euler
+    (sc, lc), (sa, la), (sb, lb), (s1, l1), (s2, l2) = gammas
+    ln_k = lc - la - lb - math.lgamma(n + 1.0 + eps)
+    ln_alpha = lc + math.lgamma(d) - l1 - l2 if n else -math.inf
+    ln_scale = max(ln_k, ln_alpha)
+    factor = (-1.0 if n % 2 else 1.0) * sc * sa * sb * math.exp(ln_k - ln_scale)
+    alphas = []
+    if n:
+        alpha = sc * s1 * s2 * math.exp(ln_alpha - ln_scale)
+        alphas.append(alpha)
+        for j in range(n - 1):
+            alpha *= (a + j) * (b + j) / ((1.0 - d + j) * (j + 1.0))
+            alphas.append(alpha)
+    series = (a, b, n, eps, shift, ln_scale, factor, tuple(alphas))
+    return series + (_one_minus_z_reach(series) if euler else 1.0,), euler
 
 
 def _euler_base(a: float, b: float, c: float, nodes) -> np.ndarray:
@@ -744,27 +897,85 @@ def _euler_2f1(a: float, b: float, c: float, w: float, ln_front: float):
             ln_front + shift)
 
 
-def _connection_2f1(connection, w: float):
-    """The z -> 1-z formula at w = 1-z from its terms ``connection``
+def _one_minus_z_reach(series) -> float:
+    """The largest w to which ``_one_minus_z_2f1`` is tried: 1 where it
+    takes w = 1/2; otherwise where a bisection in 7 steps over (0, 1/2)
+    finds its cancellation first beyond _MAX_CANCELLATION, which grows with
+    w (at the Fisher rate's shapes from a few at w = 0.01 to thousands at
+    w = 1/2).  A point beyond the reach goes straight to the Euler integral,
+    without paying for the series first."""
+    series += (1.0,)
+    if _one_minus_z_2f1(series, 0.5) is not None:
+        return 1.0
+    lo, hi = 0.0, 0.5
+    for _ in range(7):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _one_minus_z_2f1(series, mid) is not None else (lo, mid)
+    return lo
+
+
+def _one_minus_z_2f1(series, w: float):
+    """2F1(a, b; c; 1-w) from the 1-z series' set-up ``series``
     (``_setup_2f1``), as (s, ln_scale), the value being s e^ln_scale; None
-    where its two terms cancel beyond _MAX_CANCELLATION or the series of one
-    of them cancels in its head (ConvergenceError from ``_series_phq``).
-    The terms are scaled to the larger of their log scales and summed in
-    order; a term left out counts as 0 e^-inf."""
+    where w lies beyond the set-up's reach, the series does not settle, or
+    the size of its terms' rounding is more than _MAX_CANCELLATION times
+    the value.
+
+    The value is w^shift (sum_(k<n) alpha_k w^k + K w^n sum_j (E_j + L B_j)
+    w^j), L = (w^eps - 1)/eps = ln w expm1(eps ln w)/(eps ln w), ln w at
+    eps = 0: DLMF 15.8.4, with the poles at integer c-a-b taken out
+    analytically (Michel and Stoitsov, Comput. Phys. Commun. 178 (2008)
+    535).  E_j and B_j come from cached chunks (``_one_minus_z_chunk``), and
+    one loop sums E_j w^j and B_j w^j a block at a time, and beside them
+    |E|_j w^j and |B|_j w^j, the sizes their rounding scales with; size is
+    sum (k+1) |alpha_k| w^k + |K| w^n sum_j (|E|_j + |L| |B|_j) w^j.  It
+    stops once the bound on the rest, (|e| + |L b|) q/(1-q) + D w
+    |b|/(1-q)^2 with e, b the block's last terms and q = r w < 1, is at most
+    2^-53 of size, and gives up where size leaves the float range.
+    """
+    a, b, n, eps, shift, ln_scale, factor, alphas, reach = series
+    if w > reach:
+        return None
     ln_w = math.log(w)
-    s1 = s2 = 0.0
-    ln1 = ln2 = -math.inf
-    for p0, p1, q0, sign, ln, shift in connection:
-        try:
-            s, bits = _series_phq(p0, p1, q0, w, "gauss_2f1")
-        except ConvergenceError:
-            return None
-        s1, ln1, s2, ln2 = s2, ln2, sign * s, ln + shift * ln_w + bits * _LN2
-    top = max(ln1, ln2)
-    piece1 = s1 * math.exp(ln1 - top)
-    piece2 = s2 * math.exp(ln2 - top)
-    total = piece1 + piece2
-    return (total, top) if abs(piece1) + abs(piece2) <= _MAX_CANCELLATION * abs(total) else None
+    x = eps * ln_w
+    el = ln_w * (math.expm1(x) / x if x else 1.0)
+    al = abs(el)
+    head = head_size = 0.0
+    p = 1.0
+    for i, alpha in enumerate(alphas, 1):
+        t = alpha * p
+        head += t
+        head_size += i * abs(t)
+        p *= w
+    kwn = factor * p
+    akwn = abs(kwn)
+    se = sb = size_e = size_b = 0.0
+    p = 1.0
+    for chunk in range(_MAX_TERMS // _CHUNK):
+        for (e0, e1, e2, e3, e4, b0, b1, b2, b3, b4, f0, f1, f2, f3, f4,
+             g0, g1, g2, g3, g4, r, d) in _one_minus_z_chunk(a, b, n, eps, chunk):
+            p1 = p * w
+            p2 = p1 * w
+            p3 = p2 * w
+            p4 = p3 * w
+            se += e0 * p + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4
+            sb += b0 * p + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4
+            size_e += f0 * p + f1 * p1 + f2 * p2 + f3 * p3 + f4 * p4
+            size_b += g0 * p + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
+            p = p4 * w
+            q = r * w
+            if q < 1.0:
+                tb = abs(b4 * p4)
+                tail = (abs(e4 * p4) + al * tb) * q / (1.0 - q) + d * w * tb / ((1.0 - q) * (1.0 - q))
+                size = head_size + akwn * (size_e + al * size_b)
+                if akwn * tail <= _SERIES_TOL * size:
+                    total = head + kwn * (se + el * sb)
+                    if not (total and size <= _MAX_CANCELLATION * abs(total)):
+                        return None
+                    return total, ln_scale + shift * ln_w
+                if not size < math.inf:
+                    return None
+    return None
 
 
 def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
@@ -772,10 +983,12 @@ def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
     s e^ln_scale, with w = 1 - z given exactly by the caller.
 
     Every route that needs 1 - z takes w, never 1 - z rounded: the Pfaff step
-    maps z < 0 to z/(z-1), whose complement is 1/w, and the 1-z formula and
+    maps z < 0 to z/(z-1), whose complement is 1/w, and the 1-z series and
     the Euler integral work in w.  The Pfaff step is taken in place, its
     front w^-a (or w^-b) added to the log scale that the route for z/(z-1)
-    returns.  The route and the z-free set-up come from ``_setup_2f1``.
+    returns.  On (1/2, 1) the 1-z series (``_one_minus_z_2f1``) comes first;
+    where it declines, the Euler integral, or where that does not apply the
+    direct series.  The routes' z-free set-up comes from ``_setup_2f1``.
     Arguments are not checked.
     """
     ln_front = 0.0
@@ -789,9 +1002,9 @@ def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
     if z <= 0.5:
         s, bits = _series_phq(a, b, c, z, "gauss_2f1")
         return s, bits * _LN2 + ln_front
-    connection, euler = _setup_2f1(a, b, c)
-    if connection is not None:
-        found = _connection_2f1(connection, w)
+    series, euler = _setup_2f1(a, b, c)
+    if series is not None:
+        found = _one_minus_z_2f1(series, w)
         if found is not None:
             return found[0], found[1] + ln_front
     if euler is not None:
@@ -805,15 +1018,15 @@ def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1.
 
-    Direct series for z in [0, 0.5]; for z in (0.5, 1) the z -> 1-z linear
-    transformation, unless its parameters are near the integer degeneracy or
-    its two terms, or the first terms of one of its series, cancel, in which
-    case the Euler integral (or, where that does not apply, the direct
+    Direct series for z in [0, 0.5]; for z in (0.5, 1) the z -> 1-z
+    transformation as one series in 1-z, with the poles at integer c-a-b
+    taken out analytically, so that it holds at every c-a-b; where its terms
+    cancel beyond a factor 500 (about 4e-13), or a Gamma function in it has
+    a pole, the Euler integral (or, where that does not apply, the direct
     series); every series raises ConvergenceError where its first terms
     cancel beyond 1e-12, which only a negative parameter allows.  The Pfaff
-    transformation maps z < 0
-    into [0, 1), handing on 1/(1-z) as the new argument's complement, so
-    that z/(z-1) rounding to 1 loses nothing.  A non-finite argument raises
+    transformation maps z < 0 into [0, 1), handing on 1/(1-z) as the new
+    argument's complement, so that z/(z-1) rounding to 1 loses nothing.  A non-finite argument raises
     DomainError; a value beyond the float range, or an Euler integral whose
     mass lies nearer t = 1 than the rule's nodes (1-z below about 1e-262 at
     c-b = 1, after the Pfaff step), raises ConvergenceError.

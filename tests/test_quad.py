@@ -97,13 +97,20 @@ def test_power_singularity_matches_reference():
     assert math.isclose(got, 10.0, rel_tol=1e-12)
 
 
+def _euler_2f1_at(z):
+    """2F1(12.5, 2.5; 14; z) by the Euler integral, which the 1-z series
+    takes over from at this cell, so that its tests call it directly."""
+    p, q, ln_euler = specfun._setup_2f1(12.5, 2.5, 14.0)[1]
+    return specfun._euler_2f1(p, q, 14.0, 1.0 - z, ln_euler)
+
+
 @pytest.mark.parametrize("z,settles_after_level_5", [(0.9, False), (1.0 - 1e-8, True)])
 def test_euler_integrand_matches_reference(monkeypatch, z, settles_after_level_5):
     # the kernel's integrand reads the cached exponent tables; the reference
     # takes the Euler integrand t^(q-1) (1-t)^(c-q-1) (1-t+tw)^-p w^-min(0, c-p-q)
     # of 2F1(12.5, 2.5; 14; z) straight from the nodes
     seen = _captured(monkeypatch, specfun, "tanhsinh_01")
-    specfun.gauss_2f1(12.5, 2.5, 14.0, z)
+    _euler_2f1_at(z)
     assert len(seen) == 1
     f, rel_tol, reach = seen[0]
     p, q, _ = specfun._setup_2f1(12.5, 2.5, 14.0)[1]
@@ -266,7 +273,7 @@ def test_euler_reach_on_the_fisher_rate_sweeps(monkeypatch, shape):
 
 @pytest.mark.parametrize("z", [0.9, 1.0 - 1e-8])
 def test_euler_reach_on_the_reference_cells(monkeypatch, z):
-    runs = _reach_runs(monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, z))
+    runs = _reach_runs(monkeypatch, lambda: _euler_2f1_at(z))
     assert len(runs) == 1 and _trimmed_against_full(runs) == 1
 
 
@@ -303,7 +310,7 @@ def test_euler_reach_on_edge_cells(monkeypatch, a, b, c):
 def test_euler_reach_trims_most_of_block_0(monkeypatch):
     # 2F1(12.5, 2.5; 14; 0.9) settles in block 0 on at most 160 of its 385 nodes
     ((f, rel_tol, reach, _),) = _reach_runs(
-        monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, 0.9))
+        monkeypatch, lambda: _euler_2f1_at(0.9))
     g, sizes = _counted(f)
     _quad.tanhsinh_01(g, rel_tol, reach)
     assert len(sizes) == 1 and sizes[0] <= 160
@@ -365,7 +372,7 @@ def test_trimmed_tables(block, lo, hi):
 
 def test_euler_memos_are_read_only(monkeypatch):
     # the Euler exponents of block 0 are kept per (a, b, c) and cut
-    ((_, _, _, cut),) = _reach_runs(monkeypatch, lambda: specfun.gauss_2f1(12.5, 2.5, 14.0, 0.9))
+    ((_, _, _, cut),) = _reach_runs(monkeypatch, lambda: _euler_2f1_at(0.9))
     p, q, _ = specfun._setup_2f1(12.5, 2.5, 14.0)[1]
     hits = specfun._euler_base0.cache_info().hits
     base = specfun._euler_base0(p, q, 14.0, *cut)

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from edsense import specfun
+from edsense import _memo, specfun
+from edsense.capacity import DelayQoS, eff_rate_f
 from edsense.channels import FisherFParams, KappaMuShadowedParams, f_cdf, kms_mgf
 from edsense.detection import DetectorConfig, auc_instant, prob_detect_instant
 from edsense.errors import ConvergenceError, DomainError
@@ -414,18 +415,20 @@ def test_gauss_2f1_route_consistency():
     (1.5, 2.5, 4.0, -0.5, "series"),
     (5.525, 4.057, 6.644, -9.0, "connection"),  # a Fisher rate cell at low SNR
     (1.5, 4.3, 5.7, -9.0, "connection"),
-    (12.5, 2.5, 14.0, -9.0, "euler"),
-    (2.5, 12.5, 14.0, -1e8, "euler"),
+    (12.5, 2.5, 14.0, -9.0, "connection"),
+    (2.5, 12.5, 14.0, -1e8, "connection"),
+    (1.528, 2.5, 14.128, -4.0, "euler"),  # beyond the 1-z series' reach
     (-3.5, 2.0, 4.25, -0.2, "series"),
 ])
 def test_gauss_2f1_pfaff_step_is_the_z_positive_core(monkeypatch, a, b, c, z, route):
     # at z < 0 the core returns w^-a 2F1(a, c-b; c; z/(z-1)) (w^-b and
-    # c-a for |a| > |b|) from its own z > 0 route, bit for bit
+    # c-a for |a| > |b|) from its own z > 0 route, bit for bit; "connection"
+    # is the 1-z series
     w = 1.0 - z
     routes = {}
-    for name in ("connection", "euler"):
-        real, routes[name] = getattr(specfun, f"_{name}_2f1"), []
-        monkeypatch.setattr(specfun, f"_{name}_2f1",
+    for name, fn in (("connection", "_one_minus_z_2f1"), ("euler", "_euler_2f1")):
+        real, routes[name] = getattr(specfun, fn), []
+        monkeypatch.setattr(specfun, fn,
                             lambda *args, real=real, seen=routes[name]: seen.append(1) or real(*args))
     got = specfun._gauss_2f1(a, b, c, z, w)
     taken = [name for name, seen in routes.items() if seen] or ["series"]
@@ -438,19 +441,25 @@ def test_gauss_2f1_pfaff_step_is_the_z_positive_core(monkeypatch, a, b, c, z, ro
         assert got == (s, ln_scale - b * math.log(w))
 
 
-def _connection_in_lists(connection, w):
-    """The 1-z formula's terms combined as lists: the largest log scale,
-    then each term scaled to it and summed in order."""
-    pieces = []
-    for p0, p1, q0, sign, ln, shift in connection:
-        s, bits = specfun._series_phq(p0, p1, q0, w, "gauss_2f1")
-        pieces.append((sign * s, ln + shift * math.log(w) + bits * math.log(2.0)))
-    top = max(ln for _, ln in pieces)
+def _connection_in_lists(a, b, c, w):
+    """The z -> 1-z formula with two 2F1 series (DLMF 15.8.4), each taken
+    as a series in w and combined as lists, a term whose 1/Gamma has a pole
+    left out, as (value, sum of the terms' sizes)."""
+    d = c - a - b
+    sign_c, ln_c = specfun._gamma_sign_ln(c)
     total = size = 0.0
-    for s, ln in pieces:
-        total += s * math.exp(ln - top)
-        size += abs(s * math.exp(ln - top))
-    return (total, top) if size <= specfun._MAX_CANCELLATION * abs(total) else None
+    for p0, p1, q0, args, shift in ((a, b, 1.0 - d, (d, c - a, c - b), 0.0),
+                                    (c - a, c - b, 1.0 + d, (-d, a, b), d)):
+        gammas = [specfun._gamma_sign_ln(x) for x in args]
+        if None in gammas[1:]:
+            continue
+        (s0, l0), (s1, l1), (s2, l2) = gammas
+        s, bits = specfun._series_phq(p0, p1, q0, w, "gauss_2f1")
+        term = sign_c * s0 * s1 * s2 * s * math.exp(
+            ln_c + l0 - l1 - l2 + shift * math.log(w) + bits * math.log(2.0))
+        total += term
+        size += abs(term)
+    return total, size
 
 
 @pytest.mark.parametrize("a,b,c", [
@@ -459,11 +468,22 @@ def _connection_in_lists(connection, w):
     (3.5, 1.2, 1.5),        # c-a = -2: the first term's 1/Gamma kills it
 ])
 def test_connection_2f1_combines_its_terms_as_before(a, b, c):
-    connection = specfun._setup_2f1(a, b, c)[0]
-    assert len(connection) == (1 if c - a == round(c - a) else 2)
+    # the 1-z series gives the two-term formula's value within 1e-13 of the
+    # two terms' size, whose rounding that formula keeps; at c-a = -2,
+    # Euler's transformation makes the series' a a pole of Gamma, so it is
+    # not set up and the Euler integral gives that value
+    series = specfun._setup_2f1(a, b, c)[0]
+    assert (series is None) == (c - a == round(c - a))
     for w in np.geomspace(1e-12, 0.5, 60).tolist():
-        got = specfun._connection_2f1(connection, w)
-        assert got is not None and got == _connection_in_lists(connection, w)
+        want, size = _connection_in_lists(a, b, c, w)
+        if series is None:
+            s, ln_scale = specfun._gauss_2f1(a, b, c, 1.0 - w, w)
+        elif w <= series[-1]:
+            s, ln_scale = specfun._one_minus_z_2f1(series, w)
+        else:
+            assert specfun._one_minus_z_2f1(series, w) is None
+            continue
+        assert abs(s * math.exp(ln_scale) - want) <= 1e-13 * size, w
 
 
 def test_gauss_2f1_large_negative_argument():
@@ -512,6 +532,107 @@ def test_gauss_2f1_where_the_two_term_formula_cancelled():
     assert math.isclose(got, 0.003157955010017805, rel_tol=1e-12)
 
 
+def _one_minus_z_value(a, b, c, w):
+    """2F1(a, b; c; 1-w) from the 1-z series alone, or None where it declines."""
+    found = specfun._one_minus_z_2f1(specfun._setup_2f1(a, b, c)[0], w)
+    return None if found is None else found[0] * math.exp(found[1])
+
+
+# Cells where c-a-b is an exact integer: 2F1(1, 1; 2; z) (c-a-b = 0), and
+# the Fisher rate moment's 2F1(m+m_s, m; m+m_s+A; z) at the verify shapes
+# (m, m_s, A) = (2, 3, 1) (c-a-b = -1) and (1, 10, 1) (c-a-b = 0).  Values
+# from mpmath 1.3.0 at mp.dps = 40, at w = 1-z of 0.1, 1e-3 and 1e-9.
+_INTEGER_D = [
+    ((1.0, 1.0, 2.0), (2.558427881104495, 6.914669948931068, 20.723265857669677)),
+    ((5.0, 2.0, 6.0), (29.99762593798216, 4902.947327253315, 4999999627.201347)),
+    ((11.0, 1.0, 12.0), (6.444054168294634, 44.36195916271598, 195.73727567586974)),
+]
+
+
+@pytest.mark.parametrize("abc,want", _INTEGER_D)
+def test_one_minus_z_series_at_integer_c_minus_a_minus_b(abc, want):
+    for w, ref in zip((0.1, 1e-3, 1e-9), want):
+        assert math.isclose(_one_minus_z_value(*abc, w), ref, rel_tol=1e-13), w
+
+
+# 2F1(1.5, 2.5; 5 + eps; 1-w) at w = 0.3 and 1e-4, from mpmath 1.3.0 at
+# mp.dps = 40: eps = +-1e-9, and eps on both sides of 0.05 and -0.05, where
+# the two-term formula used to stop and the Euler integral take over.
+_NEAR_INTEGER_D = [
+    (-1e-9, (2.1110982050254554, 5.417712784651657)),
+    (1e-9, (2.111098204201681, 5.417712775255353)),
+    (-0.0501, (2.1320864961089825, 5.665554009121645)),
+    (-0.0499, (2.132001285937208, 5.6645125802481475)),
+    (0.0499, (2.0908842520417683, 5.194505262919595)),
+    (0.0501, (2.090804578278496, 5.193653749700944)),
+]
+
+
+def test_one_minus_z_series_near_integer_c_minus_a_minus_b():
+    got = {}
+    for eps, want in _NEAR_INTEGER_D:
+        for w, ref in zip((0.3, 1e-4), want):
+            got[eps, w] = _one_minus_z_value(1.5, 2.5, 5.0 + eps, w)
+            assert math.isclose(got[eps, w], ref, rel_tol=1e-13), (eps, w)
+    # across the old edge the value moves by no more than its secant slope
+    # from eps = 0 to the edge allows over the 2e-4 between the two cells
+    for w in (0.3, 1e-4):
+        for lo, hi in ((-0.0501, -0.0499), (0.0499, 0.0501)):
+            edge = lo if lo > 0.0 else hi
+            secant = (got[edge, w] - got[1e-9, w]) / edge
+            assert abs(got[hi, w] - got[lo, w]) <= 1.5 * abs(secant) * 2e-4, (lo, w)
+
+
+@pytest.mark.parametrize("a,b,c", [(12.6, 2.5, 14.128), (5.525, 4.057, 6.644),
+                                   (4.2, 1.1, 6.1), (1.5, 2.5, 5.0)])
+def test_one_minus_z_series_agrees_with_the_euler_integral(a, b, c):
+    series, (p, q, ln_euler) = specfun._setup_2f1(a, b, c)
+    compared = 0
+    for w in np.geomspace(1e-6, 0.5, 40).tolist():
+        found = specfun._one_minus_z_2f1(series, w)
+        if found is None:
+            continue
+        s, ln_scale = specfun._euler_2f1(p, q, c, w, ln_euler)
+        assert math.isclose(found[0] * math.exp(found[1]), s * math.exp(ln_scale),
+                            rel_tol=1e-13), w
+        compared += 1
+    assert compared >= 20
+
+
+def test_one_minus_z_series_cold_and_warm_agree():
+    # the chunks and the reach are built in whatever order the points come;
+    # a cold value is the warm one bit for bit
+    cells = [(5.525, 4.057, 6.644, w) for w in (0.3, 1e-3, 0.05)] + [
+        (12.6, 2.5, 14.128, w) for w in (0.09, 1e-5)]
+    cold = [specfun._gauss_2f1(a, b, c, 1.0 - w, w) for a, b, c, w in cells]
+    warm = [specfun._gauss_2f1(a, b, c, 1.0 - w, w) for a, b, c, w in reversed(cells)]
+    assert cold == warm[::-1]
+    for cache in _memo.REGISTRY:
+        cache.cache_clear()
+    assert [specfun._gauss_2f1(a, b, c, 1.0 - w, w) for a, b, c, w in reversed(cells)] == warm
+
+
+def test_one_minus_z_memos_are_read_only():
+    series, _ = specfun._setup_2f1(5.525, 4.057, 6.644)
+    chunk = specfun._one_minus_z_chunk(*series[:4], 0)
+    assert isinstance(series, tuple) and isinstance(series[7], tuple)
+    assert isinstance(chunk, tuple) and all(isinstance(block, tuple) for block in chunk)
+    assert len(chunk) == specfun._CHUNK // specfun._BLOCK
+    assert all(isinstance(x, float) for block in chunk for x in block)
+
+
+def test_fisher_rate_m2_5_sweep_mostly_leaves_the_euler_integral(monkeypatch):
+    # the benchmark's rate-f-m2.5-ms10 shape over its 401 SNR points, -10 to
+    # 30 dB: the two-term formula's 0.05 window sent about 83% of them to the
+    # Euler integral; the 1-z series leaves it at most a quarter
+    calls = []
+    real = specfun._euler_2f1
+    monkeypatch.setattr(specfun, "_euler_2f1", lambda *args: calls.append(1) or real(*args))
+    for k in range(401):
+        eff_rate_f(FisherFParams(2.5, 10.0, 10.0 ** (-1.0 + k / 100.0)), DelayQoS(1.5))
+    assert len(calls) <= 0.25 * 401
+
+
 # Cells on which a series' first terms cancel; the parent of the head check
 # returned each silently off by the stated amount.  Values from mpmath 1.3.0
 # at mp.dps = 40.
@@ -545,14 +666,19 @@ def test_series_whose_head_cancels_is_right_or_raises(fn, args, want):
 
 
 def test_one_minus_z_piece_whose_head_cancels_takes_the_euler_integral():
-    # the 1-z formula's first piece is 2F1(-19.6, 24.7; 1-d; 0.46), whose
-    # first terms cancel beyond the check; the Euler integral applies.
-    # mpmath 1.3.0 (mp.dps = 40) gives 0.0002945807607519658
+    # the two-term 1-z formula's first piece is 2F1(-19.6, 24.7; 1-d; 0.46),
+    # whose first terms cancel beyond the head check, so that formula left
+    # this cell to the Euler integral.  The 1-z series sums it with a
+    # cancellation ratio of about 45, and both routes give mpmath 1.3.0's
+    # value (mp.dps = 40), 0.0002945807607519658
     a, b, c, z = -19.60141868904022, 24.67732332986363, 36.485947451890276, 0.5393994326025074
-    connection, euler = specfun._setup_2f1(a, b, c)
+    want = 0.0002945807607519658
+    series, euler = specfun._setup_2f1(a, b, c)
     assert euler is not None
-    assert specfun._connection_2f1(connection, 1.0 - z) is None
-    assert math.isclose(gauss_2f1(a, b, c, z), 0.0002945807607519658, rel_tol=1e-13)
+    for s, ln_scale in (specfun._one_minus_z_2f1(series, 1.0 - z),
+                        specfun._euler_2f1(euler[0], euler[1], c, 1.0 - z, euler[2])):
+        assert math.isclose(s * math.exp(ln_scale), want, rel_tol=1e-13)
+    assert math.isclose(gauss_2f1(a, b, c, z), want, rel_tol=1e-13)
 
 
 def test_series_head_is_empty_without_a_negative_parameter():
