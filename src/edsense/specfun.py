@@ -650,21 +650,22 @@ _BINET_TERMS = ((1, 1.0 / 12.0), (3, -1.0 / 360.0), (5, 1.0 / 1260.0), (7, -1.0 
 
 
 def _one_minus_z_start(a: float, b: float, n: int, eps: float):
-    """(E_0, B_0) of ``_one_minus_z_chunk`` times Gamma(n+1+eps), or None
-    where a+n, b+n or one of their shifts by eps is a Gamma pole.
+    """(E_0, B_0) of ``_one_minus_z_chunk`` times Gamma(n+1+eps), for a+n
+    and b+n clear of the Gamma function's poles.
 
     B_0 = -Gamma(1+eps) Gamma(1-eps) / Gamma(n+1+eps) and E_0 = -B_0 (r - 1)
     / eps, r = Gamma(n+1+eps) Gamma(a+n) Gamma(b+n) / (Gamma(1-eps) n!
     Gamma(a+n+eps) Gamma(b+n+eps)) = +-e^lam, lam / eps = g(n+1, eps) +
     g(1, -eps) - g(a+n, eps) - g(b+n, eps) (``_ln_gamma_quotient``): where
-    r > 0, E_0 = -B_0 expm1(lam) / eps, with no 1/eps to cancel.  The factor
+    r > 0, E_0 = -B_0 expm1(lam) / eps, with no 1/eps to cancel, and where
+    a+n+eps or b+n+eps is a pole, r = 0.  The factor
     Gamma(n+1+eps), which keeps them in range at large n, goes into K
     (``_setup_2f1``)."""
-    quotients = (_ln_gamma_quotient(a + n, eps), _ln_gamma_quotient(b + n, eps))
-    if None in quotients:
-        return None
-    (sign_a, g_a), (sign_b, g_b) = quotients
     b0 = -math.exp(math.lgamma(1.0 + eps) + math.lgamma(1.0 - eps))
+    quotients = (_ln_gamma_quotient(a + n, eps), _ln_gamma_quotient(b + n, eps))
+    if None in quotients:  # a+n+eps or b+n+eps is a pole: r = 0
+        return b0 / eps, b0
+    (sign_a, g_a), (sign_b, g_b) = quotients
     slope = _ln_gamma_quotient(n + 1.0, eps)[1] + _ln_gamma_quotient(1.0, -eps)[1] - g_a - g_b
     lam = eps * slope
     if sign_a == sign_b:
@@ -691,17 +692,24 @@ def _one_minus_z_chunk(a: float, b: float, n: int, eps: float, k: int) -> tuple:
     eps|: each factor (i+p)/(i+q) has q > -1 and is bounded by the larger of
     1 and its value at l, and each reciprocal falls.
     """
+    # where a+n+eps or b+n+eps is a pole, E_j = B_j / eps exactly, which
+    # the recurrence would give only up to its rounding
+    only_b = any(x <= 0.0 and x == round(x) for x in (a + n + eps, b + n + eps))
+
+    def step(j, *row):
+        e, bj, size_e, size_b = _one_minus_z_step(a, b, n, eps, j, *row)
+        return (bj / eps, bj, size_b / abs(eps), size_b) if only_b else (e, bj, size_e, size_b)
+
     if k == 0:
         e, bj = _one_minus_z_start(a, b, n, eps)
-        size_e, size_b = abs(e), abs(bj)
+        row = (e, bj, abs(e), abs(bj))
     else:
         last = _one_minus_z_chunk(a, b, n, eps, k - 1)[-1]
-        e, bj, size_e, size_b = _one_minus_z_step(
-            a, b, n, eps, k * _CHUNK - 1.0, *last[_BLOCK - 1:4 * _BLOCK:_BLOCK])
+        row = step(k * _CHUNK - 1.0, *last[_BLOCK - 1:4 * _BLOCK:_BLOCK])
     rows = []
     for j in range(k * _CHUNK, (k + 1) * _CHUNK):
-        rows.append((e, bj, size_e, size_b))
-        e, bj, size_e, size_b = _one_minus_z_step(a, b, n, eps, float(j), e, bj, size_e, size_b)
+        rows.append(row)
+        row = step(float(j), *row)
     blocks = []
     for i in range(0, _CHUNK, _BLOCK):
         l = k * _CHUNK + i + _BLOCK - 1.0
@@ -738,14 +746,17 @@ def _setup_2f1(a: float, b: float, c: float):
     (series, euler).
 
     ``series`` is the 1-z series' set-up (a, b, n, eps, shift, ln_scale,
-    factor, alphas, reach) for ``_one_minus_z_2f1``, or None where it meets
-    a Gamma pole.  Where d = c-a-b < -1/2, Euler's transformation 2F1(a, b;
+    factor, alphas, reach) for ``_one_minus_z_2f1``, or None where it cannot
+    be set up (below).  Where d = c-a-b < -1/2, Euler's transformation 2F1(a, b;
     c; z) = w^d 2F1(c-a, c-b; c; z) is taken first (shift = d); then d = n
     + eps with n = round(d) >= 0 and |eps| <= 1/2.  K = (-1)^n Gamma(c) /
     (Gamma(a) Gamma(b)) and alpha_k = Gamma(c) Gamma(d) (a)_k (b)_k /
     (Gamma(c-a) Gamma(c-b) (1-d)_k k!), k < n, are kept as factor = K
     e^-ln_scale / Gamma(n+1+eps) (``_one_minus_z_start``) and alphas, each
-    alpha_k e^-ln_scale, with ln_scale the larger of the two logs.  reach is
+    alpha_k e^-ln_scale, with ln_scale the larger of the two logs.  A pole
+    of Gamma(c-a) or Gamma(c-b) makes every alpha_k 0; one of Gamma(a) or
+    Gamma(b) makes K 0 and the value a polynomial in w of degree N = -a (or
+    -b), so that alphas runs to k = N (None where its (1-d)_k meets 0).  reach is
     the largest w at which the series is tried (``_one_minus_z_reach``; 1
     where no Euler integral could take over).  ``euler`` is (p, q, ln of
     Gamma(c) / (Gamma(q) Gamma(c-q))) for the Euler integral, or None where
@@ -767,21 +778,29 @@ def _setup_2f1(a: float, b: float, c: float):
     d = c - a - b
     n = round(d)
     eps = d - n
-    gammas = [_gamma_sign_ln(x) for x in (c, a, b, c - a, c - b)]
-    if None in gammas or _one_minus_z_start(a, b, n, eps) is None:
-        return None, euler
-    (sc, lc), (sa, la), (sb, lb), (s1, l1), (s2, l2) = gammas
-    ln_k = lc - la - lb - math.lgamma(n + 1.0 + eps)
-    ln_alpha = lc + math.lgamma(d) - l1 - l2 if n else -math.inf
+    g_c, g_a, g_b, g_ca, g_cb = (_gamma_sign_ln(x) for x in (c, a, b, c - a, c - b))
+    count, ln_k, ln_alpha = n, -math.inf, -math.inf
+    if g_a is None or g_b is None:
+        # K = 0: a polynomial in w of degree N, the first term of DLMF 15.8.4
+        count = round(-max(x for x, g in ((a, g_a), (b, g_b)) if g is None)) + 1
+        if eps == 0.0 and 1 <= n < count:
+            return None, euler  # its (1-d)_k meets 0
+    else:
+        ln_k = g_c[1] - g_a[1] - g_b[1] - math.lgamma(n + 1.0 + eps)
+    g_d = _gamma_sign_ln(d) if count else None
+    if g_ca is not None and g_cb is not None and g_d is not None:
+        ln_alpha = g_c[1] + g_d[1] - g_ca[1] - g_cb[1]
     ln_scale = max(ln_k, ln_alpha)
-    factor = (-1.0 if n % 2 else 1.0) * sc * sa * sb * math.exp(ln_k - ln_scale)
-    alphas = []
-    if n:
-        alpha = sc * s1 * s2 * math.exp(ln_alpha - ln_scale)
-        alphas.append(alpha)
-        for j in range(n - 1):
-            alpha *= (a + j) * (b + j) / ((1.0 - d + j) * (j + 1.0))
-            alphas.append(alpha)
+    if ln_scale == -math.inf:
+        return None, euler
+    factor = 0.0
+    if ln_k > -math.inf:
+        factor = (-1.0 if n % 2 else 1.0) * g_c[0] * g_a[0] * g_b[0] * math.exp(ln_k - ln_scale)
+    alphas = [0.0] * count
+    if ln_alpha > -math.inf:
+        alphas[0] = g_c[0] * g_d[0] * g_ca[0] * g_cb[0] * math.exp(ln_alpha - ln_scale)
+        for j in range(1, count):
+            alphas[j] = alphas[j - 1] * (a + j - 1.0) * (b + j - 1.0) / ((j - d) * j)
     series = (a, b, n, eps, shift, ln_scale, factor, tuple(alphas))
     return series + (_one_minus_z_reach(series) if euler else 1.0,), euler
 
@@ -948,6 +967,8 @@ def _one_minus_z_2f1(series, w: float):
         head_size += i * abs(t)
         p *= w
     kwn = factor * p
+    if not kwn:  # a polynomial in w, or a series part below the float range
+        return _one_minus_z_guard(head, head_size, ln_scale + shift * ln_w)
     akwn = abs(kwn)
     se = sb = size_e = size_b = 0.0
     p = 1.0
@@ -969,13 +990,19 @@ def _one_minus_z_2f1(series, w: float):
                 tail = (abs(e4 * p4) + al * tb) * q / (1.0 - q) + d * w * tb / ((1.0 - q) * (1.0 - q))
                 size = head_size + akwn * (size_e + al * size_b)
                 if akwn * tail <= _SERIES_TOL * size:
-                    total = head + kwn * (se + el * sb)
-                    if not (total and size <= _MAX_CANCELLATION * abs(total)):
-                        return None
-                    return total, ln_scale + shift * ln_w
+                    return _one_minus_z_guard(head + kwn * (se + el * sb), size,
+                                              ln_scale + shift * ln_w)
                 if not size < math.inf:
                     return None
     return None
+
+
+def _one_minus_z_guard(total: float, size: float, ln_scale: float):
+    """(total, ln_scale), or None where the size of the terms' rounding is
+    more than _MAX_CANCELLATION times the value (or the value is 0)."""
+    if not (total and size <= _MAX_CANCELLATION * abs(total)):
+        return None
+    return total, ln_scale
 
 
 def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
@@ -1020,13 +1047,14 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     Direct series for z in [0, 0.5]; for z in (0.5, 1) the z -> 1-z
     transformation as one series in 1-z, with the poles at integer c-a-b
-    taken out analytically, so that it holds at every c-a-b; where its terms
-    cancel beyond a factor 500 (about 4e-13), or a Gamma function in it has
-    a pole, the Euler integral (or, where that does not apply, the direct
-    series); every series raises ConvergenceError where its first terms
-    cancel beyond 1e-12, which only a negative parameter allows.  The Pfaff
-    transformation maps z < 0 into [0, 1), handing on 1/(1-z) as the new
-    argument's complement, so that z/(z-1) rounding to 1 loses nothing.  A non-finite argument raises
+    taken out analytically, so that it holds at every c-a-b (where a, b, c-a
+    or c-b is a pole of Gamma, a part of it vanishes); where its terms
+    cancel beyond a factor 500 (about 4e-13), the Euler integral (or, where
+    that does not apply, the direct series).  Every series raises
+    ConvergenceError where its first terms cancel beyond 1e-12, which only a
+    negative parameter allows.  The Pfaff transformation maps z < 0 into
+    [0, 1), handing on 1/(1-z) as the new argument's complement, so that
+    z/(z-1) rounding to 1 loses nothing.  A non-finite argument raises
     DomainError; a value beyond the float range, or an Euler integral whose
     mass lies nearer t = 1 than the rule's nodes (1-z below about 1e-262 at
     c-b = 1, after the Pfaff step), raises ConvergenceError.

@@ -469,20 +469,17 @@ def _connection_in_lists(a, b, c, w):
 ])
 def test_connection_2f1_combines_its_terms_as_before(a, b, c):
     # the 1-z series gives the two-term formula's value within 1e-13 of the
-    # two terms' size, whose rounding that formula keeps; at c-a = -2,
-    # Euler's transformation makes the series' a a pole of Gamma, so it is
-    # not set up and the Euler integral gives that value
+    # two terms' size, whose rounding that formula keeps.  At c-a = -2,
+    # Euler's transformation makes the series' a = -2, so 1/Gamma(a) kills
+    # its series part (factor 0) and it is the surviving term's polynomial
     series = specfun._setup_2f1(a, b, c)[0]
-    assert (series is None) == (c - a == round(c - a))
+    assert (series[6] == 0.0) == (c - a == round(c - a))
     for w in np.geomspace(1e-12, 0.5, 60).tolist():
         want, size = _connection_in_lists(a, b, c, w)
-        if series is None:
-            s, ln_scale = specfun._gauss_2f1(a, b, c, 1.0 - w, w)
-        elif w <= series[-1]:
-            s, ln_scale = specfun._one_minus_z_2f1(series, w)
-        else:
+        if w > series[-1]:
             assert specfun._one_minus_z_2f1(series, w) is None
             continue
+        s, ln_scale = specfun._one_minus_z_2f1(series, w)
         assert abs(s * math.exp(ln_scale) - want) <= 1e-13 * size, w
 
 
@@ -581,6 +578,26 @@ def test_one_minus_z_series_near_integer_c_minus_a_minus_b():
             edge = lo if lo > 0.0 else hi
             secant = (got[edge, w] - got[1e-9, w]) / edge
             assert abs(got[hi, w] - got[lo, w]) <= 1.5 * abs(secant) * 2e-4, (lo, w)
+
+
+# Cells where a Gamma function of the 1-z series has a pole, each one that
+# the two-term formula took with a term left out: 2F1(a, b; a; z) = (1-z)^-b
+# (c-a = 0 kills the polynomial part), and values from mpmath 1.3.0 at
+# mp.dps = 40 where a = -3 leaves only a polynomial in w, and where the
+# Pfaff or Euler step leads to b = -6, c-a = -5 or a = 0.
+_POLE_CELLS = [
+    ((0.5, 0.5, 0.5, 0.999), (1.0 - 0.999) ** -0.5),
+    ((2.5, 1.3, 2.5, 0.9), (1.0 - 0.9) ** -1.3),
+    ((-3.0, 7.0, 6.5, 0.9), -0.002982805429864253),
+    ((3.5, 7.0, 1.0, -5.0), -3.298964630676064e-05),
+    ((0.5, 7.0, -4.5, -1.5), 0.40532722756266665),
+    ((1.0, 3.5, 1.0, 0.999), 31622776601.683697),
+]
+
+
+@pytest.mark.parametrize("cell,want", _POLE_CELLS)
+def test_one_minus_z_series_where_a_gamma_function_has_a_pole(cell, want):
+    assert math.isclose(gauss_2f1(*cell), want, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("a,b,c", [(12.6, 2.5, 14.128), (5.525, 4.057, 6.644),
