@@ -658,9 +658,8 @@ def _one_minus_z_start(a: float, b: float, n: int, eps: float):
     Gamma(a+n+eps) Gamma(b+n+eps)) = +-e^lam, lam / eps = g(n+1, eps) +
     g(1, -eps) - g(a+n, eps) - g(b+n, eps) (``_ln_gamma_quotient``): where
     r > 0, E_0 = -B_0 expm1(lam) / eps, with no 1/eps to cancel, and where
-    a+n+eps or b+n+eps is a pole, r = 0.  The factor
-    Gamma(n+1+eps), which keeps them in range at large n, goes into K
-    (``_setup_2f1``)."""
+    a+n+eps or b+n+eps is a pole, r = 0.  The factor Gamma(n+1+eps), which
+    keeps them in range at large n, goes into K (``_setup_2f1``)."""
     b0 = -math.exp(math.lgamma(1.0 + eps) + math.lgamma(1.0 - eps))
     quotients = (_ln_gamma_quotient(a + n, eps), _ln_gamma_quotient(b + n, eps))
     if None in quotients:  # a+n+eps or b+n+eps is a pole: r = 0
@@ -747,20 +746,21 @@ def _setup_2f1(a: float, b: float, c: float):
 
     ``series`` is the 1-z series' set-up (a, b, n, eps, shift, ln_scale,
     factor, alphas, reach) for ``_one_minus_z_2f1``, or None where it cannot
-    be set up (below).  Where d = c-a-b < -1/2, Euler's transformation 2F1(a, b;
-    c; z) = w^d 2F1(c-a, c-b; c; z) is taken first (shift = d); then d = n
-    + eps with n = round(d) >= 0 and |eps| <= 1/2.  K = (-1)^n Gamma(c) /
+    be set up.  Where d = c-a-b < -1/2, Euler's transformation 2F1(a, b; c;
+    z) = w^d 2F1(c-a, c-b; c; z) is taken first (shift = d); then d = n +
+    eps with n = round(d) >= 0 and |eps| <= 1/2.  K = (-1)^n Gamma(c) /
     (Gamma(a) Gamma(b)) and alpha_k = Gamma(c) Gamma(d) (a)_k (b)_k /
     (Gamma(c-a) Gamma(c-b) (1-d)_k k!), k < n, are kept as factor = K
     e^-ln_scale / Gamma(n+1+eps) (``_one_minus_z_start``) and alphas, each
     alpha_k e^-ln_scale, with ln_scale the larger of the two logs.  A pole
     of Gamma(c-a) or Gamma(c-b) makes every alpha_k 0; one of Gamma(a) or
     Gamma(b) makes K 0 and the value a polynomial in w of degree N = -a (or
-    -b), so that alphas runs to k = N (None where its (1-d)_k meets 0).  reach is
-    the largest w at which the series is tried (``_one_minus_z_reach``; 1
-    where no Euler integral could take over).  ``euler`` is (p, q, ln of
-    Gamma(c) / (Gamma(q) Gamma(c-q))) for the Euler integral, or None where
-    neither ordering (p, q) of (a, b) has c > q > 0.
+    -b), so that alphas runs to k = N (None where its (1-d)_k meets 0).
+    reach is the largest w at which the series is tried
+    (``_one_minus_z_reach``; 1 where no Euler integral could take over).
+    ``euler`` is (p, q, ln of Gamma(c) / (Gamma(q) Gamma(c-q))) for the
+    Euler integral, or None where neither ordering (p, q) of (a, b) has
+    c > q > 0.
     """
     # Of the orderings (p, q) of (a, b) with c > q > 0, take one with q and
     # c - q at least 1 where there is one, which keeps the endpoint powers
@@ -967,42 +967,42 @@ def _one_minus_z_2f1(series, w: float):
         head_size += i * abs(t)
         p *= w
     kwn = factor * p
-    if not kwn:  # a polynomial in w, or a series part below the float range
-        return _one_minus_z_guard(head, head_size, ln_scale + shift * ln_w)
-    akwn = abs(kwn)
-    se = sb = size_e = size_b = 0.0
-    p = 1.0
-    for chunk in range(_MAX_TERMS // _CHUNK):
-        for (e0, e1, e2, e3, e4, b0, b1, b2, b3, b4, f0, f1, f2, f3, f4,
-             g0, g1, g2, g3, g4, r, d) in _one_minus_z_chunk(a, b, n, eps, chunk):
-            p1 = p * w
-            p2 = p1 * w
-            p3 = p2 * w
-            p4 = p3 * w
-            se += e0 * p + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4
-            sb += b0 * p + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4
-            size_e += f0 * p + f1 * p1 + f2 * p2 + f3 * p3 + f4 * p4
-            size_b += g0 * p + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
-            p = p4 * w
-            q = r * w
-            if q < 1.0:
-                tb = abs(b4 * p4)
-                tail = (abs(e4 * p4) + al * tb) * q / (1.0 - q) + d * w * tb / ((1.0 - q) * (1.0 - q))
-                size = head_size + akwn * (size_e + al * size_b)
-                if akwn * tail <= _SERIES_TOL * size:
-                    return _one_minus_z_guard(head + kwn * (se + el * sb), size,
-                                              ln_scale + shift * ln_w)
-                if not size < math.inf:
-                    return None
-    return None
-
-
-def _one_minus_z_guard(total: float, size: float, ln_scale: float):
-    """(total, ln_scale), or None where the size of the terms' rounding is
-    more than _MAX_CANCELLATION times the value (or the value is 0)."""
+    total, size = head, head_size  # where kwn is 0: a polynomial in w
+    if kwn:
+        akwn = abs(kwn)
+        se = sb = size_e = size_b = 0.0
+        p = 1.0
+        for chunk in range(_MAX_TERMS // _CHUNK):
+            for (e0, e1, e2, e3, e4, b0, b1, b2, b3, b4, f0, f1, f2, f3, f4,
+                 g0, g1, g2, g3, g4, r, d) in _one_minus_z_chunk(a, b, n, eps, chunk):
+                p1 = p * w
+                p2 = p1 * w
+                p3 = p2 * w
+                p4 = p3 * w
+                se += e0 * p + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4
+                sb += b0 * p + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4
+                size_e += f0 * p + f1 * p1 + f2 * p2 + f3 * p3 + f4 * p4
+                size_b += g0 * p + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
+                p = p4 * w
+                q = r * w
+                if q < 1.0:
+                    tb = abs(b4 * p4)
+                    tail = ((abs(e4 * p4) + al * tb) * q / (1.0 - q)
+                            + d * w * tb / ((1.0 - q) * (1.0 - q)))
+                    size = head_size + akwn * (size_e + al * size_b)
+                    if akwn * tail <= _SERIES_TOL * size:
+                        total = head + kwn * (se + el * sb)
+                        break
+                    if not size < math.inf:
+                        return None
+            else:
+                continue
+            break
+        else:
+            return None
     if not (total and size <= _MAX_CANCELLATION * abs(total)):
         return None
-    return total, ln_scale
+    return total, ln_scale + shift * ln_w
 
 
 def _gauss_2f1(a: float, b: float, c: float, z: float, w: float):
