@@ -94,6 +94,12 @@ def _ln_gamma_weight(z: float, y):
     return 0.5 * math.log(z / (2.0 * math.pi)) - z * (t - ln_ratio) - _binet(z)
 
 
+# Stirling's series for Binet's function, mu(z) = sum coef z^-m (``_binet``)
+_BINET_TERMS = ((1, 1.0 / 12.0), (3, -1.0 / 360.0), (5, 1.0 / 1260.0), (7, -1.0 / 1680.0),
+                (9, 1.0 / 1188.0), (11, -691.0 / 360360.0), (13, 1.0 / 156.0),
+                (15, -3617.0 / 122400.0))
+
+
 def _binet(z: float) -> float:
     """Binet's function mu(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2,
     the remainder of Stirling's formula, for z > 0.
@@ -109,9 +115,10 @@ def _binet(z: float) -> float:
         mu += (z + 0.5) * math.log1p(1.0 / z) - 1.0
         z += 1.0
     w = 1.0 / (z * z)
-    return mu + (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w * (
-        1.0 / 1680.0 - w * (1.0 / 1188.0 - w * (691.0 / 360360.0 - w * (
-            1.0 / 156.0 - w * 3617.0 / 122400.0))))))) / z
+    s = 0.0
+    for _, coef in reversed(_BINET_TERMS):
+        s = coef + w * s
+    return mu + s / z
 
 
 def _reg_lower_series(z: float, y: float) -> float:
@@ -643,12 +650,6 @@ def _log1p_quotient(u: float) -> float:
     return math.log1p(u) / u if u else 1.0
 
 
-# Binet's series mu(x) = sum coef x^-m, the terms of ``_binet``
-_BINET_TERMS = ((1, 1.0 / 12.0), (3, -1.0 / 360.0), (5, 1.0 / 1260.0), (7, -1.0 / 1680.0),
-                (9, 1.0 / 1188.0), (11, -691.0 / 360360.0), (13, 1.0 / 156.0),
-                (15, -3617.0 / 122400.0))
-
-
 def _one_minus_z_start(a: float, b: float, n: int, eps: float):
     """(E_0, B_0) of ``_one_minus_z_chunk`` times Gamma(n+1+eps), for a+n
     and b+n clear of the Gamma function's poles.
@@ -756,11 +757,16 @@ def _setup_2f1(a: float, b: float, c: float):
     of Gamma(c-a) or Gamma(c-b) makes every alpha_k 0; one of Gamma(a) or
     Gamma(b) makes K 0 and the value a polynomial in w of degree N = -a (or
     -b), so that alphas runs to k = N (None where its (1-d)_k meets 0).
+    The series is also None where alphas would be longer than _MAX_TERMS,
+    as every series is capped, or where a+n or b+n lies below -_MAX_TERMS,
+    from which ``_ln_gamma_quotient`` would shift up one step at a time.
     reach is the largest w at which the series is tried
     (``_one_minus_z_reach``; 1 where no Euler integral could take over).
     ``euler`` is (p, q, ln of Gamma(c) / (Gamma(q) Gamma(c-q))) for the
     Euler integral, or None where neither ordering (p, q) of (a, b) has
-    c > q > 0.
+    c > q > 0.  With s the smaller of q and c-q and x the other, that log is
+    s g(x, s) - ln Gamma(s) (``_ln_gamma_quotient``): three lgamma values
+    near c ln c would leave it about 1e-16 c ln c off.
     """
     # Of the orderings (p, q) of (a, b) with c > q > 0, take one with q and
     # c - q at least 1 where there is one, which keeps the endpoint powers
@@ -771,7 +777,8 @@ def _setup_2f1(a: float, b: float, c: float):
     euler = None
     if orderings:
         p, q = max(orderings, key=lambda pq: (min(pq[1], c - pq[1], 1.0), pq[1]))
-        euler = (p, q, math.lgamma(c) - math.lgamma(q) - math.lgamma(c - q))
+        small, big = sorted((q, c - q))
+        euler = (p, q, small * _ln_gamma_quotient(big, small)[1] - math.lgamma(small))
     shift = 0.0
     if c - a - b < -0.5:
         a, b, shift = c - a, c - b, c - a - b
@@ -785,8 +792,12 @@ def _setup_2f1(a: float, b: float, c: float):
         count = round(-max(x for x, g in ((a, g_a), (b, g_b)) if g is None)) + 1
         if eps == 0.0 and 1 <= n < count:
             return None, euler  # its (1-d)_k meets 0
+    elif min(a, b) + n < -_MAX_TERMS:
+        return None, euler
     else:
         ln_k = g_c[1] - g_a[1] - g_b[1] - math.lgamma(n + 1.0 + eps)
+    if count > _MAX_TERMS:
+        return None, euler
     g_d = _gamma_sign_ln(d) if count else None
     if g_ca is not None and g_cb is not None and g_d is not None:
         ln_alpha = g_c[1] + g_d[1] - g_ca[1] - g_cb[1]
@@ -1049,8 +1060,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     transformation as one series in 1-z, with the poles at integer c-a-b
     taken out analytically, so that it holds at every c-a-b (where a, b, c-a
     or c-b is a pole of Gamma, a part of it vanishes); where its terms
-    cancel beyond a factor 500 (about 4e-13), the Euler integral (or, where
-    that does not apply, the direct series).  Every series raises
+    cancel beyond a factor 500 (about 4e-13), or it would take more than
+    _MAX_TERMS terms, the Euler integral (or, where that does not apply, the
+    direct series).  Every series raises
     ConvergenceError where its first terms cancel beyond 1e-12, which only a
     negative parameter allows.  The Pfaff transformation maps z < 0 into
     [0, 1), handing on 1/(1-z) as the new argument's complement, so that

@@ -638,6 +638,38 @@ def test_one_minus_z_memos_are_read_only():
     assert all(isinstance(x, float) for block in chunk for x in block)
 
 
+# Cells whose 1-z series would need a polynomial part longer than the
+# _MAX_TERMS cap: c-a-b from 2e4 to 1e12, and a = -20000, where K = 0 leaves
+# a polynomial of degree 20000.  Each goes to the Euler integral, whose front
+# Gamma(c) / (Gamma(q) Gamma(c-q)) its parent took from three lgamma values
+# near c ln c and so was 2.9e-11, 5.0e-10 and 2.1e-3 off on the first three.
+# Values from mpmath 1.3.0 at mp.dps = 40: its direct series summed term by
+# term (hyp2f1 itself gives up at c this large), and hyp2f1 for the last.
+_BEYOND_THE_TERM_CAP = [
+    ((1.0, 1.0, 2e4, 0.9), 1.0000450040503444),
+    ((0.5, 0.25, 1e6, 0.99), 1.0000001237501148),
+    ((3.0, 4.0, 1e12, 0.7), 1.0000000000084),
+    ((-20000.0, 1.5, 3.25, 0.9), 1.1483967194967522e-06),
+]
+
+
+@pytest.mark.parametrize("cell,want", _BEYOND_THE_TERM_CAP)
+def test_one_minus_z_series_declines_a_polynomial_part_beyond_the_term_cap(cell, want):
+    assert specfun._setup_2f1(*cell[:3])[0] is None
+    assert math.isclose(gauss_2f1(*cell), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("cell", [(-20000.5, 20000.25, 1.0, 0.9),
+                                  (-1e9 + 0.5, 1e9 + 0.25, 1.0, 0.9)])
+def test_one_minus_z_series_declines_a_far_negative_parameter(cell):
+    # c-a-b = 1.25, so a+n is below -_MAX_TERMS, which the Gamma quotients
+    # of the series' first coefficient would walk up one step at a time.  No
+    # Euler ordering applies, and the direct series gives up within its cap.
+    assert specfun._setup_2f1(*cell[:3])[0] is None
+    with pytest.raises(ConvergenceError):
+        gauss_2f1(*cell)
+
+
 def test_fisher_rate_m2_5_sweep_mostly_leaves_the_euler_integral(monkeypatch):
     # the benchmark's rate-f-m2.5-ms10 shape over its 401 SNR points, -10 to
     # 30 dB: the two-term formula's 0.05 window sent about 83% of them to the
