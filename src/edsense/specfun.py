@@ -210,9 +210,14 @@ def beta(c1: float, c2: float) -> float:
 
 
 def ln_beta(c1: float, c2: float) -> float:
+    """ln B(c1, c2) = ln Gamma(s) - s g(x, s), with s the smaller argument, x
+    the larger and g the Gamma quotient (ln Gamma(x+s) - ln Gamma(x)) / s
+    (``_ln_gamma_quotient``): three lgamma values near (c1+c2) ln(c1+c2)
+    would leave it about 1e-16 (c1+c2) ln(c1+c2) off."""
     if not 0.0 < c1 < math.inf > c2 > 0.0:  # both finite and positive
         raise DomainError(f"beta requires finite positive arguments, got ({c1}, {c2})")
-    return math.lgamma(c1) + math.lgamma(c2) - math.lgamma(c1 + c2)
+    small, big = sorted((c1, c2))
+    return math.lgamma(small) - small * _ln_gamma_quotient(big, small)[1]
 
 
 def _ln_beta_front(a: float, b: float, x: float, y: float) -> float:

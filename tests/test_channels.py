@@ -115,6 +115,9 @@ def test_kms_pdf_far_from_the_mean(kappa, mu, m, mean, gamma, want):
 def test_kms_pdf_walks_only_its_window(monkeypatch):
     # q theta1 gamma = 30,297 at 10x the mean: the walk from j = 0 took about
     # 600 chunks' worth of terms, the window about 0.35 sqrt(q x) chunks
+    p = KappaMuShadowedParams(kappa=50.0, mu=60, m=30, mean_snr=10.0)
+    # the closed form takes this cell; [reference] as test_kms_pdf_far_from_the_mean
+    assert math.isclose(kms_pdf(p, 100.0), 1.082192006772221205e-90, rel_tol=1e-12)
     reads = []
     ratios = channels._pdf_ratios
 
@@ -123,7 +126,8 @@ def test_kms_pdf_walks_only_its_window(monkeypatch):
         return ratios(shape, k)
 
     monkeypatch.setattr(channels, "_pdf_ratios", counted)
-    kms_pdf(KappaMuShadowedParams(kappa=50.0, mu=60, m=30, mean_snr=10.0), 100.0)
+    monkeypatch.setattr(channels, "_MAX_SPREAD", 0.0)  # the closed form declines
+    kms_pdf(p, 100.0)
     assert len(set(reads)) == len(reads) <= 61
     assert min(reads) * channels._CHUNK > 0.9 * 30_297
 
@@ -137,6 +141,9 @@ def test_kms_pdf_head_certificate(monkeypatch, ln_tol, certified):
     # [reference] mpmath 1.3.0, dps 40, as test_kms_pdf_far_from_the_mean
     p = KappaMuShadowedParams(kappa=10.0, mu=3, m=2, mean_snr=10.0)
     monkeypatch.setattr(channels, "_LN_TOL", ln_tol)
+    # the closed form, which does not depend on _LN_TOL, takes this cell
+    assert math.isclose(kms_pdf(p, 60.0), 1.143477744972560777e-5, rel_tol=1e-12)
+    monkeypatch.setattr(channels, "_MAX_SPREAD", 0.0)  # the walk
     if certified:
         assert math.isclose(kms_pdf(p, 60.0), 1.143477744972560777e-5, rel_tol=1e-12)
     else:
@@ -180,20 +187,25 @@ def test_kms_pdf_window_stays_in_range(kappa):
                 assert abs(math.log(got) - want) <= 1e-7
 
 
-def test_kms_pdf_walk_is_capped():
+def test_kms_pdf_walk_is_capped(monkeypatch):
     # q theta1 gamma is about 1.5e14 and the window about 2e8 indices wide;
     # the walk stops with ConvergenceError once it passes 2^20 indices
     p = KappaMuShadowedParams(kappa=1e12, mu=3, m=2, mean_snr=1.0)
+    # the closed form gives the density there: [reference] mpmath 1.3.0 at
+    # dps 100, the partial-fraction sum of test_kms_closed_form.py
+    assert math.isclose(kms_pdf(p, 50.0), 7.440151951803537e-42, rel_tol=1e-12)
+    monkeypatch.setattr(channels, "_MAX_SPREAD", 0.0)  # the walk
     start = time.perf_counter()
     with pytest.raises(ConvergenceError):
         kms_pdf(p, 50.0)
     assert time.perf_counter() - start < 1.0
 
 
-def test_kms_pdf_walk_keeps_the_series_chunks():
+def test_kms_pdf_walk_keeps_the_series_chunks(monkeypatch):
     # a 955-chunk density walk (q theta1 gamma = 8e6) has a cache of its own,
     # so a warm Fisher rate point, whose 2F1 series share the series chunk
     # cache, still finds every chunk and set-up it needs
+    monkeypatch.setattr(channels, "_MAX_SPREAD", 0.0)  # the closed form takes the cell
     rate = (FisherFParams(m=2.5, m_s=10.1, mean_snr=10.0 ** -0.92), DelayQoS(1.528))
     eff_rate_f(*rate)
     kms_pdf(KappaMuShadowedParams(kappa=1e3, mu=1000, m=1, mean_snr=3.0), 24.0)
@@ -247,8 +259,11 @@ def test_kms_cdf_walks_only_its_window(monkeypatch):
         reads.append(k)
         return ratios(shape, k)
 
-    monkeypatch.setattr(channels, "_cdf_ratios", counted)
     p = KappaMuShadowedParams(kappa=50.0, mu=60, m=30, mean_snr=10.0)
+    # the closed form takes this cell; [reference] as test_kms_cdf_against_mpmath
+    assert abs(kms_cdf(p, 33.0) - 0.99999999999999992606) <= 2e-14
+    monkeypatch.setattr(channels, "_cdf_ratios", counted)
+    monkeypatch.setattr(channels, "_MAX_SPREAD", 0.0)  # the walk
     x = p.theta1 * 33.0
     kms_cdf(p, 33.0)
     width = math.sqrt(2.0 * channels._LN_TOL * x)
@@ -508,9 +523,21 @@ def test_f_pdf_and_cdf_need_a_normal_omega_gamma():
     for p, g in ((FisherFParams(0.5, 1000.0, 1e6), 1e-310),
                  (FisherFParams(3.0, 2.0, 1e-300), 1e300)):
         with pytest.raises(DomainError, match="normal floats"):
-            f_pdf(p, g)
-        with pytest.raises(DomainError, match="normal floats"):
             f_cdf(p, g)
+    with pytest.raises(DomainError, match="normal floats"):
+        f_pdf(FisherFParams(3.0, 2.0, 1e-300), 1e300)
+
+
+# [reference] mpmath 1.3.0 at dps 40, w^m g^(m-1) (1 + w g)^-(m+m_s) /
+# B(m, m_s) with w the float m / (m_s mean): (m + m_s) w g is subnormal,
+# where the first cell raised DomainError from the incomplete beta's front
+@pytest.mark.parametrize("m,m_s,mean,gamma,want", [
+    (0.5, 1000.0, 1e6, 1e-310, 3.9889241573506739031e+151),
+    (0.3, 0.2, 1.0, 1e-308, 5.8024416720096958991e+214),
+    (1.0, 2.5, 1e10, 1e-300, 9.999999999999999395e-11),
+])
+def test_f_pdf_where_omega_gamma_is_subnormal(m, m_s, mean, gamma, want):
+    assert math.isclose(f_pdf(FisherFParams(m, m_s, mean), gamma), want, rel_tol=1e-13)
 
 
 def test_f_cdf_median_monte_carlo():

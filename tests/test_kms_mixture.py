@@ -227,7 +227,13 @@ def test_kms_cdf_cache_cold_and_warm_agree():
                 assert math.isclose(rho, cdf[i + 1] / cdf[i] / (a + i + 1.0), rel_tol=1e-13)
 
 
-def test_kms_cdf_cache_stays_bounded():
+def test_kms_cdf_cache_stays_bounded(monkeypatch):
+    # the closed form takes every point from x = 5e5 down to about 10
+    # (1 - F = 0.0 at 5e5, far below e^-L); the walk's caches are checked
+    # with it off
+    p = _kms(2.0, 4, 2, 10.0)
+    assert kms_cdf(p, 5e5 / p.theta1) == 1.0
+    monkeypatch.setattr(channels, "_MAX_SPREAD", 0.0)
     for i in range(300):
         _cdf_sweep(_kms(1.0 + i * 1e-3, 3, 2, 10.0))
     for cache in (channels._cdf_ratios, channels._nb_cdf_start):
@@ -236,7 +242,6 @@ def test_kms_cdf_cache_stays_bounded():
     # a cached chunk holds _CHUNK ratios; at x ~ 5e5 kms_cdf reads the
     # chunks of its window, about 2 sqrt(2 L x) indices, and none from index
     # 0, and the cache keeps at most maxsize of them
-    p = _kms(2.0, 4, 2, 10.0)
     reads = []
     ratios = channels._cdf_ratios
 

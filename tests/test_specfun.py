@@ -130,6 +130,25 @@ def test_beta_values():
         beta(0.0, 1.0)
 
 
+# [reference] mpmath 1.3.0 at dps 40, log(beta(a, b)) and beta(a, b).  From
+# three lgamma values, the first three were 2.5e-13, 9.4e-10 and 7.2e-5
+# off, and (7.25, 1e15) 1.4e-2.
+@pytest.mark.parametrize("a,b,ln_want,want", [
+    (2.5, 3e4, -25.487761279748966421, 8.5271896120586585637e-12),
+    (1.0, 1e8, -18.420680743952365472, 1.0e-8),
+    (0.5, 1e12, -13.243145615039449017, 1.772453850905737584e-6),
+    (3e4, 2.5, -25.487761279748966421, 8.5271896120586585637e-12),
+    (7.25, 1e15, -243.35394341236395135, 2.0545902678037651644e-106),
+    (0.5, 0.5, 1.1447298858494001741, 3.1415926535897932385),
+    (0.001, 5.0, 6.905672657062074722, 997.91954523225459454),
+    (30.5, 40.25, -48.870479350654089165, 5.9678856083430215553e-22),
+    (0.1, 0.2, 2.6809784793469149048, 14.599371492764829092),
+])
+def test_ln_beta_and_beta_against_mpmath(a, b, ln_want, want):
+    assert math.isclose(ln_beta(a, b), ln_want, rel_tol=1e-13)
+    assert math.isclose(beta(a, b), want, rel_tol=1e-13)
+
+
 # ln(x^a y^b / B(a, b)), y = 1 - x, from mpmath 1.3.0 at mp.dps = 40: below
 # a + b = 30 the front factor is a ln x + b ln y - ln B(a, b), from 30 up
 # three Gamma weights; each is within 1e-14 (the weights were 1.4e-14 off at
