@@ -75,8 +75,6 @@ _LN2 = math.log(2.0)
 # A reach is bisected in ln(theta1 gamma) over [2^-20, 2^64] in 12 steps.
 _REACH_BRACKET = (-20.0 * _LN2, 64.0 * _LN2)
 _REACH_STEPS = 12
-# exp(x) overflows above about 709.78.
-_LN_OVERFLOW = 709.0
 # Draws handled at a time: the samplers draw their second Gamma factor in
 # blocks of this size, and ``oracle.mc_average`` applies its metric to them
 # in such blocks, so that neither holds more than one full-length array plus
@@ -193,7 +191,7 @@ def _ln_binomials(n: int, count: int) -> list:
     return out
 
 
-def _pf_sum(n: int, ln_abs: list, signs: list, shift: float, cumulative: bool) -> tuple:
+def _pf_sum(n: int, ln_abs: list, signs: list, cumulative: bool) -> tuple:
     """One sum of ``_partial_fractions``, sum_(k<n) w_k Pois(t; k), as (n,
     lgamma(n) below n = 30 else None, ln scale, terms): the terms are (k,
     w_k, s_k) from k = 0 up, w_k and its rounding size s_k scaled by
@@ -206,7 +204,7 @@ def _pf_sum(n: int, ln_abs: list, signs: list, shift: float, cumulative: bool) -
     sizes = list(map(abs, weights))
     if cumulative:
         weights, sizes = _running_sums(weights), _running_sums(sizes)
-    return (n, math.lgamma(n) if n < 30 else None, ln_scale + shift,
+    return (n, math.lgamma(n) if n < 30 else None, ln_scale,
             tuple(zip(map(float, range(n)), reversed(weights), reversed(sizes))))
 
 
@@ -250,12 +248,11 @@ def _closed_form(sums: tuple, x: float, y: float):
 def _reach(passes) -> float:
     """The least x = theta1 gamma at which a bisection in ln x, _REACH_STEPS
     steps over _REACH_BRACKET, finds ``passes(x)``; inf where it fails at
-    the bracket's top."""
+    the bracket's top.  At the bracket's foot both guards fail: f(0) = 0
+    for mu >= 2 cancels the density's terms, and 1 - F is near 1."""
     lo, hi = _REACH_BRACKET
     if not passes(math.exp(hi)):
         return math.inf
-    if passes(math.exp(lo)):
-        return math.exp(lo)
     for _ in range(_REACH_STEPS):
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if passes(math.exp(mid)) else (mid, hi)
@@ -291,8 +288,9 @@ def _partial_fractions(n1: int, n2: int, q: float, qc: float) -> tuple:
     ln_b = [c + l * ln_qc - (n1 + l) * ln_q for l, c in enumerate(_ln_binomials(n1, n2))]
     sign_a = [-1.0 if n2 % 2 else 1.0] * n1
     sign_b = [-1.0 if l % 2 else 1.0 for l in range(n2)]
-    pdf = (_pf_sum(n1, ln_a, sign_a, 0.0, False), _pf_sum(n2, ln_b, sign_b, ln_qc, False))
-    cdf = (_pf_sum(n1, ln_a, sign_a, 0.0, True), _pf_sum(n2, ln_b, sign_b, 0.0, True))
+    pdf = (_pf_sum(n1, ln_a, sign_a, False),
+           _pf_sum(n2, [v + ln_qc for v in ln_b], sign_b, False))  # qc b_k
+    cdf = (_pf_sum(n1, ln_a, sign_a, True), _pf_sum(n2, ln_b, sign_b, True))
 
     def tail_passes(x):
         ln_tail = _closed_form(cdf, x, qc * x)
@@ -395,9 +393,7 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
         if form[2] <= x < math.inf:
             ln_f = _closed_form(form[0], x, qc * x)
             if ln_f is not None:
-                ln_f += math.log(rate)
-                if ln_f < _LN_OVERFLOW:
-                    return math.exp(ln_f)
+                return math.exp(ln_f + math.log(rate))
     qx = q * x
     ln_scale = (r * math.log(qc) + math.log(rate) + (a - 1) * math.log(x)
                 - x - math.lgamma(a))
