@@ -161,8 +161,9 @@ def test_closed_form_answers_past_the_walks_index_cap():
 
 def test_closed_form_reads_no_walk_chunk(monkeypatch):
     # two cells of long walks: kms_cdf at theta1 gamma = 9e5 (kappa 2, mu 4,
-    # m 2, 10 dB; 13 ms a point by the walk) and kms_pdf at q theta1 gamma =
-    # 8e6 (mu = 1000; 7.4 ms); [reference] as test_kms_pdf_far_from_the_mean
+    # m 2, 10 dB; about 14 ms a point by the walk) and kms_pdf at q theta1
+    # gamma = 8e6 (mu = 1000; about 8 ms); [reference] as
+    # test_kms_pdf_far_from_the_mean
     reads = _walk_reads(monkeypatch)
     p = _kms(2.0, 4, 2, 10.0)
     assert kms_cdf(p, 9e5 / p.theta1) == 1.0
