@@ -67,11 +67,18 @@ _MAX_CHUNKS = _MAX_INDEX // _CHUNK
 # 2-60, m < mu, kappa 0.1-1000, mean 0.1-1000, gamma / mean 0.1-30) and 200
 # with mu 100-1000, its error stayed below 8.8e-15 per unit of spread
 # wherever the spread passed 16, so 64 keeps it within 5.7e-13.  The worst
-# accepted cells were 2.8e-13 off (density; at mu = 35, most of it the
-# rounding of theta2 gamma, which the walk shares) and 3.3e-13 (1 - F,
-# relative; F itself within 6.1e-15).
+# accepted cells were 2.8e-13 off (density) and 3.3e-13 (1 - F, relative;
+# F itself within 6.1e-15); at the worst density cell with mu <= 60 (2.7e-13,
+# mu = 35) most of the error is the rounding of theta2 gamma, which the walk
+# shares.
 _MAX_SPREAD = 64.0
 _LN2 = math.log(2.0)
+# The closed form is set up for mu up to _MAX_PF_ORDER: a shape keeps 4 mu
+# weights and sizes (about 0.3 MB at mu = 1000), and its set-up sums about
+# 30 mu terms and builds binomials of up to 0.3 mu digits.  The most recent
+# _PF_CACHED shapes are kept.
+_MAX_PF_ORDER = 1000
+_PF_CACHED = 64
 # A reach is bisected in ln(theta1 gamma) over [2^-20, 2^64] in 12 steps.
 _REACH_BRACKET = (-20.0 * _LN2, 64.0 * _LN2)
 _REACH_STEPS = 12
@@ -259,7 +266,7 @@ def _reach(passes) -> float:
     return math.exp(hi)
 
 
-@memo(_CACHED)
+@memo(_PF_CACHED)
 def _partial_fractions(n1: int, n2: int, q: float, qc: float) -> tuple:
     """(pdf, cdf, pdf reach, cdf reach): the closed form of the SNR law for
     integer n1 = mu - m >= 1 and n2 = m, with q > 0 and qc from
@@ -279,7 +286,11 @@ def _partial_fractions(n1: int, n2: int, q: float, qc: float) -> tuple:
     hold two sums of ``_pf_sum`` each, for ``_closed_form``.  Each reach is
     the x from which its guard passes (``_reach``): the density's, that
     ``_closed_form`` gives a value; the distribution function's, also that
-    1 - F <= 1/2.  A reach only spares the points below it the attempt."""
+    1 - F <= 1/2.  A reach only spares the points below it the attempt.
+    Past mu = n1 + n2 = _MAX_PF_ORDER both reaches are inf and nothing is
+    set up."""
+    if n1 + n2 > _MAX_PF_ORDER:
+        return None, None, math.inf, math.inf
     # ln q from qc where q > 1/2, and ln qc from q where qc > 1/2: log(q) of a
     # q near 1 keeps only eps of |ln q|, which n1 + n2 multiplies
     ln_q = math.log1p(-qc) if q > 0.5 else math.log(q)

@@ -172,6 +172,16 @@ def test_closed_form_reads_no_walk_chunk(monkeypatch):
     assert reads == []
 
 
+def test_closed_form_is_not_set_up_past_its_order(monkeypatch):
+    # mu = 1001: no weights are built, and the walk answers as before
+    # [reference] the partial-fraction sum in mpmath, as above
+    assert channels._partial_fractions(999, 1, 0.999, 0.001)[2] < math.inf
+    assert channels._partial_fractions(1000, 1, 0.999, 0.001) == (None, None, math.inf, math.inf)
+    reads = _walk_reads(monkeypatch)
+    got = kms_pdf(_kms(1e3, 1001, 1, 3.0), 3.0)
+    assert reads and math.isclose(got, 0.12274898430576521, rel_tol=1e-12)
+
+
 def test_closed_form_memo_is_bounded_and_read_only():
     assert channels._partial_fractions in _memo.REGISTRY
     assert channels._partial_fractions.cache_info().maxsize is not None
