@@ -267,10 +267,11 @@ def _reach(passes) -> float:
 
 
 @memo(_PF_CACHED)
-def _partial_fractions(n1: int, n2: int, q: float, qc: float) -> tuple:
-    """(pdf, cdf, pdf reach, cdf reach): the closed form of the SNR law for
-    integer n1 = mu - m >= 1 and n2 = m, with q > 0 and qc from
-    ``_gamma_mixture``, read-only, one per shape.
+def _partial_fractions(mu: int, m: int, kappa: float) -> tuple:
+    """(pdf, cdf, pdf reach, cdf reach, qc): the closed form of the SNR law
+    for integer mu > m and kappa > 0, read-only, one per shape, with n1 =
+    mu - m, n2 = m and q, qc as ``_gamma_mixture`` takes them.  It needs no
+    mean SNR, so kms_pdf and kms_cdf look it up before ``_gamma_mixture``.
 
     The partial fractions of the MGF (theta1/(theta1+s))^n1 (theta2 /
     (theta2+s))^n2, theta2 = qc theta1, give, with x = theta1 gamma and
@@ -287,10 +288,13 @@ def _partial_fractions(n1: int, n2: int, q: float, qc: float) -> tuple:
     the x from which its guard passes (``_reach``): the density's, that
     ``_closed_form`` gives a value; the distribution function's, also that
     1 - F <= 1/2.  A reach only spares the points below it the attempt.
-    Past mu = n1 + n2 = _MAX_PF_ORDER both reaches are inf and nothing is
-    set up."""
-    if n1 + n2 > _MAX_PF_ORDER:
-        return None, None, math.inf, math.inf
+    Past mu = _MAX_PF_ORDER, and where mu kappa overflows (qc = 0), both
+    reaches are inf and nothing is set up."""
+    d = mu * kappa + m
+    q, qc = mu * kappa / d, m / d
+    n1, n2 = mu - m, m
+    if mu > _MAX_PF_ORDER or not qc > 0.0:
+        return None, None, math.inf, math.inf, qc
     # ln q from qc where q > 1/2, and ln qc from q where qc > 1/2: log(q) of a
     # q near 1 keeps only eps of |ln q|, which n1 + n2 multiplies
     ln_q = math.log1p(-qc) if q > 0.5 else math.log(q)
@@ -308,7 +312,7 @@ def _partial_fractions(n1: int, n2: int, q: float, qc: float) -> tuple:
         return ln_tail is not None and ln_tail <= -_LN2
 
     return (pdf, cdf, _reach(lambda x: _closed_form(pdf, x, qc * x) is not None),
-            _reach(tail_passes))
+            _reach(tail_passes), qc)
 
 
 def _blocks(rho: np.ndarray):
@@ -395,16 +399,17 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
+    if p.kappa > 0.0 and p.mu > p.m:
+        form = _partial_fractions(p.mu, p.m, p.kappa)
+        x = p.theta1 * gamma
+        if form[2] <= x < math.inf:
+            ln_f = _closed_form(form[0], x, form[4] * x)
+            if ln_f is not None:
+                return math.exp(ln_f + math.log(p.theta1))
     a, rate, r, q, qc = _gamma_mixture(p)
     if gamma == 0.0:
         return rate if a == 1 else 0.0  # a = 1 only for mu = m = 1
     x = rate * gamma
-    if q > 0.0:
-        form = _partial_fractions(a - r, r, q, qc)
-        if form[2] <= x < math.inf:
-            ln_f = _closed_form(form[0], x, qc * x)
-            if ln_f is not None:
-                return math.exp(ln_f + math.log(rate))
     qx = q * x
     ln_scale = (r * math.log(qc) + math.log(rate) + (a - 1) * math.log(x)
                 - x - math.lgamma(a))
@@ -482,14 +487,15 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
-    a, rate, r, q, qc = _gamma_mixture(p)
-    x = rate * gamma
-    if q > 0.0:
-        form = _partial_fractions(a - r, r, q, qc)
+    if p.kappa > 0.0 and p.mu > p.m:
+        form = _partial_fractions(p.mu, p.m, p.kappa)
+        x = p.theta1 * gamma
         if form[3] <= x < math.inf:
-            ln_tail = _closed_form(form[1], x, qc * x)
+            ln_tail = _closed_form(form[1], x, form[4] * x)
             if ln_tail is not None and ln_tail <= -_LN2:
                 return -math.expm1(ln_tail)
+    a, rate, r, q, qc = _gamma_mixture(p)
+    x = rate * gamma
     if x > _MAX_INDEX:
         half = min(0.5 * gamma, sys.float_info.max / p.theta1)  # theta * half stays finite
         tail = sum(math.exp(_ln_poisson_tail(theta * half, k - 1, False))
