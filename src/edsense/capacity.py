@@ -145,17 +145,15 @@ def _ln_rate_moment_f(p: FisherFParams, a: float) -> float:
         m ln omega + ln B(m, m_s+A) - ln B(m, m_s)
             + ln 2F1(m+m_s, m; m+m_s+A; 1-omega).
 
-    omega goes to the 2F1 core as the argument's complement, so no digit of
-    it is lost to 1 - (1 - omega) at high SNR; the core's scale factor, which
-    carries the Pfaff front omega^-m at low SNR and the 1-z series'
-    omega^(A-m) at high SNR, is added in log space, so the moment may
-    underflow while its logarithm stays finite.  At low SNR ln M is a
-    difference of O(1) terms and keeps an absolute, not a relative, error of
-    about 1e-16 (8e-10 relative at -60 dB for m = 2, m_s = 3, A = 1).
+    omega, a normal float (``FisherFParams``), goes to the 2F1 core as the
+    argument's complement, so no digit of it is lost to 1 - (1 - omega) at high
+    SNR; the core's scale factor, which carries the Pfaff front omega^-m at low
+    SNR and the 1-z series' omega^(A-m) at high SNR, is added in log space, so
+    the moment may underflow while its logarithm stays finite.  At low SNR ln M
+    is a difference of O(1) terms and keeps an absolute, not a relative, error
+    of about 1e-16 (8e-10 relative at -60 dB for m = 2, m_s = 3, A = 1).
     """
     m, ms, omega = p.m, p.m_s, p.omega
-    if not 0.0 < omega < math.inf:
-        raise ConvergenceError(f"Fisher scale omega = {omega} outside the float range")
     hyp, ln_scale = _gauss_2f1(m + ms, m, m + ms + a, 1.0 - omega, omega)
     if hyp <= 0.0:
         raise ConvergenceError("hypergeometric factor of the rate moment not positive")

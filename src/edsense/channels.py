@@ -89,6 +89,14 @@ _REACH_STEPS = 12
 _DRAW_BLOCK = 1 << 16
 
 
+def _set_scales(params, **scales) -> None:
+    """Set the channel scales on the frozen ``params``, each a finite normal float."""
+    for name, value in scales.items():
+        if not sys.float_info.min <= value < math.inf:
+            raise DomainError(f"channel scale {name} = {value} is not a finite normal float")
+        object.__setattr__(params, name, value)
+
+
 @dataclass(frozen=True)
 class KappaMuShadowedParams:
     """Shadowed kappa-mu fading parameters (integer mu and m, mu >= m).
@@ -103,24 +111,29 @@ class KappaMuShadowedParams:
     mu: int
     m: int
     mean_snr: float
-    theta1: float = field(init=False)
-    theta2: float = field(init=False)
+    # derived once below; the scales theta1 and theta2 must be finite normal floats
+    theta1: float = field(init=False)  # mu (1 + kappa) / mean_snr
+    theta2: float = field(init=False)  # m theta1 / (mu kappa + m)
+    q: float = field(init=False)  # mu kappa / (mu kappa + m)
+    qc: float = field(init=False)  # m / (mu kappa + m), not 1 - q from a rounded q
 
     def __post_init__(self):
         if not 0.0 <= self.kappa < math.inf:
             raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if not 1 <= self.mu < math.inf or int(self.mu) != self.mu:
-            raise DomainError(f"mu must be a positive integer, got {self.mu}")
-        if not 1 <= self.m < math.inf or int(self.m) != self.m:
-            raise DomainError(f"m must be a positive integer, got {self.m}")
+        for name in ("mu", "m"):  # an integral float such as 2.0 is stored as an int
+            value = getattr(self, name)
+            if not 1 <= value < math.inf or int(value) != value:
+                raise DomainError(f"{name} must be a positive integer, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.mu < self.m:
             raise DomainError(f"mu >= m is required, got mu={self.mu}, m={self.m}")
         if not 0.0 < self.mean_snr < math.inf:
             raise DomainError(f"mean_snr must be finite and positive, got {self.mean_snr}")
         th1 = self.mu * (1.0 + self.kappa) / self.mean_snr
-        th2 = self.m * th1 / (self.mu * self.kappa + self.m)
-        object.__setattr__(self, "theta1", th1)
-        object.__setattr__(self, "theta2", th2)
+        d = self.mu * self.kappa + self.m  # finite, as theta1 is: qc > 0
+        _set_scales(self, theta1=th1, theta2=self.m * th1 / d)
+        object.__setattr__(self, "q", self.mu * self.kappa / d)
+        object.__setattr__(self, "qc", self.m / d)
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,7 @@ class FisherFParams:
     m: float
     m_s: float
     mean_snr: float
-    omega: float = field(init=False)
+    omega: float = field(init=False)  # m / (m_s mean_snr), a finite normal float
 
     def __post_init__(self):
         if not 0.0 < self.m < math.inf:
@@ -145,7 +158,8 @@ class FisherFParams:
             raise DomainError(f"m_s must be finite and positive, got {self.m_s}")
         if not 0.0 < self.mean_snr < math.inf:
             raise DomainError(f"mean_snr must be finite and positive, got {self.mean_snr}")
-        object.__setattr__(self, "omega", self.m / (self.m_s * self.mean_snr))
+        den = self.m_s * self.mean_snr  # 0.0 where the product underflows
+        _set_scales(self, omega=self.m / den if den else math.inf)
 
     @property
     def has_finite_mean(self) -> bool:
@@ -165,15 +179,14 @@ def _gamma_mixture(p: KappaMuShadowedParams) -> tuple[int, float, int, float, fl
     P[N = j] = C(r+j-1, j) qc^r q^j, qc = 1 - q.
 
     A Gamma(m, theta2) variate is Gamma(m + N, theta1) with N ~ NB(m, q),
-    q = 1 - theta2/theta1 = mu kappa / (mu kappa + m), so the sum of the two
-    factors is a Gamma(mu + N, theta1) mixture.  For mu = m only the second
-    factor is present, and N = 0.  qc = m / (mu kappa + m) comes from the
-    parameters, not as 1 - q from a rounded q, which would cost it eps / qc.
+    q = 1 - theta2/theta1, so the sum of the two factors is a Gamma(mu + N,
+    theta1) mixture, with the parameters' q = mu kappa / (mu kappa + m) and
+    qc = m / (mu kappa + m), not 1 - q from a rounded q, which would cost it
+    eps / qc.  For mu = m only the second factor is present, and N = 0.
     """
     if p.mu == p.m:
         return p.m, p.theta2, p.m, 0.0, 1.0
-    d = p.mu * p.kappa + p.m
-    return p.mu, p.theta1, p.m, p.mu * p.kappa / d, p.m / d
+    return p.mu, p.theta1, p.m, p.q, p.qc
 
 
 def _running_sums(values: list) -> list:
@@ -267,11 +280,11 @@ def _reach(passes) -> float:
 
 
 @memo(_PF_CACHED)
-def _partial_fractions(mu: int, m: int, kappa: float) -> tuple:
-    """(pdf, cdf, pdf reach, cdf reach, qc): the closed form of the SNR law
-    for integer mu > m and kappa > 0, read-only, one per shape, with n1 =
-    mu - m, n2 = m and q, qc as ``_gamma_mixture`` takes them.  It needs no
-    mean SNR, so kms_pdf and kms_cdf look it up before ``_gamma_mixture``.
+def _partial_fractions(mu: int, m: int, q: float, qc: float) -> tuple:
+    """(pdf, cdf, pdf reach, cdf reach): the closed form of the SNR law for
+    integer mu > m and kappa > 0, read-only, one per shape, with n1 = mu - m,
+    n2 = m and the parameters' q and qc.  It needs no mean SNR, so kms_pdf
+    and kms_cdf look it up before ``_gamma_mixture``.
 
     The partial fractions of the MGF (theta1/(theta1+s))^n1 (theta2 /
     (theta2+s))^n2, theta2 = qc theta1, give, with x = theta1 gamma and
@@ -288,13 +301,10 @@ def _partial_fractions(mu: int, m: int, kappa: float) -> tuple:
     the x from which its guard passes (``_reach``): the density's, that
     ``_closed_form`` gives a value; the distribution function's, also that
     1 - F <= 1/2.  A reach only spares the points below it the attempt.
-    Past mu = _MAX_PF_ORDER, and where mu kappa overflows (qc = 0), both
-    reaches are inf and nothing is set up."""
-    d = mu * kappa + m
-    q, qc = mu * kappa / d, m / d
+    Past mu = _MAX_PF_ORDER both reaches are inf and nothing is set up."""
     n1, n2 = mu - m, m
-    if mu > _MAX_PF_ORDER or not qc > 0.0:
-        return None, None, math.inf, math.inf, qc
+    if mu > _MAX_PF_ORDER:
+        return None, None, math.inf, math.inf
     # ln q from qc where q > 1/2, and ln qc from q where qc > 1/2: log(q) of a
     # q near 1 keeps only eps of |ln q|, which n1 + n2 multiplies
     ln_q = math.log1p(-qc) if q > 0.5 else math.log(q)
@@ -312,7 +322,7 @@ def _partial_fractions(mu: int, m: int, kappa: float) -> tuple:
         return ln_tail is not None and ln_tail <= -_LN2
 
     return (pdf, cdf, _reach(lambda x: _closed_form(pdf, x, qc * x) is not None),
-            _reach(tail_passes), qc)
+            _reach(tail_passes))
 
 
 def _blocks(rho: np.ndarray):
@@ -400,16 +410,16 @@ def kms_pdf(p: KappaMuShadowedParams, gamma: float) -> float:
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if p.kappa > 0.0 and p.mu > p.m:
-        form = _partial_fractions(p.mu, p.m, p.kappa)
+        form = _partial_fractions(p.mu, p.m, p.q, p.qc)
         x = p.theta1 * gamma
         if form[2] <= x < math.inf:
-            ln_f = _closed_form(form[0], x, form[4] * x)
+            ln_f = _closed_form(form[0], x, p.qc * x)
             if ln_f is not None:
                 return math.exp(ln_f + math.log(p.theta1))
     a, rate, r, q, qc = _gamma_mixture(p)
-    if gamma == 0.0:
-        return rate if a == 1 else 0.0  # a = 1 only for mu = m = 1
     x = rate * gamma
+    if x == 0.0:
+        return rate if a == 1 else 0.0  # a = 1 only for mu = m = 1
     qx = q * x
     ln_scale = (r * math.log(qc) + math.log(rate) + (a - 1) * math.log(x)
                 - x - math.lgamma(a))
@@ -476,7 +486,9 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     Past x = _MAX_INDEX the result is 1.0 where 1 - F is at most e^-L by the
     bound Q(mu-m, theta1 gamma/2) + Q(m, theta2 gamma/2) (one of the two
     Gamma factors passes gamma/2), each Q(k, y) = P[Poisson(y) <= k-1]
-    bounded by ``_ln_poisson_tail``, and ConvergenceError elsewhere.
+    bounded by ``_ln_poisson_tail``, and ConvergenceError elsewhere.  Where
+    the walk fails, the result is 0.0 if F <= P(m, theta2 gamma), the law of
+    the second factor alone, is below e^-746 by the same bound.
 
     Before both, for mu > m and kappa > 0, the closed form of 1 - F
     (``_partial_fractions``) is tried from the distribution function's reach
@@ -488,10 +500,10 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if p.kappa > 0.0 and p.mu > p.m:
-        form = _partial_fractions(p.mu, p.m, p.kappa)
+        form = _partial_fractions(p.mu, p.m, p.q, p.qc)
         x = p.theta1 * gamma
         if form[3] <= x < math.inf:
-            ln_tail = _closed_form(form[1], x, form[4] * x)
+            ln_tail = _closed_form(form[1], x, p.qc * x)
             if ln_tail is not None and ln_tail <= -_LN2:
                 return -math.expm1(ln_tail)
     a, rate, r, q, qc = _gamma_mixture(p)
@@ -504,15 +516,20 @@ def kms_cdf(p: KappaMuShadowedParams, gamma: float) -> float:
             return 1.0
         raise ConvergenceError(
             f"kms_cdf needs about {x:.3g} mixture indices, more than {_MAX_INDEX}")
-    if gamma == 0.0:
+    if x == 0.0:
         return 0.0
     lo = max(0, math.floor(x - math.sqrt(2.0 * _LN_TOL * x)) - a) // _BLOCK * _BLOCK
     top = max(0, math.floor(x) - a) // _CHUNK  # top _CHUNK >= lo: lo > 0 needs x > 2 L
 
     ln_scale = (_ln_gamma_weight(a + top * _CHUNK + 1.0, x) - math.log(x)
                 + _nb_cdf_start(r, q, qc, top)[0])
-    return min(1.0, _mixture_sum(_cdf_ratios, (a, r, q, qc), x, lo, top, ln_scale,
-                                 (a + lo) / x if lo else 0.0))
+    try:
+        return min(1.0, _mixture_sum(_cdf_ratios, (a, r, q, qc), x, lo, top, ln_scale,
+                                     (a + lo) / x if lo else 0.0))
+    except ConvergenceError:
+        if _ln_poisson_tail(p.theta2 * gamma, p.m, True) < _LN_UNDERFLOW:
+            return 0.0
+        raise
 
 
 def kms_sample(p: KappaMuShadowedParams, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -45,11 +45,11 @@ class SweepConfig:
     """Validated run configuration shared by all subcommands."""
 
     command: str
-    channel: str | None
-    kappa: float | None
-    mu: int | None
-    m: float | None
-    ms: float | None
+    channel: str | None = None
+    kappa: float | None = None
+    mu: int | None = None
+    m: float | None = None
+    ms: float | None = None
     snr_db: list[float] = field(default_factory=list)
     u: int = 2
     a_exponent: float = 1.0
@@ -66,15 +66,11 @@ class SweepConfig:
         if self.channel == "kms":
             if self.kappa is None or self.mu is None or self.m is None:
                 raise DomainError("kms channel needs --kappa, --mu and --m")
-            if self.m != int(self.m):
-                raise DomainError(f"kms channel needs integer m, got {self.m}")
-            return KappaMuShadowedParams(kappa=self.kappa, mu=int(self.mu),
-                                         m=int(self.m), mean_snr=snr_linear)
+            return KappaMuShadowedParams(self.kappa, self.mu, self.m, snr_linear)
         if self.channel == "fisher":
             if self.m is None or self.ms is None:
                 raise DomainError("fisher channel needs --m and --ms")
-            return FisherFParams(m=float(self.m), m_s=float(self.ms),
-                                 mean_snr=snr_linear)
+            return FisherFParams(self.m, self.ms, snr_linear)
         raise DomainError("--channel must be 'kms' or 'fisher'")
 
 
@@ -107,55 +103,52 @@ def _attach_negative_snr(argv: list[str]) -> list[str]:
     return out
 
 
+def _integer(value) -> int:
+    """int(value) of a flag's text or a --json number, refusing a
+    non-integral number such as 2.5 rather than running it as 2."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+# Every field that a flag --name (with - for _) or --json may set, as (name,
+# type, help); a, or theta_exp with block_t and bandwidth, sets a_exponent.
+_FIELDS = (
+    ("channel", str, "kms or fisher"),
+    ("kappa", float, None),
+    ("mu", _integer, None),
+    ("m", float, None),
+    ("ms", float, None),
+    ("snr_db", lambda value: _parse_snr(str(value)),
+     "average SNR in dB: a value or start:stop:step"),
+    ("u", _integer, "time-bandwidth product"),
+    ("a", float, "delay-QoS exponent A"),
+    ("theta_exp", float, "delay exponent Theta (folded into A with --block-t --bandwidth)"),
+    ("block_t", float, "block duration T"),
+    ("bandwidth", float, "bandwidth B"),
+    ("pf_points", _integer, None),
+    ("pf_min", float, None),
+    ("pf_max", float, None),
+    ("tol", float, "series truncation tolerance"),
+    ("seed", _integer, None),
+    ("points", _integer, "rows in the pdf table"),
+    ("mc_samples", _integer, "Monte Carlo samples in verify mode"),
+    ("out", str, "output path, or - for stdout"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edsense",
         description="Energy-detection and effective-rate metrics over "
                     "kappa-mu shadowed and Fisher-Snedecor F fading channels")
     parser.add_argument("command", choices=_RUNNERS)
-    parser.add_argument("--channel", choices=("kms", "fisher"))
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--mu", type=int)
-    parser.add_argument("--m", type=float)
-    parser.add_argument("--ms", type=float)
-    parser.add_argument("--snr-db", dest="snr_db",
-                        help="average SNR in dB: a value or start:stop:step")
-    parser.add_argument("--u", type=int, help="time-bandwidth product")
-    parser.add_argument("--a", type=float, help="delay-QoS exponent A")
-    parser.add_argument("--theta-exp", type=float,
-                        help="delay exponent Theta (folded into A with --block-t --bandwidth)")
-    parser.add_argument("--block-t", type=float, help="block duration T")
-    parser.add_argument("--bandwidth", type=float, help="bandwidth B")
-    parser.add_argument("--pf-points", type=int)
-    parser.add_argument("--pf-min", type=float)
-    parser.add_argument("--pf-max", type=float)
-    parser.add_argument("--tol", type=float, help="series truncation tolerance")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--points", type=int, help="rows in the pdf table")
-    parser.add_argument("--mc-samples", type=int,
-                        help="Monte Carlo samples in verify mode")
-    parser.add_argument("--out", help="output path, or - for stdout")
+    for name, _, text in _FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), help=text)
     parser.add_argument("--json",
                         help="JSON file with the same field names; explicit "
                              "flags take precedence")
     return parser
-
-
-def _integer(value) -> int:
-    """int(value), refusing a non-integral number such as 2.5 from --json
-    rather than running it as 2, as the flags' int type does."""
-    if isinstance(value, float) and not value.is_integer():
-        raise DomainError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-_OPTION_TYPES = dict(u=_integer, pf_points=_integer, pf_min=float, pf_max=float,
-                     tol=float, seed=_integer, points=_integer,
-                     mc_samples=_integer, out=str)
-# The other fields a flag or --json may set, read as these types.
-_PARAM_TYPES = dict(kappa=float, mu=_integer, m=float, ms=float,
-                    snr_db=lambda value: _parse_snr(str(value)), a=float,
-                    theta_exp=float, block_t=float, bandwidth=float)
 
 
 def _typed(key: str, cast, value):
@@ -177,28 +170,16 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     merged.update((key, val) for key, val in vars(args).items() if val is not None)
 
     # flags and JSON fields that are left out keep the SweepConfig defaults
-    options = {key: _typed(key, cast, merged[key])
-               for key, cast in _OPTION_TYPES.items() if key in merged}
-    params = {key: _typed(key, cast, merged[key])
-              for key, cast in _PARAM_TYPES.items() if key in merged}
-
-    a = params.get("a")
-    if "theta_exp" in params:
-        if "block_t" not in params or "bandwidth" not in params:
+    given = {key: _typed(key, cast, merged[key]) for key, cast, _ in _FIELDS if key in merged}
+    a, theta_exp, block_t, bandwidth = (given.pop(key, None)
+                                        for key in ("a", "theta_exp", "block_t", "bandwidth"))
+    if theta_exp is not None:
+        if block_t is None or bandwidth is None:
             raise DomainError("--theta-exp requires --block-t and --bandwidth")
-        a = params["theta_exp"] * params["block_t"] * params["bandwidth"] / math.log(2.0)
+        a = theta_exp * block_t * bandwidth / math.log(2.0)
     if a is not None:
-        options["a_exponent"] = a
-    cfg = SweepConfig(
-        command=args.command,
-        channel=merged.get("channel"),
-        kappa=params.get("kappa"),
-        mu=params.get("mu"),
-        m=params.get("m"),
-        ms=params.get("ms"),
-        snr_db=params.get("snr_db", []),
-        **options,
-    )
+        given["a_exponent"] = a
+    cfg = SweepConfig(command=args.command, **given)
     if cfg.command != "verify" and cfg.channel is None:
         raise DomainError(f"{cfg.command} requires --channel")
     if cfg.command in ("croc", "pdf") and len(cfg.snr_db) != 1:

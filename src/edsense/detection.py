@@ -523,28 +523,23 @@ def _roc_miss(pmf: np.ndarray, u: int) -> float:
     return math.fsum(p * w for p, w in zip(pmf.tolist(), _roc_weights(u)))
 
 
-def _auc_from_pmf(pmf: np.ndarray, u: int) -> float:
-    """The ROC area A = 1 - ``_roc_miss``."""
-    return 1.0 - _roc_miss(pmf, u)
-
-
 def auc_instant(cfg: DetectorConfig, gamma: float) -> float:
     """Area under the ROC at instantaneous SNR ``gamma``; lies in [1/2, 1].
     The Poisson(gamma/2) pmf is a point mass at gamma = 0, where A = 1/2."""
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     pmf = _poisson_terms(0, gamma / 2.0, cfg.u) if gamma > 0.0 else np.ones(1)
-    return _auc_from_pmf(pmf, cfg.u)
+    return 1.0 - _roc_miss(pmf, cfg.u)
 
 
 def avg_auc_kms(p: KappaMuShadowedParams, cfg: DetectorConfig) -> float:
     """Average area under the ROC over shadowed kappa-mu fading."""
-    return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
+    return 1.0 - _roc_miss(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
 
 
 def avg_auc_f(p: FisherFParams, cfg: DetectorConfig) -> float:
     """Average area under the ROC over Fisher-Snedecor fading."""
-    return _auc_from_pmf(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
+    return 1.0 - _roc_miss(_poisson_pmf(p, cfg.u, 0.5), cfg.u)
 
 
 # Largest matrix, in bytes, that _croc_operator keeps (a 50-point grid's is

@@ -75,6 +75,66 @@ def test_fisher_params_validation(kwargs):
         FisherFParams(**kwargs)
 
 
+# Each of these was accepted, with a channel scale outside the normal float
+# range, and then met a different fate downstream (listed per cell).
+@pytest.mark.parametrize("make,args", [
+    # mu kappa = inf: kms_pdf ValueError, kms_cdf ConvergenceError
+    (KappaMuShadowedParams, (1e308, 2, 1, 1.0)),
+    # theta1 = theta2 = inf: avg_pd_kms and avg_auc_kms NaN, eff_rate_kms
+    # 1.6e-16 where the rate is about 6.1e-277, croc_curve "pmd nan..nan"
+    (KappaMuShadowedParams, (1.1e233, 1, 1, 4.2e-277)),
+    # kappa = 0, theta1 = 2e-308 is subnormal
+    (KappaMuShadowedParams, (0.0, 2, 2, 1e308)),
+    # omega = inf: eff_rate_f ConvergenceError, f_pdf DomainError at x = nan,
+    # avg_pd_f OverflowError
+    (FisherFParams, (2.0, 3.0, 1e-320)),
+    # omega = 0: eff_rate_f ConvergenceError, avg_auc_f ValueError
+    (FisherFParams, (2.0, 3.0, 1e308)),
+    # m_s mean_snr underflows to 0: ZeroDivisionError
+    (FisherFParams, (2.0, 1e-200, 1e-200)),
+])
+def test_params_refuse_scales_outside_the_normal_range(make, args):
+    with pytest.raises(DomainError, match="not a finite normal float"):
+        make(*args)
+
+
+def test_kms_params_type_and_derive_once():
+    p = KappaMuShadowedParams(kappa=2.0, mu=3, m=2, mean_snr=8.0)
+    assert (p.q, p.qc) == (6.0 / 8.0, 2.0 / 8.0)
+    assert channels._gamma_mixture(p) == (3, p.theta1, 2, p.q, p.qc)
+    # integral floats are kept as ints, where kms_pdf and kms_cdf raised TypeError
+    f = KappaMuShadowedParams(2.0, 60.0, 30.0, 10.0)
+    assert type(f.mu) is type(f.m) is int and f == KappaMuShadowedParams(2.0, 60, 30, 10.0)
+    assert kms_pdf(f, 5.0) > 0.0 and kms_cdf(f, 5.0) > 0.0
+    # kappa = 0 keeps the largest mean at which theta1 = mu / mean is normal
+    assert KappaMuShadowedParams(0.0, 2, 2, 2.0 / sys.float_info.min).theta1 == sys.float_info.min
+
+
+def test_kms_pdf_and_cdf_where_theta1_gamma_underflows():
+    # both raised ValueError ("math domain error") from ln(theta1 gamma) = ln 0
+    p = KappaMuShadowedParams(2.0, 4, 2, 1e300)
+    assert kms_pdf(p, 1e-300) == 0.0
+    assert kms_cdf(p, 1e-300) == 0.0
+
+
+def test_kms_cdf_below_the_float_range():
+    # F <= P(m, theta2 gamma) < e^-5900, m = 999 and theta2 gamma = 0.999; the
+    # walk's terms overflow relative to the first, and kms_cdf raised
+    # ConvergenceError
+    p = KappaMuShadowedParams(1e3, 1000, 999, 1.0)
+    assert kms_cdf(p, 1e-3) == 0.0
+    assert kms_pdf(p, 1e-3) == 0.0
+
+
+def test_kms_cdf_reraises_a_failed_walk_where_f_may_be_normal(monkeypatch):
+    def failed_walk(*args):
+        raise ConvergenceError("walk failed")
+
+    monkeypatch.setattr(channels, "_mixture_sum", failed_walk)
+    with pytest.raises(ConvergenceError, match="walk failed"):
+        kms_cdf(KappaMuShadowedParams(0.0, 2, 2, 1.0), 1.0)
+
+
 def test_kms_pdf_gamma_branches():
     # mu = m = 1 is the exponential channel: pdf(0) = theta2
     p = KappaMuShadowedParams(kappa=1.5, mu=1, m=1, mean_snr=5.0)

@@ -1,6 +1,7 @@
 """Command-line behavior: CSV format and determinism, exit codes, JSON
 config, and the verification report."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import pytest
 from scipy import integrate, stats
 
 import edsense
+from edsense import cli
 from edsense.channels import KappaMuShadowedParams
-from edsense.cli import main
+from edsense.cli import SweepConfig, main
 
 
 def _run(tmp_path, name, args):
@@ -222,6 +224,35 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, args):
     assert code == 2
     assert "invalid parameters" in capsys.readouterr().err
     assert not out.exists()
+
+
+_KMS = ["--channel", "kms", "--kappa", "2", "--mu", "2", "--m", "1", "--snr-db", "0"]
+
+
+@pytest.mark.parametrize("args", [
+    # omega = inf and theta1 = inf: exit 3 while the parameters were accepted
+    ["effrate", "--channel", "fisher", "--m", "2", "--ms", "3", "--snr-db=-3100"],
+    ["auc", "--channel", "kms", "--kappa", "1e308", "--mu", "2", "--m", "1",
+     "--snr-db", "0"],
+    # a bad flag value is read as a bad --json value is (argparse's usage
+    # message before)
+    ["auc", *_KMS, "--u", "abc"],
+    ["auc", *_KMS, "--mu", "2.5"],
+    ["auc", *_KMS, "--channel", "foo"],
+], ids=["omega-inf", "theta1-inf", "u-abc", "mu-2.5", "channel-foo"])
+def test_bad_values_are_invalid_parameters(tmp_path, capsys, args):
+    code, out = _run(tmp_path, "bad.csv", args)
+    assert code == 2
+    assert "edsense: invalid parameters: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_field_table_types_flags_and_json():
+    names = {name for name, _, _ in cli._FIELDS}
+    fields = {f.name for f in dataclasses.fields(SweepConfig)}
+    qos = {"a", "theta_exp", "block_t", "bandwidth"}  # these set a_exponent
+    assert names - qos == fields - {"command", "a_exponent"}
+    assert all(action.type is None for action in cli._build_parser()._actions)
 
 
 @pytest.mark.parametrize("points", ["-1", "0"])

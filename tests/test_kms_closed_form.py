@@ -21,7 +21,7 @@ import pytest
 
 from edsense import _memo, channels
 from edsense.channels import KappaMuShadowedParams, kms_cdf, kms_pdf
-from edsense.errors import ConvergenceError
+from edsense.errors import ConvergenceError, DomainError
 
 
 def _kms(kappa, mu, m, mean):
@@ -29,8 +29,7 @@ def _kms(kappa, mu, m, mean):
 
 
 def _form(p):
-    form = channels._partial_fractions(p.mu, p.m, p.kappa)
-    return form, p.theta1, form[4]
+    return channels._partial_fractions(p.mu, p.m, p.q, p.qc), p.theta1, p.qc
 
 
 def _walk_reads(monkeypatch):
@@ -175,12 +174,12 @@ def test_closed_form_reads_no_walk_chunk(monkeypatch):
 def test_closed_form_is_not_set_up_past_its_order(monkeypatch):
     # mu = 1001: no weights are built, and the walk answers as before
     # [reference] the partial-fraction sum in mpmath, as above
-    assert channels._partial_fractions(1000, 1, 1e3)[2] < math.inf
-    assert channels._partial_fractions(1001, 1, 1e3)[:4] == (None, None, math.inf, math.inf)
-    # mu kappa = inf: nothing to set up, and kms_cdf raises as before
-    assert channels._partial_fractions(2, 1, 1e308)[:4] == (None, None, math.inf, math.inf)
-    with pytest.raises(ConvergenceError):
-        kms_cdf(_kms(1e308, 2, 1, 1.0), 1.0)
+    assert _form(_kms(1e3, 1000, 1, 3.0))[0][2] < math.inf
+    assert _form(_kms(1e3, 1001, 1, 3.0))[0] == (None, None, math.inf, math.inf)
+    # mu kappa = inf: theta1 = inf, so the parameters are refused (kms_cdf
+    # raised ConvergenceError here while they were accepted)
+    with pytest.raises(DomainError):
+        _kms(1e308, 2, 1, 1.0)
     reads = _walk_reads(monkeypatch)
     got = kms_pdf(_kms(1e3, 1001, 1, 3.0), 3.0)
     assert reads and math.isclose(got, 0.12274898430576521, rel_tol=1e-12)
