@@ -281,10 +281,11 @@ def _reach(passes) -> float:
 
 @memo(_PF_CACHED)
 def _partial_fractions(mu: int, m: int, q: float, qc: float) -> tuple:
-    """(pdf, cdf, pdf reach, cdf reach): the closed form of the SNR law for
-    integer mu > m and kappa > 0, read-only, one per shape, with n1 = mu - m,
-    n2 = m and the parameters' q and qc.  It needs no mean SNR, so kms_pdf
-    and kms_cdf look it up before ``_gamma_mixture``.
+    """(pdf, cdf, pdf reach, cdf reach, rate): the closed form of the SNR law
+    for integer mu > m and kappa > 0, read-only, one per shape, with n1 = mu
+    - m, n2 = m and the parameters' q and qc.  It needs no mean SNR, so
+    kms_pdf, kms_cdf and the effective rate look it up before
+    ``_gamma_mixture``.
 
     The partial fractions of the MGF (theta1/(theta1+s))^n1 (theta2 /
     (theta2+s))^n2, theta2 = qc theta1, give, with x = theta1 gamma and
@@ -295,16 +296,23 @@ def _partial_fractions(mu: int, m: int, q: float, qc: float) -> tuple:
 
     a_k = (-1)^n2 qc^n2 C(n2+l-1, l) / q^(n2+l), l = n1-1-k, b_k =
     C(n1+l-1, l) (-qc)^l / q^(n1+l), l = n2-1-k, and abar_k, bbar_k their
-    sums over j >= k; abar_0 + bbar_0 = 1.  Each weight comes from its log,
-    with C(., .) an exact integer (``_ln_binomials``).  ``pdf`` and ``cdf``
-    hold two sums of ``_pf_sum`` each, for ``_closed_form``.  Each reach is
-    the x from which its guard passes (``_reach``): the density's, that
-    ``_closed_form`` gives a value; the distribution function's, also that
-    1 - F <= 1/2.  A reach only spares the points below it the attempt.
-    Past mu = _MAX_PF_ORDER both reaches are inf and nothing is set up."""
+    sums over j >= k; abar_0 + bbar_0 = 1.  The signed weights a_k and b_k
+    are those of Erlang densities, Gamma(k+1, rate theta1) and Gamma(k+1,
+    rate theta2): sum a_k + sum b_k = 1, and any expectation over the SNR is
+    the same signed sum of its Erlang expectations.  Each weight comes from
+    its log, with C(., .) an exact integer (``_ln_binomials``), once; the
+    three metrics derive their sums from them.  ``pdf`` and ``cdf`` hold two
+    sums of ``_pf_sum`` each, for ``_closed_form``; ``rate`` holds (a_k, sum
+    a, sum |a|) and (b_k, sum b, sum |b|), k from 0 up, as floats for the
+    rate moment's Erlang sums (``capacity._ln_moment_pf``), or None where a
+    weight passes e^700.  Each reach is the x from which its guard passes
+    (``_reach``): the density's, that ``_closed_form`` gives a value; the
+    distribution function's, also that 1 - F <= 1/2.  A reach only spares
+    the points below it the attempt.  Past mu = _MAX_PF_ORDER both reaches
+    are inf and nothing is set up."""
     n1, n2 = mu - m, m
     if mu > _MAX_PF_ORDER:
-        return None, None, math.inf, math.inf
+        return None, None, math.inf, math.inf, None
     # ln q from qc where q > 1/2, and ln qc from q where qc > 1/2: log(q) of a
     # q near 1 keeps only eps of |ln q|, which n1 + n2 multiplies
     ln_q = math.log1p(-qc) if q > 0.5 else math.log(q)
@@ -317,12 +325,18 @@ def _partial_fractions(mu: int, m: int, q: float, qc: float) -> tuple:
            _pf_sum(n2, [v + ln_qc for v in ln_b], sign_b, False))  # qc b_k
     cdf = (_pf_sum(n1, ln_a, sign_a, True), _pf_sum(n2, ln_b, sign_b, True))
 
+    rate = None
+    if max(ln_a + ln_b) < 700.0:
+        rate = tuple((w, math.fsum(w), math.fsum(map(abs, w))) for w in (
+            tuple(s * math.exp(v) for v, s in zip(ln[::-1], sign[::-1]))
+            for ln, sign in ((ln_a, sign_a), (ln_b, sign_b))))
+
     def tail_passes(x):
         ln_tail = _closed_form(cdf, x, qc * x)
         return ln_tail is not None and ln_tail <= -_LN2
 
     return (pdf, cdf, _reach(lambda x: _closed_form(pdf, x, qc * x) is not None),
-            _reach(tail_passes))
+            _reach(tail_passes), rate)
 
 
 def _blocks(rho: np.ndarray):

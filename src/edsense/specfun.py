@@ -650,6 +650,14 @@ def _ln_gamma_quotient(x: float, eps: float):
     return sign, g
 
 
+def _ln_gamma_diff(x: float, y: float, direct: float) -> float:
+    """ln Gamma(x) - ln Gamma(y): (x - y) times the quotient of
+    ``_ln_gamma_quotient`` from the smaller up, which holds it where the two
+    are large and close; ``direct`` where either is not positive."""
+    lo, hi = min(x, y), max(x, y)
+    return (x - y) * _ln_gamma_quotient(lo, hi - lo)[1] if lo > 0.0 else direct
+
+
 def _log1p_quotient(u: float) -> float:
     """log1p(u) / u, 1 at u = 0."""
     return math.log1p(u) / u if u else 1.0
@@ -800,12 +808,14 @@ def _setup_2f1(a: float, b: float, c: float):
     elif min(a, b) + n < -_MAX_TERMS:
         return None, euler
     else:
-        ln_k = g_c[1] - g_a[1] - g_b[1] - math.lgamma(n + 1.0 + eps)
+        ln_k = (_ln_gamma_diff(c, n + 1.0 + eps, g_c[1] - math.lgamma(n + 1.0 + eps))
+                - g_a[1] - g_b[1])
     if count > _MAX_TERMS:
         return None, euler
     g_d = _gamma_sign_ln(d) if count else None
     if g_ca is not None and g_cb is not None and g_d is not None:
-        ln_alpha = g_c[1] + g_d[1] - g_ca[1] - g_cb[1]
+        ln_alpha = (_ln_gamma_diff(c, c - a, g_c[1] - g_ca[1])
+                    - _ln_gamma_diff(c - b, d, g_cb[1] - g_d[1]))
     ln_scale = max(ln_k, ln_alpha)
     if ln_scale == -math.inf:
         return None, euler
@@ -1119,3 +1129,156 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     Relative error target 1e-10.
     """
     return math.exp(ln_tricomi_u(a, b, z))
+
+
+# The Erlang moments (``_erlang_sums``) start from the exponential integral's
+# series below x = _SERIES_BELOW (with binomial seeds below _BINOMIAL_BELOW,
+# up to a seed order of _MAX_SEED) and from a continued fraction above.
+_SERIES_BELOW = 1.0
+_BINOMIAL_BELOW = 0.25
+_MAX_SEED = 16
+
+
+@memo(_CACHED)
+def _exp_int_setup(p: float) -> tuple:
+    """(n, eps, c, terms) for ``_exp_int``: n = round(p), eps = p - n, c =
+    Gamma(1-p) (n = 0) or (ln Gamma(1+eps) - ln Gamma(1-eps) - ln Gamma(n+eps)
+    + ln Gamma(n)) / eps, limit-free (``_ln_gamma_quotient``), and the series'
+    coefficients (-1)^j / (j! (j+1-p)) and their magnitudes, j < 20, from the top."""
+    n, eps = round(p), p - round(p)
+    terms = [(0.0, 0.0) if j == n - 1 else ((-1) ** j / (math.factorial(j) * (j + 1.0 - p)),
+                                             1.0 / (math.factorial(j) * abs(j + 1.0 - p)))
+             for j in range(20)]
+    c = math.gamma(1.0 - p) if n == 0 else (
+        _ln_gamma_quotient(1.0, eps)[1] - _ln_gamma_quotient(1.0, -eps)[1]
+        - _ln_gamma_quotient(float(n), eps)[1])
+    return n, eps, c, tuple(reversed(terms))
+
+
+def _exp_int(x: float, p: float) -> tuple:
+    """(x e^x E_p(x), its size) for x <= 1: E_p(x) = x^(p-1) Gamma(1-p) - sum_j
+    (-x)^j / (j! (j+1-p)) (DLMF 8.19.8), to j < 4 + 16 x^(1/4), where x^j /
+    j! < 1e-17.  At n = round(p) >= 1 the pole of Gamma(1-p) and term j = n-1
+    cancel; their sum is (-x)^(n-1) / (n-1)! times -L expm1(eps L) / (eps L),
+    L = ln x + c, with no 1/eps left."""
+    n, eps, c, terms = _exp_int_setup(p)
+    s = size = 0.0
+    for t, t_abs in terms[16 - int(16.0 * x ** 0.25):]:
+        s = s * x + t
+        size = size * x + t_abs
+    if n == 0:
+        lead = c * x ** (p - 1.0)
+    else:
+        ln = math.log(x) + c
+        lead = (-ln * (math.expm1(eps * ln) / (eps * ln) if eps * ln else 1.0)
+                * (-x) ** (n - 1) / math.factorial(n - 1))
+    front = x * math.exp(x)
+    return front * (lead - s), front * (abs(lead) + size)
+
+
+def _series_seeds(x: float, a: float, k: int) -> tuple:
+    """((E_(k-1), size), (E_k, size)) from E_k = x^k / k! sum_j C(k, j) (-1)^j
+    F_(p+j), p = a - k > 0, F_p = x e^x E_p(x) (``_exp_int``), F_(p+j+1) = x (1
+    - F_(p+j)) / (p+j) (F_(p+1) from the series too where p < 1/2)."""
+    p = a - k
+    fs = [_exp_int(x, p)]
+    for j in range(k):
+        f, size = fs[-1]
+        fs.append(_exp_int(x, p + 1.0) if j == 0 and p < 0.5 else
+                  (x * (1.0 - f) / (p + j), x * (1.0 + size) / (p + j)))
+    rows = [(1.0, 0.0)] if k == 0 else []
+    for order in range(max(k - 1, 0), k + 1):
+        c, value, size = x ** order / math.factorial(order), 0.0, 0.0
+        for j, (f, f_size) in enumerate(fs[k - order:]):
+            value += c * f
+            size += abs(c) * f_size
+            c *= (j - order) / (j + 1.0)
+        rows.append((value, size))
+    return tuple(rows)
+def _cf_depth(x: float, a: float, k: int) -> int:
+    """The levels of ``_cf_seeds``' fraction below i = k+1: enough for 2e-16
+    on random cells with x from 1 to 1000, a to 10 and k to 20."""
+    return int((100.0 + 4.0 * (a + k)) / x + 8.0 + 0.25 * k)
+
+
+@memo(_CACHED)
+def _cf_coefficients(b: float, k: int) -> tuple:
+    """``_cf_seeds``' (2i - b, i (i-b+1)) from the deepest i at x = 1 down to k+2."""
+    top = k + 1 + _cf_depth(_SERIES_BELOW, k + 2.0 - b, k)
+    return tuple((2.0 * i - b, i * (i - b + 1.0)) for i in range(top, k + 1, -1))
+
+
+def _cf_seeds(x: float, a: float, k: int) -> tuple:
+    """((D_(k-1), size), (D_k, size)).  With b = k+2-a and V_i = x^i U(i, b,
+    x), in which U is minimal, the recurrence of U in its first parameter
+    (DLMF 13.3.7) gives h_i = V_i / (x V_(i-1)) = 1 / (x + t_i), t_i = 2i - b
+    - i (i-b+1) h_(i+1) (Gautschi 1967), from h = 0 at ``_cf_depth``.  E_k =
+    V_(k+1) and E_(k-1) = V_k - (k/x) V_(k+1) (DLMF 13.3.10), so D_k =
+    -expm1(sum_(i<=k+1) log1p(-t_i h_i)) comes without cancellation."""
+    b = k + 2.0 - a
+    h = ln_v = spread = 0.0
+    for r, q in _cf_coefficients(b, k)[-_cf_depth(x, a, k):]:
+        h = 1.0 / (x + r - q * h)
+    for i in range(k + 1, 0, -1):
+        r, q = 2.0 * i - b, i * (i - b + 1.0)
+        spread += 2.0 * (abs(r) + abs(q * h)) / (x + r - q * h)
+        t = r - q * h
+        h = 1.0 / (x + t)
+        if i == k + 1:
+            g_top, ln_top = x * h, math.log1p(-t * h)
+        else:
+            ln_v += math.log1p(-t * h)
+    d_k = -math.expm1(ln_v + ln_top)
+    if not k:
+        return (0.0, 0.0), (d_k, d_k + (1.0 - d_k) * spread)
+    d_v, r = -math.expm1(ln_v), k / x * g_top
+    return ((d_v + (1.0 - d_v) * r, abs(d_v) + abs(1.0 - d_v) * (r + spread)),
+            (d_k, d_k + (1.0 - d_k) * spread))
+
+
+def _erlang_sums(x: float, a: float, lo: int, weights: tuple, total: float, total_abs: float):
+    """(sum w_j E_(lo+j), size, sum w_j D_(lo+j), size) for the Erlang moments
+    E_k = E[(1 + G)^-a] = x^a U(a, a-k, x), G ~ Gamma(k+1, rate x), and D_k
+    = 1 - E_k, the w_j summing to ``total``, |w_j| to ``total_abs``; None
+    below x = _SERIES_BELOW for a > _MAX_SEED.
+
+    By parts, (k+1) E_(k+1) = x E_(k-1) + (k+1-a-x) E_k, E_(-1) = 1, and D
+    the same plus a, D_(-1) = 0.  E is dominated below k = x and, at small
+    x, below k = a-1, so each runs outward from seeds at k0-1 and k0: E from
+    k0 = ceil(a) - 1 (0 above _BINOMIAL_BELOW) below _SERIES_BELOW, else D,
+    near 0, from k0 = min(hi, floor x).  A size bounds each value's
+    rounding: for E, through the coefficients' magnitudes, which counts what
+    a step cancels; for D, run only where it dominates, the step's summands
+    plus the larger relative size of its inputs."""
+    hi = lo + len(weights) - 1
+    if x < _SERIES_BELOW:
+        if a > _MAX_SEED:
+            return None
+        k0, inh = (math.ceil(a) - 1 if x < _BINOMIAL_BELOW else 0), 0.0
+        prev, cur = _series_seeds(x, a, k0)
+    else:
+        k0, inh = min(hi, int(x)), a
+        prev, cur = _cf_seeds(x, a, k0)
+    value = size = 0.0
+    for k, (v, s) in ((k0 - 1, prev), (k0, cur)):
+        if lo <= k <= hi:
+            value += weights[k - lo] * v
+            size += abs(weights[k - lo]) * s
+    for step in (1, -1):
+        (v0, s0), (v1, s1) = (prev, cur) if step > 0 else (cur, prev)
+        for k in range(k0, hi) if step > 0 else range(k0 - 1, lo, -1):
+            # forward (k+1) X_(k+1) = inh + x X_(k-1) + f X_k, backward x X_(k-1)
+            # = (k+1) X_(k+1) - inh - f X_k, from (v0, v1) = (X_(k-step), X_k)
+            f = k + 1.0 - a - x
+            div, c0 = (k + 1.0, x) if step > 0 else (x, k + 1.0)
+            new = ((inh + c0 * v0 + f * v1) if step > 0 else (c0 * v0 - inh - f * v1)) / div
+            s0, s1 = s1, ((inh + abs(c0 * v0) + abs(f * v1) + abs(new) * div
+                           * max(s0 / v0 if v0 else 0.0, s1 / v1)) if inh
+                          else c0 * s0 + abs(f) * s1 + abs(new) * div) / div
+            v0, v1 = v1, new
+            if lo <= k + step <= hi:
+                value += weights[k + step - lo] * new
+                size += abs(weights[k + step - lo]) * s1
+    if inh:  # the sums are over D
+        return total - value, total_abs + size, value, size
+    return value, size, total - value, total_abs + size

@@ -175,7 +175,7 @@ def test_closed_form_is_not_set_up_past_its_order(monkeypatch):
     # mu = 1001: no weights are built, and the walk answers as before
     # [reference] the partial-fraction sum in mpmath, as above
     assert _form(_kms(1e3, 1000, 1, 3.0))[0][2] < math.inf
-    assert _form(_kms(1e3, 1001, 1, 3.0))[0] == (None, None, math.inf, math.inf)
+    assert _form(_kms(1e3, 1001, 1, 3.0))[0] == (None, None, math.inf, math.inf, None)
     # mu kappa = inf: theta1 = inf, so the parameters are refused (kms_cdf
     # raised ConvergenceError here while they were accepted)
     with pytest.raises(DomainError):

@@ -134,6 +134,7 @@ def test_mgf_integrand_matches_reference(monkeypatch, kappa, mu, m, snr, a):
     # the kernel's integrand reads the cached offsets and log-weights; the
     # reference maps each node to s = s0 + ln t - ln(1 - t) itself
     p = KappaMuShadowedParams(kappa, mu, m, snr)
+    monkeypatch.setattr(capacity, "_MAX_RATE_SPREAD", 0.0)  # the MGF integral answers
     peaks = _captured(monkeypatch, capacity, "ln_peak_integral")
     seen = _captured(monkeypatch, _quad, "tanhsinh_01")
     rate_moment_kms(p, DelayQoS(a))
@@ -384,9 +385,12 @@ def test_euler_memos_are_read_only(monkeypatch):
     assert isinstance(specfun._euler_bounds(p, q, 14.0), tuple)
 
 
-def _rate_moments(cells):
+def _rate_moments(monkeypatch, cells):
     """A call that evaluates the kappa-mu rate moment at each (kappa, mu, m,
-    mean SNR in dB, A) of ``cells``."""
+    mean SNR in dB, A) of ``cells``, with the Erlang-sum routes forced off so
+    that the MGF integral answers."""
+    monkeypatch.setattr(capacity, "_MAX_RATE_SPREAD", 0.0)
+
     def call():
         for kappa, mu, m, db, a in cells:
             rate_moment_kms(KappaMuShadowedParams(kappa, mu, m, 10.0 ** (db / 10.0)), DelayQoS(a))
@@ -432,14 +436,14 @@ _RATE_KMS_SLOTS = {
 def test_peak_reach_on_the_kappa_mu_rate_sweeps(monkeypatch, slot):
     mu, m, variants = _RATE_KMS_SLOTS[slot]
     cells = [(kappa, mu, m, -10.0 + 2.5 * k, a) for kappa, a in variants for k in range(17)]
-    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    runs = _reach_runs(monkeypatch, _rate_moments(monkeypatch, cells), _quad)
     assert len(runs) == len(cells) == _peak_trimmed_against_full(runs)
 
 
 @pytest.mark.parametrize("kappa,mu,m,snr,a", _MGF_CELLS)
 def test_peak_reach_on_the_reference_cells(monkeypatch, kappa, mu, m, snr, a):
     cells = [(kappa, mu, m, 10.0 * math.log10(snr), a)]
-    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    runs = _reach_runs(monkeypatch, _rate_moments(monkeypatch, cells), _quad)
     assert len(runs) == 1 and _peak_trimmed_against_full(runs) == 1
 
 
@@ -450,7 +454,7 @@ def test_peak_reach_on_edge_cells(monkeypatch, kappa, mu, m):
     # spans the rate's peak widths; -80 to 200 dB spans theta
     cells = [(kappa, mu, m, db, a) for a in (0.05, 1.0, 200.0)
              for db in (-80.0, -10.0, 10.0, 60.0, 200.0)]
-    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    runs = _reach_runs(monkeypatch, _rate_moments(monkeypatch, cells), _quad)
     assert len(runs) == len(cells)
     assert _peak_trimmed_against_full(runs) >= len([r for r in runs if r[3]]) - 1
 
@@ -460,7 +464,7 @@ def test_peak_reach_trims_most_of_block_0(monkeypatch):
     # (kappa, A): block 0 keeps at most 160 of its 385 nodes
     mu, m, variants = _RATE_KMS_SLOTS["mu4-m2"]
     cells = [(kappa, mu, m, 10.0, a) for kappa, a in variants]
-    runs = _reach_runs(monkeypatch, _rate_moments(cells), _quad)
+    runs = _reach_runs(monkeypatch, _rate_moments(monkeypatch, cells), _quad)
     assert len(runs) == 4
     for f, rel_tol, reach, _ in runs:
         g, sizes = _counted(f)
