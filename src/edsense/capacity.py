@@ -2,17 +2,23 @@
 
 The rate is R = -(1/A) log2 E[(1 + gamma)^-A] with A the dimensionless
 delay-QoS exponent.  For the shadowed kappa-mu channel the expectation (the
-"rate moment" below) is one positive integral of the channel's MGF (cf. Di
-Renzo, Graziosi & Santucci, IEEE TVT 2010), evaluated by tanh-sinh
-quadrature in log space on only the nodes that closed-form bounds on the
-integrand leave within reach (``_ln_rate_moment_mgf``); for the
-Fisher-Snedecor channel it is a single
+"rate moment" below) is a finite sum of Erlang moments E_k = E[(1+G)^-A], G
+~ Gamma(k+1, rate theta) (``specfun._erlang_sums``), each from a seed and a
+recurrence, with a size that bounds its rounding (``_ln_rate_moment_kms``):
+the paper's partial fractions, a_k on theta1 and b_k on theta2
+(``channels._partial_fractions``), where their spread passes a guard and
+from a reach per shape and A on, else the Gamma mixture where it needs at
+most _MAX_MIX_TERMS terms; either gives 1 - M too, which holds ln M
+relative at low SNR.  Elsewhere it is one positive integral of the MGF (cf.
+Di Renzo, Graziosi & Santucci, IEEE TVT 2010) by tanh-sinh quadrature in log
+space on only the nodes that closed-form bounds leave within reach
+(``_ln_rate_moment_mgf``).  For the Fisher-Snedecor channel it is a single
 Gauss hypergeometric value, taken with its argument's complement omega
 exactly and its SNR-free set-up cached per shape (``_ln_rate_moment_f``):
 where the argument exceeds 1/2 (after the Pfaff step at low SNR), one
 power series in its complement that holds at every A - m (the 1-z series),
 and where that cancels, the Euler integral.
-Both paths work with the logarithm of the moment, so large A or a high SNR
+All paths work with the logarithm of the moment, so large A or a high SNR
 only shrinks the moment instead of underflowing it.
 """
 
@@ -39,13 +45,13 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# The Erlang sums' error stayed within 16 eps per unit of their size on
-# 8,000 random cells (x 1e-8 to 1e3, A 0.2 to 10, k to 24); this bound on
-# size / value keeps the rate within about 6e-13 (``_ln_guarded``).
+# The Erlang sums' error stayed within 16 x 2^-53 of their size on 8,400
+# random cells (x 1e-8 to 1e3, A 0.2 to 10, k to 23): this bound on size /
+# value keeps the rate within about 6e-13 (``_ln_guarded``).
 _MAX_RATE_SPREAD = 256.0
-# The most terms of N the Gamma-mixture route sums: its cost meets the MGF
-# integral's at about 22 (the benchmark's kappa = 0.05, mu = 12 twin).  Its dropped tail, at most e^-L of M and of 1 - M
-# (``_nb_weights``), as a size per unit.
+# The most terms of N that the Gamma-mixture route sums: its cost meets the
+# MGF integral's at about 22 (the benchmark's kappa = 0.05, mu = 12 twin).
+# Its dropped tail, at most e^-L of M and of 1 - M, as a size per unit.
 _MAX_MIX_TERMS = 24
 _TAIL = _TOL * 2.0 ** 53
 
@@ -172,12 +178,10 @@ def _rate_reach(mu: int, m: int, q: float, qc: float, a: float) -> float:
 
 @memo(_CACHED)
 def _nb_weights(r: int, q: float, qc: float):
-    """P[N = j], N ~ NB(r, q), up to the first J where the tail bound u_J s /
-    (1 - s) on the size-biased sum_(j>J) u_j, u_j = (j+1) P[N = j], whose
-    ratios s fall, is at most e^-L of P[N <= J] (``channels._TOL``); None
-    past _MAX_MIX_TERMS terms.  As 1 - (1+g)^-A is concave and 0 at 0, D_k =
-    1 - E_k is subadditive: D_(a-1+j) <= (j+1) D_(a-1), so that the tail of
-    1 - M, like that of M, is at most e^-L of the head."""
+    """P[N = j], N ~ NB(r, q), to the first J where u_J s / (1 - s), u_j = (j+1)
+    P[N = j] with falling ratios s, bounds sum_(j>J) u_j by e^-L P[N <= J];
+    None past _MAX_MIX_TERMS.  As D_(a-1+j) <= (j+1) D_(a-1) (1 - (1+g)^-A is
+    concave, 0 at 0), the tails of M and 1 - M are e^-L of their heads."""
     term = total = qc ** r
     weights = [term]
     for j in range(_MAX_MIX_TERMS):
@@ -191,14 +195,10 @@ def _nb_weights(r: int, q: float, qc: float):
 
 
 def _ln_rate_moment_kms(p: KappaMuShadowedParams, a: float) -> float:
-    """ln E[(1 + gamma)^-A] over the shadowed kappa-mu channel: a finite sum
-    of Erlang moments E[(1+G)^-A], G ~ Gamma(k+1, rate theta)
-    (``specfun._erlang_sums``), where a guard certifies it, and the MGF
-    integral where none does.  For mu > m and kappa > 0, from the reach of
-    the shape and A on (``_rate_reach``), the partial fractions; else the
-    Gamma mixture of ``channels._gamma_mixture``, sum_j P[N = j] E_(a-1+j)(rate)
-    (``_nb_weights``), positive terms that fall in j, so that the dropped
-    tail is at most e^-L of the moment and e^-L absolute in 1 - M."""
+    """ln E[(1 + gamma)^-A] over the shadowed kappa-mu channel (see the
+    module docstring): the partial fractions from the reach on, the Gamma
+    mixture sum_j P[N = j] E_(a-1+j)(rate) (``channels._gamma_mixture``),
+    whose terms are positive, or the MGF integral."""
     if p.kappa > 0.0 and p.mu > p.m and _rate_reach(p.mu, p.m, p.q, p.qc, a) <= p.theta1:
         ln_m = _ln_moment_pf(_partial_fractions(p.mu, p.m, p.q, p.qc)[4], p.theta1, p.theta2, a)
         if ln_m is not None:

@@ -1195,6 +1195,8 @@ def _series_seeds(x: float, a: float, k: int) -> tuple:
             c *= (j - order) / (j + 1.0)
         rows.append((value, size))
     return tuple(rows)
+
+
 def _cf_depth(x: float, a: float, k: int) -> int:
     """The levels of ``_cf_seeds``' fraction below i = k+1: enough for 2e-16
     on random cells with x from 1 to 1000, a to 10 and k to 20."""
@@ -1273,7 +1275,7 @@ def _erlang_sums(x: float, a: float, lo: int, weights: tuple, total: float, tota
             div, c0 = (k + 1.0, x) if step > 0 else (x, k + 1.0)
             new = ((inh + c0 * v0 + f * v1) if step > 0 else (c0 * v0 - inh - f * v1)) / div
             s0, s1 = s1, ((inh + abs(c0 * v0) + abs(f * v1) + abs(new) * div
-                           * max(s0 / v0 if v0 else 0.0, s1 / v1)) if inh
+                           * max(s0 / v0 if v0 else 0.0, s1 / v1 if v1 else 0.0)) if inh
                           else c0 * s0 + abs(f) * s1 + abs(new) * div) / div
             v0, v1 = v1, new
             if lo <= k + step <= hi:
