@@ -147,13 +147,11 @@ def _ln_guarded(m: float, size_m: float, c: float, size_c: float):
 def _ln_moment_pf(rate: tuple, theta1: float, theta2: float, a: float):
     """ln M = ln(sum a_k E_k(theta1) + sum b_k E_k(theta2)), the partial
     fractions (``channels._partial_fractions``' ``rate``), or None."""
-    parts = [0.0] * 4
-    for sums, theta in zip(rate, (theta1, theta2)):
-        part = _erlang_sums(theta, a, 0, *sums)
-        if part is None:
-            return None
-        parts = [u + v for u, v in zip(parts, part)]
-    return _ln_guarded(*parts)
+    first = _erlang_sums(theta1, a, 0, *rate[0])
+    second = _erlang_sums(theta2, a, 0, *rate[1])
+    if first is None or second is None:
+        return None
+    return _ln_guarded(*(u + v for u, v in zip(first, second)))
 
 
 @memo(_CACHED)

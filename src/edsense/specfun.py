@@ -1181,13 +1181,15 @@ def _series_seeds(x: float, a: float, k: int) -> tuple:
     F_(p+j), p = a - k > 0, F_p = x e^x E_p(x) (``_exp_int``), F_(p+j+1) = x (1
     - F_(p+j)) / (p+j) (F_(p+1) from the series too where p < 1/2)."""
     p = a - k
+    if not k:
+        return (1.0, 0.0), _exp_int(x, p)
     fs = [_exp_int(x, p)]
     for j in range(k):
         f, size = fs[-1]
         fs.append(_exp_int(x, p + 1.0) if j == 0 and p < 0.5 else
                   (x * (1.0 - f) / (p + j), x * (1.0 + size) / (p + j)))
-    rows = [(1.0, 0.0)] if k == 0 else []
-    for order in range(max(k - 1, 0), k + 1):
+    rows = []
+    for order in (k - 1, k):
         c, value, size = x ** order / math.factorial(order), 0.0, 0.0
         for j, (f, f_size) in enumerate(fs[k - order:]):
             value += c * f
@@ -1266,21 +1268,30 @@ def _erlang_sums(x: float, a: float, lo: int, weights: tuple, total: float, tota
         if lo <= k <= hi:
             value += weights[k - lo] * v
             size += abs(weights[k - lo]) * s
-    for step in (1, -1):
-        (v0, s0), (v1, s1) = (prev, cur) if step > 0 else (cur, prev)
-        for k in range(k0, hi) if step > 0 else range(k0 - 1, lo, -1):
-            # forward (k+1) X_(k+1) = inh + x X_(k-1) + f X_k, backward x X_(k-1)
-            # = (k+1) X_(k+1) - inh - f X_k, from (v0, v1) = (X_(k-step), X_k)
-            f = k + 1.0 - a - x
-            div, c0 = (k + 1.0, x) if step > 0 else (x, k + 1.0)
-            new = ((inh + c0 * v0 + f * v1) if step > 0 else (c0 * v0 - inh - f * v1)) / div
-            s0, s1 = s1, ((inh + abs(c0 * v0) + abs(f * v1) + abs(new) * div
-                           * max(s0 / v0 if v0 else 0.0, s1 / v1 if v1 else 0.0)) if inh
-                          else c0 * s0 + abs(f) * s1 + abs(new) * div) / div
-            v0, v1 = v1, new
-            if lo <= k + step <= hi:
-                value += weights[k + step - lo] * new
-                size += abs(weights[k + step - lo]) * s1
+    # forward, (k+1) X_(k+1) = inh + x X_(k-1) + f X_k, from (v0, v1) =
+    # (X_(k-1), X_k); then backward, x X_(k-1) = (k+1) X_(k+1) - inh - f X_k
+    (v0, s0), (v1, s1) = prev, cur
+    for k in range(k0, hi):
+        f = k + 1.0 - a - x
+        new = (inh + x * v0 + f * v1) / (k + 1.0)
+        s0, s1 = s1, ((inh + abs(x * v0) + abs(f * v1)) / (k + 1.0) + abs(new) * max(
+            s0 / v0 if v0 else 0.0, s1 / v1 if v1 else 0.0) if inh
+            else (x * s0 + abs(f) * s1) / (k + 1.0) + abs(new))
+        v0, v1 = v1, new
+        if k >= lo - 1:
+            value += weights[k + 1 - lo] * new
+            size += abs(weights[k + 1 - lo]) * s1
+    (v0, s0), (v1, s1) = cur, prev
+    for k in range(k0 - 1, lo, -1):
+        f = k + 1.0 - a - x
+        new = ((k + 1.0) * v0 - inh - f * v1) / x
+        s0, s1 = s1, ((inh + abs((k + 1.0) * v0) + abs(f * v1)) / x + abs(new) * max(
+            s0 / v0 if v0 else 0.0, s1 / v1 if v1 else 0.0) if inh
+            else ((k + 1.0) * s0 + abs(f) * s1) / x + abs(new))
+        v0, v1 = v1, new
+        if k <= hi + 1:
+            value += weights[k - 1 - lo] * new
+            size += abs(weights[k - 1 - lo]) * s1
     if inh:  # the sums are over D
         return total - value, total_abs + size, value, size
     return value, size, total - value, total_abs + size

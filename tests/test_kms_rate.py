@@ -176,3 +176,21 @@ def test_gauss_2f1_at_large_c():
     # 1.3.0 (dps 40)
     assert math.isclose(gauss_2f1(1.3, 2.7, 9000.5, 0.9), 1.0003511298956231844, rel_tol=1e-13)
     assert math.isclose(gauss_2f1(1.3, 2.7, 900.5, 0.9), 1.0035230303053594111, rel_tol=1e-13)
+
+
+# (2, 4, 2), A = 1: the partial-fraction sum in mpmath 1.3.0 (dps 60, its
+# Erlang moments by mpmath's hyperu); the MGF integral alone was 8.6e-9,
+# 5.0e-11 and 4.4e-13 off at -80, -60 and -40 dB
+_LOW_SNR = {-80: 1.4426950284657563354e-8, -70: 1.4426949166569098129e-7,
+            -60: 1.4426937985701773143e-6, -50: 0.000014426826178760258846,
+            -40: 0.00014425708282481284204, -30: 0.0014414546596222824672,
+            -20: 0.014304621254773941253, -10: 0.13345734502269179629,
+            0: 0.88972519398527571465, 10: 3.039627253462797298,
+            20: 6.1109485924698360407, 30: 9.401555165880059514}
+
+
+@pytest.mark.parametrize("db", sorted(_LOW_SNR))
+def test_kms_rate_relative_at_low_snr(monkeypatch, db):
+    got, taken = _routes(monkeypatch)(_kms(2.0, 4, 2, float(db)), 1.0)
+    assert taken == "pf"
+    assert math.isclose(got, _LOW_SNR[db], rel_tol=1e-12)
