@@ -296,16 +296,13 @@ def _partial_fractions(mu: int, m: int, q: float, qc: float) -> tuple:
 
     a_k = (-1)^n2 qc^n2 C(n2+l-1, l) / q^(n2+l), l = n1-1-k, b_k =
     C(n1+l-1, l) (-qc)^l / q^(n1+l), l = n2-1-k, and abar_k, bbar_k their
-    sums over j >= k; abar_0 + bbar_0 = 1.  The signed weights a_k and b_k
-    are those of Erlang densities, Gamma(k+1, rate theta1) and Gamma(k+1,
-    rate theta2): sum a_k + sum b_k = 1, and any expectation over the SNR is
-    the same signed sum of its Erlang expectations.  Each weight comes from
-    its log, with C(., .) an exact integer (``_ln_binomials``), once; the
-    three metrics derive their sums from them.  ``pdf`` and ``cdf`` hold two
-    sums of ``_pf_sum`` each, for ``_closed_form``; ``rate`` holds (a_k, sum
-    a, sum |a|) and (b_k, sum b, sum |b|), k from 0 up, as floats for the
-    rate moment's Erlang sums (``capacity._ln_moment_pf``), or None where a
-    weight passes e^700.  Each reach is the x from which its guard passes
+    sums over j >= k; abar_0 + bbar_0 = 1: a_k and b_k weigh Erlang laws,
+    Gamma(k+1, rate theta1) and Gamma(k+1, rate theta2).  Each weight comes
+    from its log once, with C(., .) an exact integer (``_ln_binomials``), and
+    every metric's sums from them: ``pdf`` and ``cdf`` hold two sums of
+    ``_pf_sum`` each, for ``_closed_form``; ``rate`` holds (a_k, sum a, sum
+    |a|) and (b_k, ...) as floats from k = 0 for ``capacity._ln_moment_pf``,
+    or None past e^700.  Each reach is the x from which its guard passes
     (``_reach``): the density's, that ``_closed_form`` gives a value; the
     distribution function's, also that 1 - F <= 1/2.  A reach only spares
     the points below it the attempt.  Past mu = _MAX_PF_ORDER both reaches

@@ -1131,9 +1131,9 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     return math.exp(ln_tricomi_u(a, b, z))
 
 
-# The Erlang moments (``_erlang_sums``) start from the exponential integral's
-# series below x = _SERIES_BELOW (with binomial seeds below _BINOMIAL_BELOW,
-# up to a seed order of _MAX_SEED) and from a continued fraction above.
+# The Erlang moments' seeds (``_erlang_sums``): the exponential integral's
+# series below x = _SERIES_BELOW (binomial below _BINOMIAL_BELOW, to A =
+# _MAX_SEED), a continued fraction above.
 _SERIES_BELOW = 1.0
 _BINOMIAL_BELOW = 0.25
 _MAX_SEED = 16
@@ -1141,10 +1141,10 @@ _MAX_SEED = 16
 
 @memo(_CACHED)
 def _exp_int_setup(p: float) -> tuple:
-    """(n, eps, c, terms) for ``_exp_int``: n = round(p), eps = p - n, c =
-    Gamma(1-p) (n = 0) or (ln Gamma(1+eps) - ln Gamma(1-eps) - ln Gamma(n+eps)
-    + ln Gamma(n)) / eps, limit-free (``_ln_gamma_quotient``), and the series'
-    coefficients (-1)^j / (j! (j+1-p)) and their magnitudes, j < 20, from the top."""
+    """``_exp_int``'s (n, eps, c, terms): n = round(p), eps = p - n, c = Gamma(1-p)
+    (n = 0) or (ln Gamma(1+eps) - ln Gamma(1-eps) - ln Gamma(n+eps) + ln
+    Gamma(n)) / eps (``_ln_gamma_quotient``), and (-1)^j / (j! (j+1-p)) with
+    its magnitude for j from 19 down."""
     n, eps = round(p), p - round(p)
     terms = [(0.0, 0.0) if j == n - 1 else ((-1) ** j / (math.factorial(j) * (j + 1.0 - p)),
                                              1.0 / (math.factorial(j) * abs(j + 1.0 - p)))
@@ -1156,11 +1156,10 @@ def _exp_int_setup(p: float) -> tuple:
 
 
 def _exp_int(x: float, p: float) -> tuple:
-    """(x e^x E_p(x), its size) for x <= 1: E_p(x) = x^(p-1) Gamma(1-p) - sum_j
-    (-x)^j / (j! (j+1-p)) (DLMF 8.19.8), to j < 4 + 16 x^(1/4), where x^j /
-    j! < 1e-17.  At n = round(p) >= 1 the pole of Gamma(1-p) and term j = n-1
-    cancel; their sum is (-x)^(n-1) / (n-1)! times -L expm1(eps L) / (eps L),
-    L = ln x + c, with no 1/eps left."""
+    """(x e^x E_p(x), size) for x <= 1: x^(p-1) Gamma(1-p) - sum_j (-x)^j / (j!
+    (j+1-p)) (DLMF 8.19.8), j < 4 + 16 x^(1/4) (x^j / j! < 1e-17).  At n =
+    round(p) >= 1 the pole and term n-1 sum to (-x)^(n-1) / (n-1)! times -L
+    expm1(eps L) / (eps L), L = ln x + c: no 1/eps is left."""
     n, eps, c, terms = _exp_int_setup(p)
     s = size = 0.0
     for t, t_abs in terms[16 - int(16.0 * x ** 0.25):]:
@@ -1177,9 +1176,9 @@ def _exp_int(x: float, p: float) -> tuple:
 
 
 def _series_seeds(x: float, a: float, k: int) -> tuple:
-    """((E_(k-1), size), (E_k, size)) from E_k = x^k / k! sum_j C(k, j) (-1)^j
-    F_(p+j), p = a - k > 0, F_p = x e^x E_p(x) (``_exp_int``), F_(p+j+1) = x (1
-    - F_(p+j)) / (p+j) (F_(p+1) from the series too where p < 1/2)."""
+    """((E_(k-1), size), (E_k, size)): E_k = x^k / k! sum_j C(k, j) (-1)^j
+    F_(p+j), p = a - k > 0, F = x e^x E (``_exp_int``), F_(p+j+1) = x (1 -
+    F_(p+j)) / (p+j), F_(p+1) from the series where p < 1/2."""
     p = a - k
     if not k:
         return (1.0, 0.0), _exp_int(x, p)
@@ -1200,8 +1199,8 @@ def _series_seeds(x: float, a: float, k: int) -> tuple:
 
 
 def _cf_depth(x: float, a: float, k: int) -> int:
-    """The levels of ``_cf_seeds``' fraction below i = k+1: enough for 2e-16
-    on random cells with x from 1 to 1000, a to 10 and k to 20."""
+    """The depth of ``_cf_seeds``' fraction below i = k+1 (2e-16 on random
+    cells, x 1 to 1000, a to 10, k to 20)."""
     return int((100.0 + 4.0 * (a + k)) / x + 8.0 + 0.25 * k)
 
 
@@ -1214,11 +1213,10 @@ def _cf_coefficients(b: float, k: int) -> tuple:
 
 def _cf_seeds(x: float, a: float, k: int) -> tuple:
     """((D_(k-1), size), (D_k, size)).  With b = k+2-a and V_i = x^i U(i, b,
-    x), in which U is minimal, the recurrence of U in its first parameter
-    (DLMF 13.3.7) gives h_i = V_i / (x V_(i-1)) = 1 / (x + t_i), t_i = 2i - b
-    - i (i-b+1) h_(i+1) (Gautschi 1967), from h = 0 at ``_cf_depth``.  E_k =
-    V_(k+1) and E_(k-1) = V_k - (k/x) V_(k+1) (DLMF 13.3.10), so D_k =
-    -expm1(sum_(i<=k+1) log1p(-t_i h_i)) comes without cancellation."""
+    x), U minimal in i (DLMF 13.3.7; Gautschi 1967): h_i = V_i / (x V_(i-1))
+    = 1 / (x + t_i), t_i = 2i - b - i (i-b+1) h_(i+1), from h = 0.  E_k =
+    V_(k+1), E_(k-1) = V_k - (k/x) V_(k+1) (DLMF 13.3.10), and D_k =
+    -expm1(sum_(i<=k+1) log1p(-t_i h_i)) without cancellation."""
     b = k + 2.0 - a
     h = ln_v = spread = 0.0
     for r, q in _cf_coefficients(b, k)[-_cf_depth(x, a, k):]:
@@ -1241,19 +1239,19 @@ def _cf_seeds(x: float, a: float, k: int) -> tuple:
 
 
 def _erlang_sums(x: float, a: float, lo: int, weights: tuple, total: float, total_abs: float):
-    """(sum w_j E_(lo+j), size, sum w_j D_(lo+j), size) for the Erlang moments
-    E_k = E[(1 + G)^-a] = x^a U(a, a-k, x), G ~ Gamma(k+1, rate x), and D_k
-    = 1 - E_k, the w_j summing to ``total``, |w_j| to ``total_abs``; None
-    below x = _SERIES_BELOW for a > _MAX_SEED.
+    """(sum w_j E_(lo+j), size, sum w_j D_(lo+j), size), the w_j summing to
+    ``total`` and |w_j| to ``total_abs``, for the Erlang moments E_k = E[(1 +
+    G)^-a] = x^a U(a, a-k, x), G ~ Gamma(k+1, rate x), and D_k = 1 - E_k;
+    None below x = _SERIES_BELOW for a > _MAX_SEED.
 
     By parts, (k+1) E_(k+1) = x E_(k-1) + (k+1-a-x) E_k, E_(-1) = 1, and D
     the same plus a, D_(-1) = 0.  E is dominated below k = x and, at small
-    x, below k = a-1, so each runs outward from seeds at k0-1 and k0: E from
-    k0 = ceil(a) - 1 (0 above _BINOMIAL_BELOW) below _SERIES_BELOW, else D,
-    near 0, from k0 = min(hi, floor x).  A size bounds each value's
-    rounding: for E, through the coefficients' magnitudes, which counts what
-    a step cancels; for D, run only where it dominates, the step's summands
-    plus the larger relative size of its inputs."""
+    x, below k = a-1, so the recurrence runs outward from seeds at k0-1 and
+    k0: for E below _SERIES_BELOW from k0 = ceil(a) - 1 (0 from
+    _BINOMIAL_BELOW), else for D, near 0, from k0 = min(hi, floor x).  Each
+    value's size bounds its rounding: for E, carried through the
+    coefficients' magnitudes, which counts what a step cancels; for D, run
+    where it dominates, the step's summands plus its inputs' relative size."""
     hi = lo + len(weights) - 1
     if x < _SERIES_BELOW:
         if a > _MAX_SEED:
