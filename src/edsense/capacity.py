@@ -49,10 +49,11 @@ _LN2 = math.log(2.0)
 # random cells (x 1e-8 to 1e3, A 0.2 to 10, k to 23): this bound on size /
 # value keeps the rate within about 6e-13 (``_ln_guarded``).
 _MAX_RATE_SPREAD = 256.0
-# The most terms of N that the Gamma-mixture route sums: its cost meets the
-# MGF integral's at about 22 (the benchmark's kappa = 0.05, mu = 12 twin).
-# Its dropped tail, at most e^-L of M and of 1 - M, as a size per unit.
-_MAX_MIX_TERMS = 24
+# The most terms of N that the Gamma-mixture route sums: at 22 (the
+# benchmark's kappa = 0.05, mu = 12 twin) it costs what the MGF integral
+# costs at low SNR, 22 us a call.  Its dropped tail, at most e^-L of M and
+# of 1 - M, as a size per unit.
+_MAX_MIX_TERMS = 22
 _TAIL = _TOL * 2.0 ** 53
 
 
@@ -154,27 +155,6 @@ def _ln_moment_pf(rate: tuple, theta1: float, theta2: float, a: float):
     return _ln_guarded(*(u + v for u, v in zip(first, second)))
 
 
-@memo(_CACHED)
-def _rate_reach(mu: int, m: int, q: float, qc: float, a: float) -> float:
-    """The theta1 from which ``_ln_moment_pf`` answers at this shape and A
-    (``channels._reach``; inf without weights); it spares the points below
-    it the attempt."""
-    rate = _partial_fractions(mu, m, q, qc)[4]
-    if rate is None:
-        return math.inf
-    # as theta1 -> inf, D_k(theta) -> A (k+1) / theta: the spread of 1 - M at
-    # the bracket's top tends to that of sum w_k (k+1) / theta, times the D's
-    # relative sizes (about 10 at mu = 12).  Shapes within 32 times of the
-    # bound (mu = 12, m = 6 on the benchmark) decline at mid SNR, each
-    # attempt costing more than an answer saves, so they take no attempt.
-    terms = [w * (k + 1.0) / theta for (weights, _, _), theta in zip(rate, (1.0, qc))
-             for k, w in enumerate(weights)]
-    if 32.0 * math.fsum(map(abs, terms)) > _MAX_RATE_SPREAD * math.fsum(terms):
-        return math.inf
-    return _reach(lambda theta1: _ln_moment_pf(rate, theta1, qc * theta1, a) is not None)
-
-
-@memo(_CACHED)
 def _nb_weights(r: int, q: float, qc: float):
     """P[N = j], N ~ NB(r, q), to the first J where u_J s / (1 - s), u_j = (j+1)
     P[N = j] with falling ratios s, bounds sum_(j>J) u_j by e^-L P[N <= J];
@@ -192,23 +172,42 @@ def _nb_weights(r: int, q: float, qc: float):
     return None
 
 
+@memo(_CACHED)
+def _routes(mu: int, m: int, q: float, qc: float, a: float) -> tuple:
+    """(reach, rate, weights) per shape and A, so that a point the Erlang
+    sums cannot take pays one lookup: the partial fractions' ``rate`` and the
+    theta1 from which ``_ln_moment_pf`` answers (``channels._reach``), inf
+    where they are not set up or where, as theta1 -> inf and D_k(theta) ->
+    A (k+1) / theta, the spread of their 1 - M fails the guard; and the
+    Gamma mixture's P[N = j] (``_gamma_mixture``: N = 0 at mu = m)."""
+    rate = _partial_fractions(mu, m, q, qc)[4] if q > 0.0 and mu > m else None
+    reach = math.inf
+    if rate is not None:
+        terms = [w * (k + 1.0) / theta for (weights, _, _), theta in zip(rate, (1.0, qc))
+                 for k, w in enumerate(weights)]
+        if math.fsum(map(abs, terms)) <= _MAX_RATE_SPREAD * math.fsum(terms):
+            reach = _reach(lambda theta1: _ln_moment_pf(rate, theta1, qc * theta1, a) is not None)
+    return reach, rate, _nb_weights(m, 0.0, 1.0) if mu == m else _nb_weights(m, q, qc)
+
+
 def _ln_rate_moment_kms(p: KappaMuShadowedParams, a: float) -> float:
     """ln E[(1 + gamma)^-A] over the shadowed kappa-mu channel (see the
     module docstring): the partial fractions from the reach on, the Gamma
     mixture sum_j P[N = j] E_(a-1+j)(rate) (``channels._gamma_mixture``),
     whose terms are positive, or the MGF integral."""
-    if p.kappa > 0.0 and p.mu > p.m and _rate_reach(p.mu, p.m, p.q, p.qc, a) <= p.theta1:
-        ln_m = _ln_moment_pf(_partial_fractions(p.mu, p.m, p.q, p.qc)[4], p.theta1, p.theta2, a)
+    reach, rate, weights = _routes(p.mu, p.m, p.q, p.qc, a)
+    if reach <= p.theta1:
+        ln_m = _ln_moment_pf(rate, p.theta1, p.theta2, a)
         if ln_m is not None:
             return ln_m
-    shape, rate, r, q, qc = _gamma_mixture(p)
-    weights = _nb_weights(r, q, qc)
-    parts = None if weights is None else _erlang_sums(rate, a, shape - 1, weights, 1.0, 1.0)
-    if parts is not None:
-        m, size_m, c, size_c = parts
-        ln_m = _ln_guarded(m, size_m + m * _TAIL, c, size_c + c * _TAIL)
-        if ln_m is not None:
-            return ln_m
+    if weights is not None:
+        shape, x = _gamma_mixture(p)[:2]
+        parts = _erlang_sums(x, a, shape - 1, weights, 1.0, 1.0)
+        if parts is not None:
+            m, size_m, c, size_c = parts
+            ln_m = _ln_guarded(m, size_m + m * _TAIL, c, size_c + c * _TAIL)
+            if ln_m is not None:
+                return ln_m
     return _ln_rate_moment_mgf(p, a)
 
 

@@ -1133,18 +1133,21 @@ def tricomi_u(a: float, b: float, z: float) -> float:
 
 # The Erlang moments' seeds (``_erlang_sums``): the exponential integral's
 # series below x = _SERIES_BELOW (binomial below _BINOMIAL_BELOW, to A =
-# _MAX_SEED), a continued fraction above.
+# _MAX_SEED), else a continued fraction, whose coefficients are kept for the
+# _CF_CACHED latest (b, k).  No sum is taken past a + k = _MAX_ERLANG, where
+# a call takes about 1 ms and a table holds about 4,700 pairs.
 _SERIES_BELOW = 1.0
 _BINOMIAL_BELOW = 0.25
 _MAX_SEED = 16
+_MAX_ERLANG = 1024
+_CF_CACHED = 32
 
 
 @memo(_CACHED)
 def _exp_int_setup(p: float) -> tuple:
-    """``_exp_int``'s (n, eps, c, terms): n = round(p), eps = p - n, c = Gamma(1-p)
-    (n = 0) or (ln Gamma(1+eps) - ln Gamma(1-eps) - ln Gamma(n+eps) + ln
-    Gamma(n)) / eps (``_ln_gamma_quotient``), and (-1)^j / (j! (j+1-p)) with
-    its magnitude for j from 19 down."""
+    """``_exp_int``'s (n, eps, c, terms): n = round(p), eps = p - n, c =
+    Gamma(1-p) (n = 0) or the quotient L - ln x below (``_ln_gamma_quotient``),
+    and (-1)^j / (j! (j+1-p)) with its magnitude for j from 19 down."""
     n, eps = round(p), p - round(p)
     terms = [(0.0, 0.0) if j == n - 1 else ((-1) ** j / (math.factorial(j) * (j + 1.0 - p)),
                                              1.0 / (math.factorial(j) * abs(j + 1.0 - p)))
@@ -1157,9 +1160,9 @@ def _exp_int_setup(p: float) -> tuple:
 
 def _exp_int(x: float, p: float) -> tuple:
     """(x e^x E_p(x), size) for x <= 1: x^(p-1) Gamma(1-p) - sum_j (-x)^j / (j!
-    (j+1-p)) (DLMF 8.19.8), j < 4 + 16 x^(1/4) (x^j / j! < 1e-17).  At n =
-    round(p) >= 1 the pole and term n-1 sum to (-x)^(n-1) / (n-1)! times -L
-    expm1(eps L) / (eps L), L = ln x + c: no 1/eps is left."""
+    (j+1-p)) (DLMF 8.19.8) to x^j / j! < 1e-17.  At n = round(p) >= 1 the
+    pole and term n-1 sum to (-x)^(n-1) / (n-1)! times -L expm1(eps L) / (eps
+    L), L = ln x + c, with no 1/eps left."""
     n, eps, c, terms = _exp_int_setup(p)
     s = size = 0.0
     for t, t_abs in terms[16 - int(16.0 * x ** 0.25):]:
@@ -1204,7 +1207,7 @@ def _cf_depth(x: float, a: float, k: int) -> int:
     return int((100.0 + 4.0 * (a + k)) / x + 8.0 + 0.25 * k)
 
 
-@memo(_CACHED)
+@memo(_CF_CACHED)
 def _cf_coefficients(b: float, k: int) -> tuple:
     """``_cf_seeds``' (2i - b, i (i-b+1)) from the deepest i at x = 1 down to k+2."""
     top = k + 1 + _cf_depth(_SERIES_BELOW, k + 2.0 - b, k)
@@ -1242,20 +1245,20 @@ def _erlang_sums(x: float, a: float, lo: int, weights: tuple, total: float, tota
     """(sum w_j E_(lo+j), size, sum w_j D_(lo+j), size), the w_j summing to
     ``total`` and |w_j| to ``total_abs``, for the Erlang moments E_k = E[(1 +
     G)^-a] = x^a U(a, a-k, x), G ~ Gamma(k+1, rate x), and D_k = 1 - E_k;
-    None below x = _SERIES_BELOW for a > _MAX_SEED.
+    None past a + k = _MAX_ERLANG, or below x = _SERIES_BELOW past a = _MAX_SEED.
 
     By parts, (k+1) E_(k+1) = x E_(k-1) + (k+1-a-x) E_k, E_(-1) = 1, and D
     the same plus a, D_(-1) = 0.  E is dominated below k = x and, at small
     x, below k = a-1, so the recurrence runs outward from seeds at k0-1 and
     k0: for E below _SERIES_BELOW from k0 = ceil(a) - 1 (0 from
     _BINOMIAL_BELOW), else for D, near 0, from k0 = min(hi, floor x).  Each
-    value's size bounds its rounding: for E, carried through the
-    coefficients' magnitudes, which counts what a step cancels; for D, run
-    where it dominates, the step's summands plus its inputs' relative size."""
+    value's size bounds its rounding: a step's summands plus its inputs'
+    sizes, each carried through its coefficient's magnitude, which counts
+    what the step cancels."""
     hi = lo + len(weights) - 1
+    if a + hi > _MAX_ERLANG or (x < _SERIES_BELOW and a > _MAX_SEED):
+        return None
     if x < _SERIES_BELOW:
-        if a > _MAX_SEED:
-            return None
         k0, inh = (math.ceil(a) - 1 if x < _BINOMIAL_BELOW else 0), 0.0
         prev, cur = _series_seeds(x, a, k0)
     else:
@@ -1272,9 +1275,7 @@ def _erlang_sums(x: float, a: float, lo: int, weights: tuple, total: float, tota
     for k in range(k0, hi):
         f = k + 1.0 - a - x
         new = (inh + x * v0 + f * v1) / (k + 1.0)
-        s0, s1 = s1, ((inh + abs(x * v0) + abs(f * v1)) / (k + 1.0) + abs(new) * max(
-            s0 / v0 if v0 else 0.0, s1 / v1 if v1 else 0.0) if inh
-            else (x * s0 + abs(f) * s1) / (k + 1.0) + abs(new))
+        s0, s1 = s1, (inh + x * (abs(v0) + s0) + abs(f) * (abs(v1) + s1)) / (k + 1.0)
         v0, v1 = v1, new
         if k >= lo - 1:
             value += weights[k + 1 - lo] * new
@@ -1283,9 +1284,7 @@ def _erlang_sums(x: float, a: float, lo: int, weights: tuple, total: float, tota
     for k in range(k0 - 1, lo, -1):
         f = k + 1.0 - a - x
         new = ((k + 1.0) * v0 - inh - f * v1) / x
-        s0, s1 = s1, ((inh + abs((k + 1.0) * v0) + abs(f * v1)) / x + abs(new) * max(
-            s0 / v0 if v0 else 0.0, s1 / v1 if v1 else 0.0) if inh
-            else ((k + 1.0) * s0 + abs(f) * s1) / x + abs(new))
+        s0, s1 = s1, ((k + 1.0) * (abs(v0) + s0) + inh + abs(f) * (abs(v1) + s1)) / x
         v0, v1 = v1, new
         if k <= hi + 1:
             value += weights[k - 1 - lo] * new

@@ -26,6 +26,7 @@ from edsense import capacity
 from edsense.capacity import DelayQoS, eff_rate_kms
 from edsense.channels import KappaMuShadowedParams
 from edsense.errors import ConvergenceError
+from edsense import specfun
 from edsense.specfun import gauss_2f1
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
@@ -54,9 +55,8 @@ def _routes(monkeypatch):
         return mgf(*args)
 
     def route(p, a):
-        # the reach is bisected first, outside the count
-        if p.kappa > 0.0 and p.mu > p.m:
-            capacity._rate_reach(p.mu, p.m, p.q, p.qc, a)
+        # the routes are set up first, outside the count
+        capacity._routes(p.mu, p.m, p.q, p.qc, a)
         taken.clear()
         monkeypatch.setattr(capacity, "_ln_moment_pf", counted_pf)
         monkeypatch.setattr(capacity, "_ln_rate_moment_mgf", counted_mgf)
@@ -72,7 +72,7 @@ def _routes(monkeypatch):
 
 def test_kms_rate_against_mpmath_on_each_route(monkeypatch):
     # every cell within 1e-12 on the route that takes it (worst 2.3e-14),
-    # except the 14 cells below -20 dB that the MGF integral takes: its ln M
+    # except the 15 cells below -20 dB that the MGF integral takes: its ln M
     # keeps an absolute, not a relative, error there (8.6e-9 of the rate at
     # -80 dB), the low-SNR fault that the Erlang sums' 1 - M mends only where
     # they answer
@@ -88,8 +88,8 @@ def test_kms_rate_against_mpmath_on_each_route(monkeypatch):
             skipped += 1
             continue
         assert math.isclose(got, want, rel_tol=1e-12), (kappa, mu, m, db, a, taken)
-    assert skipped == 14
-    assert counts["pf"] + counts["mix"] == 113 and min(counts.values()) > 10
+    assert skipped == 15
+    assert counts["pf"] + counts["mix"] == 116 and min(counts.values()) > 10
 
 
 def test_kms_rate_against_mpmath_with_the_integral_forced(monkeypatch):
@@ -136,10 +136,10 @@ def _rate_slots():
 _ROUTE_COUNTS = {
     "rate-kms-mu2-m1": [(17, 0, 0)] * 4,
     "rate-kms-mu4-m2": [(17, 0, 0)] * 4,
-    "rate-kms-mu12-m6": [(0, 0, 17)] * 4,
+    "rate-kms-mu12-m6": [(12, 0, 5), (13, 0, 4), (0, 0, 17), (12, 0, 5)],
     "rate-kms-mu60-m30": [(0, 0, 5)] * 4,
     "fault-rate-kms-k1e-5-mu4-m2-A5": [(0, 14, 3)],
-    "fault-rate-kms-k0.05-mu12-m6-A2": [(0, 16, 1)],
+    "fault-rate-kms-k0.05-mu12-m6-A2": [(0, 17, 0)],
 }
 
 
@@ -157,8 +157,8 @@ def test_route_counts_on_the_benchmark_rate_slots(monkeypatch):
 
 
 def test_mu60_slot_never_calls_the_erlang_kernel(monkeypatch):
-    # its partial fractions spread about 5.6e3 even as theta1 -> inf, which
-    # the reach finds from the weights alone, and its mixture needs more
+    # its partial fractions' 1 - M spreads over 1e3 even as theta1 -> inf,
+    # which the route set-up finds from the weights alone, and its mixture needs more
     # than _MAX_MIX_TERMS terms: the integral pays for nothing new
     calls = []
     kernel = capacity._erlang_sums
@@ -194,3 +194,44 @@ def test_kms_rate_relative_at_low_snr(monkeypatch, db):
     got, taken = _routes(monkeypatch)(_kms(2.0, 4, 2, float(db)), 1.0)
     assert taken == "pf"
     assert math.isclose(got, _LOW_SNR[db], rel_tol=1e-12)
+
+
+# (x, A, k, E_k, D_k): E_k = x^A U(A, A-k, x) in mpmath 1.3.0 (dps 40), on
+# both seeds and both directions of the recurrence; the cells at x = 2.5,
+# 6.5 and 3.0 run D forward past k = x, where f = k+1-A-x < 0 and each step
+# cancels
+_KERNEL_CELLS = [
+    (0.03, 0.45, 0, 0.28810895080433140835, 0.71189104919566859165),
+    (0.2, 5.5, 7, 2.1792345558043263285e-8, 0.99999997820765444196),
+    (0.6, 2.3, 4, 0.011249152817653905632, 0.98875084718234609437),
+    (2.5, 3.7, 9, 0.0045630095912544960069, 0.99543699040874550399),
+    (6.5, 7.9, 20, 0.000030207868810038861573, 0.99996979213118996114),
+    (3.0, 2.0, 14, 0.031967501507332742224, 0.96803249849266725778),
+    (40.0, 1.5, 3, 0.87000007209554010372, 0.12999992790445989628),
+    (900.0, 9.5, 2, 0.9690568077108064213, 0.030943192289193578704),
+]
+
+
+@pytest.mark.parametrize("x,a,k,e_k,d_k", _KERNEL_CELLS)
+def test_erlang_sums_stay_within_their_size(x, a, k, e_k, d_k):
+    # the guard's premise: each error within 16 units of its size
+    e, size_e, d, size_d = specfun._erlang_sums(x, a, k, (1.0,), 1.0, 1.0)
+    assert abs(e - e_k) <= 16.0 * 2.0 ** -53 * size_e
+    assert abs(d - d_k) <= 16.0 * 2.0 ** -53 * size_d
+
+
+@pytest.mark.parametrize("p,a", [(KappaMuShadowedParams(0.0, 10**6, 10**6, 1.0), 1.0),
+                                 (KappaMuShadowedParams(2.0, 4, 2, 10.0), 1e7)])
+def test_erlang_sums_decline_past_their_order(p, a):
+    # a + k past _MAX_ERLANG (k = 999,999 on the one-term mixture; A = 1e7
+    # in the reach's bisection): the sums decline before any seed or table,
+    # and the MGF integral answers as it would alone
+    assert specfun._erlang_sums(1e6, a, 10**6 - 1, (1.0,), 1.0, 1.0) is None
+    try:
+        want = capacity._ln_rate_moment_mgf(p, a)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            eff_rate_kms(p, DelayQoS(a))
+    else:
+        assert eff_rate_kms(p, DelayQoS(a)) == -want / (a * math.log(2.0))
+    assert specfun._cf_coefficients.cache_info().currsize == 0
