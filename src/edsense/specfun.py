@@ -1145,9 +1145,10 @@ _CF_CACHED = 32
 
 @memo(_CACHED)
 def _exp_int_setup(p: float) -> tuple:
-    """``_exp_int``'s (n, eps, c, terms): n = round(p), eps = p - n, c =
-    Gamma(1-p) (n = 0) or the quotient L - ln x below (``_ln_gamma_quotient``),
-    and (-1)^j / (j! (j+1-p)) with its magnitude for j from 19 down."""
+    """``_exp_int``'s (n, eps, c, terms): n = round(p), eps = p - n, c = Gamma(1-p)
+    (n = 0) or (ln Gamma(1+eps) - ln Gamma(1-eps) - ln Gamma(n+eps) + ln
+    Gamma(n)) / eps (``_ln_gamma_quotient``), and (-1)^j / (j! (j+1-p)) with
+    its magnitude for j from 19 down."""
     n, eps = round(p), p - round(p)
     terms = [(0.0, 0.0) if j == n - 1 else ((-1) ** j / (math.factorial(j) * (j + 1.0 - p)),
                                              1.0 / (math.factorial(j) * abs(j + 1.0 - p)))
@@ -1160,9 +1161,9 @@ def _exp_int_setup(p: float) -> tuple:
 
 def _exp_int(x: float, p: float) -> tuple:
     """(x e^x E_p(x), size) for x <= 1: x^(p-1) Gamma(1-p) - sum_j (-x)^j / (j!
-    (j+1-p)) (DLMF 8.19.8) to x^j / j! < 1e-17.  At n = round(p) >= 1 the
-    pole and term n-1 sum to (-x)^(n-1) / (n-1)! times -L expm1(eps L) / (eps
-    L), L = ln x + c, with no 1/eps left."""
+    (j+1-p)) (DLMF 8.19.8), j < 4 + 16 x^(1/4) (x^j / j! < 1e-17).  At n =
+    round(p) >= 1 the pole and term n-1 sum to (-x)^(n-1) / (n-1)! times -L
+    expm1(eps L) / (eps L), L = ln x + c: no 1/eps is left."""
     n, eps, c, terms = _exp_int_setup(p)
     s = size = 0.0
     for t, t_abs in terms[16 - int(16.0 * x ** 0.25):]:
