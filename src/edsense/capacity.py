@@ -177,16 +177,11 @@ def _routes(mu: int, m: int, q: float, qc: float, a: float) -> tuple:
     """(reach, rate, weights) per shape and A, so that a point the Erlang
     sums cannot take pays one lookup: the partial fractions' ``rate`` and the
     theta1 from which ``_ln_moment_pf`` answers (``channels._reach``), inf
-    where they are not set up or where, as theta1 -> inf and D_k(theta) ->
-    A (k+1) / theta, the spread of their 1 - M fails the guard; and the
-    Gamma mixture's P[N = j] (``_gamma_mixture``: N = 0 at mu = m)."""
+    where they are not set up or where it fails even at the reach's top; and
+    the Gamma mixture's P[N = j] (``_gamma_mixture``: N = 0 at mu = m)."""
     rate = _partial_fractions(mu, m, q, qc)[4] if q > 0.0 and mu > m else None
-    reach = math.inf
-    if rate is not None:
-        terms = [w * (k + 1.0) / theta for (weights, _, _), theta in zip(rate, (1.0, qc))
-                 for k, w in enumerate(weights)]
-        if math.fsum(map(abs, terms)) <= _MAX_RATE_SPREAD * math.fsum(terms):
-            reach = _reach(lambda theta1: _ln_moment_pf(rate, theta1, qc * theta1, a) is not None)
+    reach = math.inf if rate is None else _reach(
+        lambda theta1: _ln_moment_pf(rate, theta1, qc * theta1, a) is not None)
     return reach, rate, _nb_weights(m, 0.0, 1.0) if mu == m else _nb_weights(m, q, qc)
 
 

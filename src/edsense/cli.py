@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -35,10 +34,6 @@ from .oracle import MonteCarloSpec
 from .verify import METRIC_NAMES, verify_closed_form
 
 __all__ = ["main", "SweepConfig"]
-
-# Environment hook used by the test suite to prove that verify catches a
-# wrong constant: the closed form is scaled by (1 + value) before comparison.
-_PERTURB_ENV = "EDSENSE_VERIFY_PERTURB"
 
 @dataclass
 class SweepConfig:
@@ -111,8 +106,8 @@ def _integer(value) -> int:
     return int(value)
 
 
-# Every field that a flag --name (with - for _) or --json may set, as (name,
-# type, help); a, or theta_exp with block_t and bandwidth, sets a_exponent.
+# Every field that a flag --name (with - for _) or the same key in --json may
+# set, as (name, type, help); a sets a_exponent.  Any other --json key is refused.
 _FIELDS = (
     ("channel", str, "kms or fisher"),
     ("kappa", float, None),
@@ -123,9 +118,6 @@ _FIELDS = (
      "average SNR in dB: a value or start:stop:step"),
     ("u", _integer, "time-bandwidth product"),
     ("a", float, "delay-QoS exponent A"),
-    ("theta_exp", float, "delay exponent Theta (folded into A with --block-t --bandwidth)"),
-    ("block_t", float, "block duration T"),
-    ("bandwidth", float, "bandwidth B"),
     ("pf_points", _integer, None),
     ("pf_min", float, None),
     ("pf_max", float, None),
@@ -166,19 +158,16 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise DomainError("--json must contain a single object")
+        unknown = sorted(set(loaded) - {name for name, _, _ in _FIELDS})
+        if unknown:
+            raise DomainError(f"--json keys that are not flags: {', '.join(map(repr, unknown))}")
         merged.update(loaded)
     merged.update((key, val) for key, val in vars(args).items() if val is not None)
 
     # flags and JSON fields that are left out keep the SweepConfig defaults
     given = {key: _typed(key, cast, merged[key]) for key, cast, _ in _FIELDS if key in merged}
-    a, theta_exp, block_t, bandwidth = (given.pop(key, None)
-                                        for key in ("a", "theta_exp", "block_t", "bandwidth"))
-    if theta_exp is not None:
-        if block_t is None or bandwidth is None:
-            raise DomainError("--theta-exp requires --block-t and --bandwidth")
-        a = theta_exp * block_t * bandwidth / math.log(2.0)
-    if a is not None:
-        given["a_exponent"] = a
+    if "a" in given:
+        given["a_exponent"] = given.pop("a")
     cfg = SweepConfig(command=args.command, **given)
     if cfg.command != "verify" and cfg.channel is None:
         raise DomainError(f"{cfg.command} requires --channel")
@@ -279,11 +268,6 @@ def _verify_cells(cfg: SweepConfig):
 
 
 def run_verify(cfg: SweepConfig) -> tuple[list[str], bool]:
-    raw = os.environ.get(_PERTURB_ENV, "0") or "0"
-    try:
-        perturb = float(raw)
-    except ValueError:
-        raise DomainError(f"{_PERTURB_ENV} must be a number, got {raw!r}") from None
     det = DetectorConfig(u=cfg.u, lam=detection.threshold_for_pf(cfg.u, 0.1))
     qos = DelayQoS(cfg.a_exponent)
     lines = ["metric,label,closed,quad,quad_err,mc,mc_se,status"]
@@ -295,7 +279,7 @@ def run_verify(cfg: SweepConfig) -> tuple[list[str], bool]:
                                      n_samples=cfg.mc_samples)
             record = verify_closed_form(
                 name, params, detector=det, qos=qos, mc_spec=mc_spec,
-                series_tol=cfg.tol, perturb=perturb)
+                series_tol=cfg.tol)
             all_pass &= record.passed
             lines.append(
                 f"{record.metric},{record.label},{_fmt(record.closed_form)},"

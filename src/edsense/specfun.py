@@ -777,9 +777,8 @@ def _setup_2f1(a: float, b: float, c: float):
     (``_one_minus_z_reach``; 1 where no Euler integral could take over).
     ``euler`` is (p, q, ln of Gamma(c) / (Gamma(q) Gamma(c-q))) for the
     Euler integral, or None where neither ordering (p, q) of (a, b) has
-    c > q > 0.  With s the smaller of q and c-q and x the other, that log is
-    s g(x, s) - ln Gamma(s) (``_ln_gamma_quotient``): three lgamma values
-    near c ln c would leave it about 1e-16 c ln c off.
+    c > q > 0.  That log is -ln B(q, c-q) (``ln_beta``), which keeps it
+    from three lgamma values near c ln c.
     """
     # Of the orderings (p, q) of (a, b) with c > q > 0, take one with q and
     # c - q at least 1 where there is one, which keeps the endpoint powers
@@ -790,8 +789,7 @@ def _setup_2f1(a: float, b: float, c: float):
     euler = None
     if orderings:
         p, q = max(orderings, key=lambda pq: (min(pq[1], c - pq[1], 1.0), pq[1]))
-        small, big = sorted((q, c - q))
-        euler = (p, q, small * _ln_gamma_quotient(big, small)[1] - math.lgamma(small))
+        euler = (p, q, -ln_beta(q, c - q))
     shift = 0.0
     if c - a - b < -0.5:
         a, b, shift = c - a, c - b, c - a - b

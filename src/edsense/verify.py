@@ -97,9 +97,9 @@ def verify_closed_form(name: str,
     tolerance (1e-7, plus ``series_tol`` for ``avg_pd_f``) and the Monte
     Carlo window (4 standard errors, plus the series' certified truncation
     error) are fixed and recorded.  ``perturb`` multiplies the closed-form
-    value by (1 + perturb) before comparison; the CLI exposes it so the
-    verification machinery itself can be shown to catch a wrong constant; a
-    non-finite ``perturb`` raises DomainError.
+    value by (1 + perturb) before comparison, so that a caller can show the
+    verification machinery itself catches a wrong constant (the CLI does not
+    expose it); a non-finite ``perturb`` raises DomainError.
     """
     if not math.isfinite(perturb):
         raise DomainError(f"perturb must be finite, got {perturb}")

@@ -2,6 +2,7 @@
 config, and the verification report."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from scipy import integrate, stats
 
 import edsense
-from edsense import cli
+from edsense import cli, verify
 from edsense.channels import KappaMuShadowedParams
 from edsense.cli import SweepConfig, main
 
@@ -177,6 +178,18 @@ def test_json_rejects_wrong_types(tmp_path, capsys, key, value):
     assert f"invalid parameters: {key}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("A", 3), ("theta_exp", 1), ("a_exponent", 2)])
+def test_json_refuses_keys_that_are_not_flags(tmp_path, capsys, key, value):
+    # {"A": 3} used to print the A = 1 rates with exit 0
+    base = dict(channel="kms", kappa=2.0, mu=2, m=1, snr_db="0:10:5")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(dict(base, **{key: value})))
+    code, out = _run(tmp_path, "typo.csv", ["effrate", "--json", str(path)])
+    assert code == 2
+    assert f"invalid parameters: --json keys that are not flags: {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_snr_range(tmp_path):
     code, out = _run(tmp_path, "neg.csv",
                      ["auc", "--channel", "kms", "--kappa", "2", "--mu", "2",
@@ -247,10 +260,23 @@ def test_bad_values_are_invalid_parameters(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_a_is_the_only_flag_that_sets_a(capsys):
+    # --theta-exp 1 --block-t 1 --bandwidth 1 used to replace --a 2 by
+    # A = 1/ln 2 with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["effrate", "--channel", "kms", "--kappa", "2", "--mu", "2", "--m", "1",
+              "--snr-db", "10", "--a", "2", "--theta-exp", "1", "--block-t", "1",
+              "--bandwidth", "1", "--out", "-"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --theta-exp 1 --block-t 1 --bandwidth 1" in captured.err
+
+
 def test_one_field_table_types_flags_and_json():
     names = {name for name, _, _ in cli._FIELDS}
     fields = {f.name for f in dataclasses.fields(SweepConfig)}
-    qos = {"a", "theta_exp", "block_t", "bandwidth"}  # these set a_exponent
+    qos = {"a"}  # sets a_exponent
     assert names - qos == fields - {"command", "a_exponent"}
     assert all(action.type is None for action in cli._build_parser()._actions)
 
@@ -328,23 +354,22 @@ def test_verify_single_cell_and_perturb(tmp_path, monkeypatch):
     assert code == 0
     text = out.read_text()
     assert "PASS" in text and "FAIL" not in text
-    monkeypatch.setenv("EDSENSE_VERIFY_PERTURB", "1e-3")
+    monkeypatch.setattr(cli, "verify_closed_form",
+                        functools.partial(verify.verify_closed_form, perturb=1e-3))
     code, out = _run(tmp_path, "v2.txt", args)
     assert code == 1
     assert "FAIL" in out.read_text()
 
 
-@pytest.mark.parametrize("value", ["abc", "nan"])
-def test_verify_rejects_malformed_perturb(value, monkeypatch, capsys):
-    # "abc" used to die with a ValueError traceback and "nan" to print FAIL
-    # rows, both with exit code 1, which means a failed verification
-    monkeypatch.setenv("EDSENSE_VERIFY_PERTURB", value)
-    code = main(["verify", "--channel", "kms", "--kappa", "0", "--mu", "2", "--m", "1",
-                 "--snr-db", "6", "--mc-samples", "10000", "--out", "-"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("edsense: invalid parameters: ")
+def test_verify_reads_no_environment_variable(monkeypatch, capsys):
+    # EDSENSE_VERIFY_PERTURB=1e-3 used to scale every closed form by 1.001
+    args = ["verify", "--channel", "kms", "--kappa", "0", "--mu", "2", "--m", "1",
+            "--snr-db", "6", "--mc-samples", "10000", "--out", "-"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("EDSENSE_VERIFY_PERTURB", "1e-3")
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_verify_beyond_the_fisher_reference_exits_3(capsys):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from edsense import capacity
+from edsense import capacity, channels
 from edsense.capacity import DelayQoS, eff_rate_kms
 from edsense.channels import KappaMuShadowedParams
 from edsense.errors import ConvergenceError
@@ -156,18 +156,23 @@ def test_route_counts_on_the_benchmark_rate_slots(monkeypatch):
         assert counts == _ROUTE_COUNTS[name], name
 
 
-def test_mu60_slot_never_calls_the_erlang_kernel(monkeypatch):
-    # its partial fractions' 1 - M spreads over 1e3 even as theta1 -> inf,
-    # which the route set-up finds from the weights alone, and its mixture needs more
-    # than _MAX_MIX_TERMS terms: the integral pays for nothing new
+def test_mu60_slot_calls_the_erlang_kernel_only_at_the_reach_top(monkeypatch):
+    # its partial fractions' 1 - M spreads over 1e3 even at the top of the
+    # reach's bracket, theta1 = 2^64, the one theta1 that the route set-up
+    # tries per shape and A; and its mixture needs more than _MAX_MIX_TERMS
+    # terms: no point calls the kernel, and the integral pays for nothing new
     calls = []
     kernel = capacity._erlang_sums
     monkeypatch.setattr(capacity, "_erlang_sums", lambda *args: calls.append(args) or kernel(*args))
+    top = math.exp(channels._REACH_BRACKET[1])
     for v in _rate_slots()["rate-kms-mu60-m30"]:
         p = v["params"]
         for db in p["snr_db"]:
-            eff_rate_kms(_kms(p["kappa"], p["mu"], p["m"], db), DelayQoS(p["a"]))
-    assert calls == []
+            chan = _kms(p["kappa"], p["mu"], p["m"], db)
+            eff_rate_kms(chan, DelayQoS(p["a"]))
+            set_up = [top, chan.qc * top] if db == p["snr_db"][0] else []
+            assert [args[0] for args in calls] == set_up, db
+            calls.clear()
 
 
 def test_gauss_2f1_at_large_c():

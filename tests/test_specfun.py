@@ -539,6 +539,26 @@ def test_gauss_2f1_direct_series_raises_where_it_cancels():
     assert math.isclose(got, want, rel_tol=1e-12), got
 
 
+# Cells on (1/2, 1) where the 1-z series declines and no ordering of (a, b)
+# has c > q > 0, so the direct series answers.  Values from mpmath 1.3.0 at
+# mp.dps = 40.
+@pytest.mark.parametrize("cell,want", [
+    ((-3.22, 4.77, 1.32, 0.52), 0.11729505382557064807),
+    ((-5.15, 2.89, -1.68, 0.56), -5.6026333729520717086),
+    ((4.43, 2.61, -4.41, 0.55), -14215899.175650396552),
+])
+def test_gauss_2f1_direct_series_above_one_half(monkeypatch, cell, want):
+    a, b, c, z = cell
+    series, euler = specfun._setup_2f1(a, b, c)
+    assert euler is None
+    assert specfun._one_minus_z_2f1(series, 1.0 - z) is None
+    calls = []
+    real = specfun._series_phq
+    monkeypatch.setattr(specfun, "_series_phq", lambda *args: calls.append(args) or real(*args))
+    assert math.isclose(gauss_2f1(*cell), want, rel_tol=1e-13)
+    assert calls == [(a, b, c, z, "gauss_2f1")]
+
+
 def test_gauss_2f1_where_the_two_term_formula_cancelled():
     # after the Pfaff step the two-term 1-z formula took this cell with its
     # terms cancelling by a factor of about 450, 1.8e-11 off; mpmath 1.3.0

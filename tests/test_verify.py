@@ -1,6 +1,8 @@
 """Three-way verification records: pass behavior, perturbation detection,
 and dispatch validation."""
 
+import math
+
 import pytest
 
 from edsense.capacity import DelayQoS
@@ -53,6 +55,13 @@ def test_perturbed_constant_is_caught():
     assert not record.quad_pass
     assert not record.passed
     assert "FAIL" in record.line()
+
+
+def test_non_finite_perturb_is_refused():
+    channel = KappaMuShadowedParams(2.0, 3, 2, 10.0)
+    with pytest.raises(DomainError, match="perturb must be finite"):
+        verify_closed_form("avg_pd_kms", channel, detector=DET, mc_spec=MC,
+                           perturb=math.nan)
 
 
 def test_dispatch_validation():
